@@ -15,7 +15,7 @@
 
 use std::time::Instant;
 
-use fafnir_bench::{banner, print_table};
+use fafnir_bench::{banner, extract_number, print_table};
 use fafnir_cluster::{cluster_setup, ClusterReport, RouterPolicy};
 use fafnir_core::{FafnirConfig, ShardPlan, ShardStrategy, VectorIndex};
 use fafnir_mem::MemoryModelKind;
@@ -33,15 +33,6 @@ const RATE_QPS: f64 = 2e6;
 const HOT_FRACTION: f64 = 0.05;
 const SEED: u64 = 7;
 const REGRESSION_TOLERANCE: f64 = 0.8;
-
-/// Pulls the number following `"key": ` out of a previous JSON report.
-fn extract_number(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\": ");
-    let start = json.find(&needle)? + needle.len();
-    let rest = &json[start..];
-    let end = rest.find([',', '\n', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
 
 fn serve_config() -> ServeConfig {
     ServeConfig {

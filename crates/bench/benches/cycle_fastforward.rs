@@ -17,10 +17,10 @@
 use std::time::Instant;
 
 use criterion::black_box;
-use fafnir_bench::{banner, print_table, times};
+use fafnir_bench::{banner, extract_number, print_table, times};
 use fafnir_core::cycle_sim::CycleTree;
 use fafnir_core::inject::{build_rank_inputs, GatheredVector};
-use fafnir_core::{Batch, FafnirConfig, IndexSet, PeTiming, ReduceOp, ReductionTree, VectorIndex};
+use fafnir_core::{Batch, FafnirConfig, IndexSet, PeTiming, ReductionTree, VectorIndex};
 use fafnir_mem::{MemoryConfig, MemorySystem, Request};
 
 const MEM_READS: u64 = 64;
@@ -76,16 +76,7 @@ fn tree_inputs(batch: &Batch, ranks: usize) -> Vec<Vec<fafnir_core::Item>> {
             ready_ns: TREE_SPREAD_NS * f64::from(index.value()),
         })
         .collect();
-    build_rank_inputs(batch, &gathered, ranks, 2, ReduceOp::Sum, &PeTiming::default())
-}
-
-/// Pulls the number following `"key": ` out of a previous JSON report.
-fn extract_number(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\": ");
-    let start = json.find(&needle)? + needle.len();
-    let rest = &json[start..];
-    let end = rest.find([',', '\n', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
+    build_rank_inputs(batch, &gathered, ranks, 2, &PeTiming::default())
 }
 
 fn main() {

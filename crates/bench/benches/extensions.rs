@@ -112,14 +112,7 @@ fn buffer_sizing_validation() {
         .collect();
     let inputs = |cap: usize| {
         let _ = cap;
-        build_rank_inputs(
-            &batch,
-            &gathered,
-            8,
-            2,
-            fafnir_core::ReduceOp::Sum,
-            &fafnir_core::PeTiming::default(),
-        )
+        build_rank_inputs(&batch, &gathered, 8, 2, &fafnir_core::PeTiming::default())
     };
     let mut rows = Vec::new();
     for capacity in [1usize, 2, 4, 8, 16, 32] {

@@ -16,7 +16,7 @@
 
 use std::time::Instant;
 
-use fafnir_bench::{banner, paper_memory, paper_traffic, print_table};
+use fafnir_bench::{banner, extract_number, paper_memory, paper_traffic, print_table};
 use fafnir_core::{FafnirEngine, StripedSource};
 use fafnir_mem::MemoryModelKind;
 use fafnir_serve::{
@@ -31,15 +31,6 @@ const REGRESSION_TOLERANCE: f64 = 0.8;
 /// The cycle-mode rate recorded by the serving bench when this mode
 /// shipped; the tentpole target is ≥10× this in fast mode.
 const BASELINE_QPS: f64 = 16_231.0;
-
-/// Pulls the number following `"key": ` out of a previous JSON report.
-fn extract_number(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\": ");
-    let start = json.find(&needle)? + needle.len();
-    let rest = &json[start..];
-    let end = rest.find([',', '\n', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
 
 /// One full serving-bench pass (all three windows); returns the wall time.
 fn run_pass(engine: &FafnirEngine, source: &StripedSource) -> f64 {

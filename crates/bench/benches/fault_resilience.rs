@@ -15,7 +15,7 @@
 
 use std::time::Instant;
 
-use fafnir_bench::{banner, paper_memory, paper_traffic, print_table};
+use fafnir_bench::{banner, extract_number, paper_memory, paper_traffic, print_table};
 use fafnir_core::{FafnirEngine, StripedSource};
 use fafnir_serve::{simulate_resilient, BatchPolicy, ResilienceConfig, ServeConfig, ServeReport};
 use fafnir_workloads::arrival::ArrivalProcess;
@@ -26,15 +26,6 @@ const QUERIES: usize = 512;
 const SLOWDOWN: f64 = 8.0;
 const HEDGE_DELAYS_NS: [Option<f64>; 3] = [None, Some(6_000.0), Some(3_000.0)];
 const REGRESSION_TOLERANCE: f64 = 0.9;
-
-/// Pulls the number following `"key": ` out of a previous JSON report.
-fn extract_number(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\": ");
-    let start = json.find(&needle)? + needle.len();
-    let rest = &json[start..];
-    let end = rest.find([',', '\n', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
 
 fn serve_config() -> ServeConfig {
     ServeConfig {

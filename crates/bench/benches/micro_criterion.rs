@@ -7,7 +7,7 @@ use std::hint::black_box;
 use fafnir_core::batch::Batch;
 use fafnir_core::inject::{build_rank_inputs, GatheredVector};
 use fafnir_core::{
-    FafnirConfig, IndexSet, PeTiming, ProcessingElement, ReduceOp, ReductionTree, VectorIndex,
+    FafnirConfig, IndexSet, PeTiming, ProcessingElement, ReductionTree, VectorIndex,
 };
 use fafnir_mem::{MemoryConfig, MemorySystem, Request};
 use fafnir_sparse::stream::{merge_tree, PartialStream, StreamOps};
@@ -16,7 +16,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn bench_pe_process(c: &mut Criterion) {
-    let pe = ProcessingElement::new(ReduceOp::Sum);
+    let pe = ProcessingElement::default();
     let batch = Batch::from_index_sets(
         (0..8u32).map(|i| IndexSet::from_iter_dedup((0..8).map(move |j| VectorIndex(i * 8 + j)))),
     );
@@ -30,7 +30,7 @@ fn bench_pe_process(c: &mut Criterion) {
             ready_ns: 0.0,
         })
         .collect();
-    let inputs = build_rank_inputs(&batch, &gathered, 2, 2, ReduceOp::Sum, &PeTiming::default());
+    let inputs = build_rank_inputs(&batch, &gathered, 2, 2, &PeTiming::default());
     c.bench_function("pe_process_32_items", |b| {
         b.iter(|| black_box(pe.process(&inputs[0], &inputs[1])));
     });
@@ -53,7 +53,7 @@ fn bench_tree_run(c: &mut Criterion) {
             ready_ns: 0.0,
         })
         .collect();
-    let inputs = build_rank_inputs(&batch, &gathered, 32, 2, ReduceOp::Sum, &PeTiming::default());
+    let inputs = build_rank_inputs(&batch, &gathered, 32, 2, &PeTiming::default());
     c.bench_function("tree_run_16x16_batch", |b| {
         b.iter_batched(|| inputs.clone(), |i| black_box(tree.run(i)), BatchSize::SmallInput);
     });
@@ -137,7 +137,7 @@ fn bench_cycle_sim(c: &mut Criterion) {
             ready_ns: 50.0,
         })
         .collect();
-    let inputs = build_rank_inputs(&batch, &gathered, 8, 2, ReduceOp::Sum, &PeTiming::default());
+    let inputs = build_rank_inputs(&batch, &gathered, 8, 2, &PeTiming::default());
     let sim = CycleTree::new(&tree, 32).expect("non-zero capacity");
     c.bench_function("cycle_sim_8x8_batch", |b| {
         b.iter_batched(

@@ -15,7 +15,7 @@
 
 use std::time::Instant;
 
-use fafnir_bench::{banner, paper_memory, paper_traffic, print_table};
+use fafnir_bench::{banner, extract_number, paper_memory, paper_traffic, print_table};
 use fafnir_core::{FafnirEngine, StripedSource};
 use fafnir_serve::{run_scenarios, BatchPolicy, Scenario, ServeConfig, ServeReport};
 use fafnir_workloads::arrival::ArrivalProcess;
@@ -24,15 +24,6 @@ const RATE_QPS: f64 = 2e6;
 const QUERIES: usize = 512;
 const WINDOWS_NS: [f64; 3] = [1_000.0, 4_000.0, 16_000.0];
 const REGRESSION_TOLERANCE: f64 = 0.8;
-
-/// Pulls the number following `"key": ` out of a previous JSON report.
-fn extract_number(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\": ");
-    let start = json.find(&needle)? + needle.len();
-    let rest = &json[start..];
-    let end = rest.find([',', '\n', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();

@@ -16,7 +16,7 @@
 
 use std::time::Instant;
 
-use fafnir_bench::{banner, print_table};
+use fafnir_bench::{banner, extract_number, print_table};
 use fafnir_sparse::{
     execute_partitioned, fafnir_spmv, gen, CooMatrix, LilMatrix, PartitionReport,
     PartitionStrategy, SpmvPartition, SpmvTiming,
@@ -26,15 +26,6 @@ const RANK_COUNTS: [usize; 4] = [2, 4, 8, 16];
 const VECTOR_SIZE: usize = 256;
 const SEED: u64 = 7;
 const REGRESSION_TOLERANCE: f64 = 0.8;
-
-/// Pulls the number following `"key": ` out of a previous JSON report.
-fn extract_number(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\": ");
-    let start = json.find(&needle)? + needle.len();
-    let rest = &json[start..];
-    let end = rest.find([',', '\n', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
 
 fn strategies(ranks: usize) -> [PartitionStrategy; 4] {
     [

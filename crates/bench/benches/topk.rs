@@ -17,7 +17,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use fafnir_bench::{banner, paper_memory, print_table};
+use fafnir_bench::{banner, extract_number, paper_memory, print_table};
 use fafnir_core::{Batch, FafnirConfig, FafnirEngine, GatherEngine, ReduceOp, TopKOperator};
 use fafnir_workloads::similarity::{recall_at_k, SimilarityWorkload};
 use fafnir_workloads::EmbeddingTableSet;
@@ -29,15 +29,6 @@ const PROXY_DIMS: usize = 16;
 const QUERIES: u64 = 8;
 const K_SWEEP: [usize; 5] = [1, 2, 4, 8, 16];
 const REGRESSION_TOLERANCE: f64 = 0.9;
-
-/// Pulls the number following `"key": ` out of a previous JSON report.
-fn extract_number(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\": ");
-    let start = json.find(&needle)? + needle.len();
-    let rest = &json[start..];
-    let end = rest.find([',', '\n', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
 
 fn main() {
     let force = std::env::args().any(|arg| arg == "--force");

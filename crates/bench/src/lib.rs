@@ -3,7 +3,7 @@
 //! Each `benches/*.rs` target regenerates one table or figure of the paper
 //! (see DESIGN.md's per-experiment index). This library holds the shared
 //! pieces: aligned table printing, the calibrated paper-traffic generator,
-//! and engine constructors.
+//! engine constructors, and the JSON reader behind the regression guards.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -129,9 +129,29 @@ pub fn ns(value: f64) -> String {
     }
 }
 
+/// Pulls the number following `"key": ` out of a previous JSON report
+/// (the `BENCH_*.json` regression guards read their recorded baselines
+/// with it).
+#[must_use]
+pub fn extract_number(json: &str, key: &str) -> Option<f64> {
+    let needle = format!("\"{key}\": ");
+    let start = json.find(&needle)? + needle.len();
+    let rest = &json[start..];
+    let end = rest.find([',', '\n', '}']).unwrap_or(rest.len());
+    rest[..end].trim().parse().ok()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn extract_number_reads_present_missing_and_last_keys() {
+        let json = "{\"qps\": 1250.5, \"speedup\": 3}";
+        assert_eq!(extract_number(json, "qps"), Some(1250.5));
+        assert_eq!(extract_number(json, "recall"), None);
+        assert_eq!(extract_number(json, "speedup"), Some(3.0));
+    }
 
     #[test]
     fn formatting_helpers() {

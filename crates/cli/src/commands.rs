@@ -629,7 +629,7 @@ fn report(args: &ParsedArgs) -> Result<String, ArgError> {
 
 fn anatomy(args: &ParsedArgs) -> Result<String, ArgError> {
     use fafnir_core::inject::{build_rank_inputs, GatheredVector};
-    use fafnir_core::{PeTiming, ReduceOp, ReductionTree};
+    use fafnir_core::{PeTiming, ReductionTree};
     let batch_size: usize = args.number_or("batch", 4)?;
     let query_len: usize = args.number_or("query-len", 8)?;
     let ranks: usize = args.number_or("ranks", 8)?;
@@ -660,14 +660,8 @@ fn anatomy(args: &ParsedArgs) -> Result<String, ArgError> {
             ready_ns: 60.0 + f64::from(index.value() % 64),
         })
         .collect();
-    let inputs = build_rank_inputs(
-        &batch,
-        &gathered,
-        ranks,
-        config.ranks_per_leaf,
-        ReduceOp::Sum,
-        &PeTiming::default(),
-    );
+    let inputs =
+        build_rank_inputs(&batch, &gathered, ranks, config.ranks_per_leaf, &PeTiming::default());
     let (run, trace) = tree.run_traced(inputs);
     let mut out = format!(
         "anatomy: {batch_size} queries x {query_len} indices over {ranks} ranks          ({} PEs, {} levels)

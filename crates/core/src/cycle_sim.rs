@@ -11,9 +11,10 @@
 //! * undersized buffers produce real stalls and longer completions — the
 //!   quantitative cost of shrinking Table I.
 //!
-//! Functional outputs are identical by construction: each PE's output set
-//! comes from the same [`crate::pe::ProcessingElement`] logic; the cycle
-//! simulation re-times their movement. PEs fire when their batch window is
+//! Like the event model, this is a timing model over headers: each PE's
+//! output set comes from the same [`crate::pe::ProcessingElement`] logic,
+//! and the cycle simulation re-times their movement. The values are the
+//! fold's ([`crate::fastpath`]). PEs fire when their batch window is
 //! complete (the hardware's end-of-batch delimiter), then emit one item per
 //! initiation interval.
 //!
@@ -83,7 +84,8 @@ impl std::error::Error for CycleSimError {}
 /// Result of a cycle-stepped traversal.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CycleRun {
-    /// Items emitted by the root, with `ready_ns` set from the cycle clock.
+    /// Items emitted by the root (headers), with `ready_ns` set from the
+    /// cycle clock.
     pub outputs: Vec<Item>,
     /// Completion cycle (NDP clock).
     pub completion_cycle: u64,
@@ -137,7 +139,7 @@ struct SimSetup {
 /// ```
 /// use fafnir_core::cycle_sim::CycleTree;
 /// use fafnir_core::inject::{build_rank_inputs, GatheredVector};
-/// use fafnir_core::{indexset, Batch, FafnirConfig, PeTiming, ReduceOp, ReductionTree, VectorIndex};
+/// use fafnir_core::{indexset, Batch, FafnirConfig, PeTiming, ReductionTree};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let config = FafnirConfig { vector_dim: 4, ..FafnirConfig::paper_default() };
@@ -153,7 +155,7 @@ struct SimSetup {
 ///         ready_ns: 0.0,
 ///     })
 ///     .collect();
-/// let inputs = build_rank_inputs(&batch, &gathered, 4, 2, ReduceOp::Sum, &PeTiming::default());
+/// let inputs = build_rank_inputs(&batch, &gathered, 4, 2, &PeTiming::default());
 /// let run = CycleTree::new(&tree, 8)?.run(inputs)?;
 /// assert_eq!(run.stall_cycles, 0);
 /// # Ok(())
@@ -315,29 +317,6 @@ impl CycleTree {
     ///
     /// Panics if the input list length does not match the topology.
     pub fn run(&self, rank_inputs: Vec<Vec<Item>>) -> Result<CycleRun, CycleSimError> {
-        self.run_with(&*self.config.op.operator(), rank_inputs)
-    }
-
-    /// Operator-generic variant of [`CycleTree::run`]: PEs combine item
-    /// values with `operator`; the leaf inputs must already be lifted
-    /// accumulators. All timing constants (link cycles, reduce path,
-    /// initiation interval) derive from the configuration alone, so the
-    /// cycle-exact parity with [`CycleTree::run_stepped_with`] holds for any
-    /// operator.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CycleSimError::Deadlock`] under the same conditions as
-    /// [`CycleTree::run`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input list length does not match the topology.
-    pub fn run_with(
-        &self,
-        operator: &dyn crate::reduce::ReduceOperator,
-        rank_inputs: Vec<Vec<Item>>,
-    ) -> Result<CycleRun, CycleSimError> {
         let SimSetup {
             mut states,
             levels: _,
@@ -349,9 +328,8 @@ impl CycleTree {
             interval,
             cycle_ns,
         } = self.prepare(rank_inputs);
-        let pe = ProcessingElement { op: self.config.op, timing: self.config.pe_timing };
+        let pe = ProcessingElement { timing: self.config.pe_timing };
         let total_pes = states.len();
-        let pe_fire = |a: &[Item], b: &[Item]| pe.process_with(operator, a, b);
 
         // Ready-queue of (cycle, pe) wake-ups. Every future arrival and
         // scheduled emission is pushed, so the heap is also the exact set of
@@ -406,7 +384,7 @@ impl CycleTree {
                             state.arrivals.drain(..).partition(|&(_, _, is_b)| !is_b);
                         let a: Vec<Item> = a.into_iter().map(|(_, item, _)| item).collect();
                         let b: Vec<Item> = b.into_iter().map(|(_, item, _)| item).collect();
-                        let (outputs, _) = pe_fire(&a, &b);
+                        let (outputs, _) = pe.process(&a, &b);
                         state.occupancy = 0;
                         pending_total += outputs.len();
                         for (position, item) in outputs.into_iter().enumerate() {
@@ -539,25 +517,6 @@ impl CycleTree {
     ///
     /// Panics if the input list length does not match the topology.
     pub fn run_stepped(&self, rank_inputs: Vec<Vec<Item>>) -> Result<CycleRun, CycleSimError> {
-        self.run_stepped_with(&*self.config.op.operator(), rank_inputs)
-    }
-
-    /// Operator-generic variant of [`CycleTree::run_stepped`] (see
-    /// [`CycleTree::run_with`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CycleSimError::Deadlock`] under the same conditions as
-    /// [`CycleTree::run_stepped`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input list length does not match the topology.
-    pub fn run_stepped_with(
-        &self,
-        operator: &dyn crate::reduce::ReduceOperator,
-        rank_inputs: Vec<Vec<Item>>,
-    ) -> Result<CycleRun, CycleSimError> {
         let SimSetup {
             mut states,
             levels,
@@ -569,8 +528,7 @@ impl CycleTree {
             interval,
             cycle_ns,
         } = self.prepare(rank_inputs);
-        let pe = ProcessingElement { op: self.config.op, timing: self.config.pe_timing };
-        let pe_fire = |a: &[Item], b: &[Item]| pe.process_with(operator, a, b);
+        let pe = ProcessingElement { timing: self.config.pe_timing };
 
         let mut stall_cycles = 0u64;
         let mut max_occupancy = 0usize;
@@ -596,7 +554,7 @@ impl CycleTree {
                                 state.arrivals.drain(..).partition(|&(_, _, is_b)| !is_b);
                             let a: Vec<Item> = a.into_iter().map(|(_, item, _)| item).collect();
                             let b: Vec<Item> = b.into_iter().map(|(_, item, _)| item).collect();
-                            let (outputs, _) = pe_fire(&a, &b);
+                            let (outputs, _) = pe.process(&a, &b);
                             state.occupancy = 0;
                             for (position, item) in outputs.into_iter().enumerate() {
                                 let emit = cycle + reduce_cycles + position as u64 * interval;
@@ -702,9 +660,9 @@ impl CycleTree {
 mod tests {
     use super::*;
     use crate::batch::Batch;
+    use crate::index::{IndexSet, QueryId};
     use crate::indexset;
     use crate::inject::{build_rank_inputs, GatheredVector};
-    use crate::reduce::ReduceOp;
     use crate::timing::PeTiming;
 
     fn inputs_for(batch: &Batch, ranks: usize) -> Vec<Vec<Item>> {
@@ -718,7 +676,7 @@ mod tests {
                 ready_ns: 50.0 + 5.0 * f64::from(index.value()),
             })
             .collect();
-        build_rank_inputs(batch, &gathered, ranks, 2, ReduceOp::Sum, &PeTiming::default())
+        build_rank_inputs(batch, &gathered, ranks, 2, &PeTiming::default())
     }
 
     fn tree(ranks: usize) -> ReductionTree {
@@ -726,25 +684,32 @@ mod tests {
         ReductionTree::new(config, ranks).unwrap()
     }
 
-    fn sorted_query_outputs(items: &[Item], op: ReduceOp) -> Vec<(u32, Vec<f32>)> {
-        let run = crate::tree::TreeRun {
-            outputs: items.to_vec(),
-            stats: crate::tree::TreeStats::default(),
-        };
-        run.query_outputs(op).into_iter().map(|(q, v)| (q.0, v)).collect()
+    /// The completed queries among root items, with the indices each one
+    /// reduced, sorted by query.
+    fn completed(items: &[Item]) -> Vec<(QueryId, IndexSet)> {
+        let mut done: Vec<(QueryId, IndexSet)> = items
+            .iter()
+            .flat_map(|item| {
+                item.header
+                    .queries
+                    .iter()
+                    .filter(|p| p.is_complete())
+                    .map(|p| (p.query, item.header.indices.clone()))
+            })
+            .collect();
+        done.sort_by_key(|(query, _)| *query);
+        done
     }
 
     #[test]
-    fn matches_event_model_functionally() {
+    fn completes_the_same_queries_as_the_event_model() {
         let batch =
             Batch::from_index_sets([indexset![0, 1, 5, 6], indexset![2, 3, 5], indexset![7, 4, 1]]);
         let tree = tree(8);
         let event = tree.run(inputs_for(&batch, 8));
         let cycle = CycleTree::new(&tree, 32).unwrap().run(inputs_for(&batch, 8)).unwrap();
-        assert_eq!(
-            sorted_query_outputs(&event.outputs, ReduceOp::Sum),
-            sorted_query_outputs(&cycle.outputs, ReduceOp::Sum),
-        );
+        assert_eq!(completed(&event.outputs), completed(&cycle.outputs));
+        assert_eq!(completed(&cycle.outputs).len(), batch.len());
     }
 
     #[test]
@@ -791,9 +756,7 @@ mod tests {
         let batch = Batch::from_index_sets([indexset![0, 7]]);
         let tree = tree(8);
         let run = CycleTree::new(&tree, 8).unwrap().run(inputs_for(&batch, 8)).unwrap();
-        let outputs = sorted_query_outputs(&run.outputs, ReduceOp::Sum);
-        assert_eq!(outputs.len(), 1);
-        assert_eq!(outputs[0].1, vec![7.0; 4]);
+        assert_eq!(completed(&run.outputs), vec![(QueryId(0), indexset![0, 7])]);
     }
 
     #[test]
@@ -813,43 +776,6 @@ mod tests {
         let fast = sim.run(inputs_for(&batch, 8)).unwrap();
         let stepped = sim.run_stepped(inputs_for(&batch, 8)).unwrap();
         assert_eq!(fast, stepped, "event-driven and stepped engines must agree exactly");
-    }
-
-    #[test]
-    fn event_engine_matches_stepped_under_lifted_operators() {
-        // Cycle-exact parity must hold for operators with wider
-        // accumulators too (timing constants derive from the config, not
-        // the accumulator width). Mean carries dim+1, TopK carries 2k.
-        use crate::inject::build_rank_inputs_with;
-        use crate::reduce::ReduceOperator;
-        let batch =
-            Batch::from_index_sets([indexset![0, 1, 5, 6], indexset![2, 3, 5], indexset![7, 4, 1]]);
-        let tree = tree(8);
-        let sim = CycleTree::new(&tree, 32).unwrap();
-        let operators: Vec<std::sync::Arc<dyn ReduceOperator>> =
-            vec![ReduceOp::Mean.operator(), (ReduceOp::TopK { k: 2 }).operator()];
-        for operator in operators {
-            let lifted = |_: ()| {
-                let gathered: Vec<GatheredVector> = batch
-                    .unique_indices()
-                    .iter()
-                    .map(|index| GatheredVector {
-                        index,
-                        rank: index.value() as usize % 8,
-                        value: vec![index.value() as f32; 4].into(),
-                        ready_ns: 50.0 + 5.0 * f64::from(index.value()),
-                    })
-                    .collect();
-                build_rank_inputs_with(&batch, &gathered, 8, 2, &*operator, &PeTiming::default())
-            };
-            let fast = sim.run_with(&*operator, lifted(())).unwrap();
-            let stepped = sim.run_stepped_with(&*operator, lifted(())).unwrap();
-            assert_eq!(fast, stepped, "engines diverged under {}", operator.name());
-            // Same completion as the Sum run on the same batch: the
-            // accumulator width must not leak into timing.
-            let sum_run = sim.run(inputs_for(&batch, 8)).unwrap();
-            assert_eq!(fast.completion_cycle, sum_run.completion_cycle);
-        }
     }
 
     #[test]

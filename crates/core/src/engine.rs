@@ -9,9 +9,10 @@
 //!    headers (Sec. IV-C), compiling one [`MemoryPlan`] per hardware batch;
 //! 2. `gather`: every unique index becomes one DRAM read simulated by
 //!    [`fafnir_mem::MemorySystem`] (rank-parallel, row-buffer aware);
-//! 3. `reduce`: read completions inject items into the reduction tree,
-//!    which applies all reductions at NDP while gathering, and the root
-//!    forwards exactly one vector per query to the host.
+//! 3. `reduce`: the fold in [`crate::fastpath`] computes every query's
+//!    output, and read completions inject headers into the reduction tree,
+//!    which times all reductions at NDP while gathering; the root forwards
+//!    exactly one vector per query to the host.
 //!
 //! Software batches larger than the hardware capacity are served as several
 //! hardware batches back to back (Sec. IV-B); their latencies accumulate.
@@ -26,8 +27,9 @@ use crate::batch::Batch;
 use crate::config::FafnirConfig;
 use crate::cycle_sim::CycleTree;
 use crate::error::FafnirError;
+use crate::fastpath::fast_reduce;
 use crate::index::{IndexSet, QueryId, VectorIndex};
-use crate::inject::{build_rank_inputs_with, GatheredVector};
+use crate::inject::{build_rank_inputs, GatheredVector};
 use crate::pipeline::{GatherEngine, GatherOutcome, MemoryPlan, PlannedRead};
 use crate::placement::EmbeddingSource;
 use crate::reduce::{ReduceOp, ReduceOperator};
@@ -194,7 +196,7 @@ impl StreamResult {
 
 /// How the reduce stage times the reduction tree.
 ///
-/// Both backends produce identical functional outputs; they differ in the
+/// The outputs come from the fold either way; the backends differ in the
 /// fidelity (and cost) of the timing model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum TreeBackend {
@@ -458,9 +460,11 @@ impl GatherEngine for FafnirEngine {
             .collect())
     }
 
-    /// Tree phase: injects the gathered vectors into the reduction tree
-    /// (event-timed or cycle-stepped per [`TreeBackend`]) and accounts the
-    /// root → host link transfer per output.
+    /// Tree phase: the fold ([`crate::fastpath`]) computes every output;
+    /// the per-query times and tree statistics come from the fold under the
+    /// fast memory model with the event-timed backend, and from the
+    /// header-only tree the backend selects otherwise. Accounts the root →
+    /// host link transfer per output.
     fn reduce<S: EmbeddingSource>(
         &self,
         plan: &MemoryPlan,
@@ -480,58 +484,55 @@ impl GatherEngine for FafnirEngine {
             .collect();
         let memory_ns = gathered.last_ready_ns();
 
-        let operator = self.active_operator();
-        let ranks = self.mem_config.topology.total_ranks();
-        // Under the fast memory model the item-level tree simulation is
-        // replaced by the fast-functional fold: bit-identical outputs,
-        // analytic per-query timing (see `crate::fastpath`). The
-        // cycle-stepped backend and unsupported leaf shapes keep the full
-        // simulation — the fast *memory* pricing still applies upstream.
-        let (mut outputs, completions, tree_stats) = if self.mem_config.model
-            == fafnir_mem::MemoryModelKind::Fast
-            && self.backend == TreeBackend::EventTimed
-            && crate::fastpath::supports_shape(self.config.ranks_per_leaf)
-        {
-            let fast =
-                crate::fastpath::fast_reduce(batch, &gathered_vectors, &self.tree, &*operator);
-            (fast.outputs, fast.completion_ns, fast.stats)
-        } else {
-            let inputs = build_rank_inputs_with(
-                batch,
-                &gathered_vectors,
-                ranks,
-                self.config.ranks_per_leaf,
-                &*operator,
-                &self.config.pe_timing,
-            );
-            let run = match self.backend {
-                TreeBackend::EventTimed => self.tree.run_with(&*operator, inputs),
-                TreeBackend::CycleStepped { fifo_capacity } => {
-                    let cycle = CycleTree::new(&self.tree, fifo_capacity)
-                        .map_err(|e| FafnirError::InvalidConfig(e.to_string()))?
-                        .run_with(&*operator, inputs)
-                        .map_err(|e| FafnirError::InvalidConfig(e.to_string()))?;
-                    TreeRun {
-                        outputs: cycle.outputs,
-                        // The cycle model does not track per-PE op counters;
-                        // they read as zero under this backend.
-                        stats: TreeStats {
-                            levels: self.tree.levels(),
-                            pes: self.tree.pe_count(),
-                            completion_ns: cycle.completion_ns,
-                            max_buffer_items: cycle.max_occupancy as u64,
-                            ..TreeStats::default()
-                        },
+        let fold = fast_reduce(batch, &gathered_vectors, &self.tree, &*self.active_operator());
+        let fast_memory = self.mem_config.model == fafnir_mem::MemoryModelKind::Fast;
+        let (completions, tree_stats) = match self.backend {
+            TreeBackend::EventTimed if fast_memory => (fold.completion_ns, fold.stats),
+            backend => {
+                let inputs = build_rank_inputs(
+                    batch,
+                    &gathered_vectors,
+                    self.mem_config.topology.total_ranks(),
+                    self.config.ranks_per_leaf,
+                    &self.config.pe_timing,
+                );
+                let run = match backend {
+                    TreeBackend::EventTimed => self.tree.run(inputs),
+                    TreeBackend::CycleStepped { fifo_capacity } => {
+                        let cycle = CycleTree::new(&self.tree, fifo_capacity)
+                            .map_err(|e| FafnirError::InvalidConfig(e.to_string()))?
+                            .run(inputs)
+                            .map_err(|e| FafnirError::InvalidConfig(e.to_string()))?;
+                        TreeRun {
+                            outputs: cycle.outputs,
+                            // The cycle model does not track per-PE op
+                            // counters; they read as zero under this backend.
+                            stats: TreeStats {
+                                levels: self.tree.levels(),
+                                pes: self.tree.pe_count(),
+                                completion_ns: cycle.completion_ns,
+                                max_buffer_items: cycle.max_occupancy as u64,
+                                ..TreeStats::default()
+                            },
+                        }
                     }
-                }
-            };
-            (run.query_outputs_with(&*operator), run.query_completion_ns(), run.stats)
+                };
+                (run.query_completion_ns(), run.stats)
+            }
         };
+        let outputs = fold.outputs;
         if outputs.len() != batch.len() {
             return Err(FafnirError::InvalidBatch(format!(
                 "{} of {} queries did not complete in the tree",
                 batch.len() - outputs.len(),
                 batch.len()
+            )));
+        }
+        if !outputs.iter().map(|(query, _)| query).eq(completions.iter().map(|(query, _)| query)) {
+            return Err(FafnirError::InvalidBatch(format!(
+                "the fold answered {} queries but the timing model completed a different set of {}",
+                outputs.len(),
+                completions.len()
             )));
         }
         // Root → host link transfer per output.
@@ -540,7 +541,6 @@ impl GatherEngine for FafnirEngine {
             .map(|&(query, t)| (query, t + self.config.link_transfer_ns()))
             .collect();
         let total_ns = per_query_ns.iter().map(|&(_, t)| t).fold(0.0, f64::max);
-        outputs.sort_by_key(|(query, _)| *query);
 
         Ok(LookupResult {
             outputs,
@@ -838,9 +838,10 @@ mod tests {
     }
 
     #[test]
-    fn fast_memory_under_the_cycle_backend_keeps_the_real_tree() {
-        // Fast memory + cycle-stepped tree: the fast fold must not engage
-        // (it only replaces the event-timed tree); outputs still agree.
+    fn fast_memory_under_the_cycle_backend_times_with_the_cycle_tree() {
+        // Fast memory + cycle-stepped tree: the fold's analytic timing must
+        // not engage (it only replaces the event-timed tree); outputs still
+        // agree.
         let source = source();
         let config = FafnirConfig::paper_default();
         let batch = Batch::from_index_sets([indexset![1, 2, 5, 6], indexset![3, 4, 5]]);
@@ -851,23 +852,9 @@ mod tests {
         let fast_result = fast.lookup(&batch, &source).unwrap();
         let cycle_result = cycle.lookup(&batch, &source).unwrap();
         assert_eq!(fast_result.outputs, cycle_result.outputs);
-        // The cycle-stepped backend zeroes op counters; the fast fold would
-        // have reported reduces — proving the real tree ran.
+        // The cycle-stepped backend zeroes op counters; the fold's timing
+        // would have reported reduces — proving the cycle tree timed it.
         assert_eq!(fast_result.tree.ops.reduces, 0);
-    }
-
-    #[test]
-    fn cycle_backend_agrees_with_event_backend_for_lifted_operators() {
-        let source = source();
-        let batch = Batch::from_index_sets([indexset![1, 2, 5, 6], indexset![3, 4, 5]]);
-        for op in [ReduceOp::Mean, ReduceOp::TopK { k: 3 }] {
-            let config = FafnirConfig { op, ..FafnirConfig::paper_default() };
-            let event = FafnirEngine::new(config, MemoryConfig::ddr4_2400_4ch()).unwrap();
-            let cycle = event.clone().with_backend(TreeBackend::CycleStepped { fifo_capacity: 32 });
-            let event_result = event.lookup(&batch, &source).unwrap();
-            let cycle_result = cycle.lookup(&batch, &source).unwrap();
-            assert_eq!(event_result.outputs, cycle_result.outputs, "{op}");
-        }
     }
 
     #[test]

@@ -130,7 +130,6 @@ mod tests {
 
     use crate::indexset;
     use crate::inject::{build_rank_inputs, GatheredVector};
-    use crate::reduce::ReduceOp;
     use crate::timing::PeTiming;
     use crate::tree::ReductionTree;
 
@@ -147,8 +146,7 @@ mod tests {
                 ready_ns: f64::from(index.value()),
             })
             .collect();
-        let inputs =
-            build_rank_inputs(batch, &gathered, ranks, 2, ReduceOp::Sum, &PeTiming::default());
+        let inputs = build_rank_inputs(batch, &gathered, ranks, 2, &PeTiming::default());
         tree.run_traced(inputs)
     }
 
@@ -178,8 +176,7 @@ mod tests {
                 ready_ns: 0.0,
             })
             .collect();
-        let inputs =
-            build_rank_inputs(&batch, &gathered, 8, 2, ReduceOp::Sum, &PeTiming::default());
+        let inputs = build_rank_inputs(&batch, &gathered, 8, 2, &PeTiming::default());
         let plain = tree.run(inputs.clone());
         let (traced, _) = tree.run_traced(inputs);
         assert_eq!(plain, traced);

@@ -18,7 +18,7 @@
 use crate::batch::Batch;
 use crate::index::{IndexSet, VectorIndex};
 use crate::item::{Header, Item, PendingQuery};
-use crate::reduce::{ReduceOp, ReduceOperator};
+use crate::reduce::ReduceOperator;
 use crate::timing::PeTiming;
 
 /// Everything the injector needs to know about one gathered vector.
@@ -28,7 +28,8 @@ pub struct GatheredVector {
     pub index: VectorIndex,
     /// Global rank the vector was read from.
     pub rank: usize,
-    /// The vector's value, shared with the embedding source's store.
+    /// The vector's value, shared with the embedding source's store (read
+    /// by the fold in [`crate::fastpath`]; the tree models ignore it).
     pub value: std::sync::Arc<[f32]>,
     /// Nanosecond timestamp of the read's completion.
     pub ready_ns: f64,
@@ -38,7 +39,8 @@ pub struct GatheredVector {
 ///
 /// `ranks_per_leaf` must match the tree the items will be fed into: it
 /// determines which ranks share a leaf-PE input side and therefore which
-/// co-resident operands must pre-reduce serially.
+/// co-resident operands must pre-reduce serially. Items carry headers and
+/// ready times only; the values in `gathered` are the fold's to reduce.
 ///
 /// # Panics
 ///
@@ -49,27 +51,6 @@ pub fn build_rank_inputs(
     gathered: &[GatheredVector],
     tree_ranks: usize,
     ranks_per_leaf: usize,
-    op: ReduceOp,
-    timing: &PeTiming,
-) -> Vec<Vec<Item>> {
-    build_rank_inputs_with(batch, gathered, tree_ranks, ranks_per_leaf, &*op.operator(), timing)
-}
-
-/// Operator-generic variant of [`build_rank_inputs`]: every gathered vector
-/// is **lifted** into the operator's accumulator encoding at the leaf (so
-/// item values entering the tree are accumulators, not raw vectors), and
-/// co-resident operands pre-reduce with the operator's combine.
-///
-/// # Panics
-///
-/// Panics if any gathered vector names a rank `≥ tree_ranks`.
-#[must_use]
-pub fn build_rank_inputs_with(
-    batch: &Batch,
-    gathered: &[GatheredVector],
-    tree_ranks: usize,
-    ranks_per_leaf: usize,
-    operator: &dyn ReduceOperator,
     timing: &PeTiming,
 ) -> Vec<Vec<Item>> {
     let span = (ranks_per_leaf / 2).max(1);
@@ -97,23 +78,13 @@ pub fn build_rank_inputs_with(
         for group in by_side.values().filter(|group| group.len() >= 2) {
             let indices = IndexSet::from_iter_dedup(group.iter().map(|g| g.index));
             let remaining = query.indices.difference(&indices);
-            let mut value = operator.lift(group[0].index, &group[0].value);
-            let mut ready = group[0].ready_ns;
-            for vector in &group[1..] {
-                operator.combine_into(&mut value, &operator.lift(vector.index, &vector.value));
-                // Serial streaming reduction: each extra operand costs one
-                // reduce-path traversal after both operands are available.
-                ready = ready.max(vector.ready_ns) + timing.reduce_latency_ns();
-            }
-            let item = Item {
-                header: std::sync::Arc::new(Header {
-                    indices,
-                    queries: vec![PendingQuery::new(query.id, remaining)],
-                }),
-                value,
-                ready_ns: ready,
-            };
-            inputs[group[0].rank].push(item);
+            // Serial streaming reduction: each extra operand costs one
+            // reduce-path traversal after both operands are available.
+            let ready = group[1..].iter().fold(group[0].ready_ns, |ready, vector| {
+                ready.max(vector.ready_ns) + timing.reduce_latency_ns()
+            });
+            let header = Header { indices, queries: vec![PendingQuery::new(query.id, remaining)] };
+            inputs[group[0].rank].push(Item::new(header).ready_at(ready));
             covered.extend(group.iter().map(|g| (query.id, g.index)));
         }
     }
@@ -127,14 +98,25 @@ pub fn build_rank_inputs_with(
         if queries.is_empty() {
             continue;
         }
-        let item = Item {
-            header: std::sync::Arc::new(Header { indices: IndexSet::singleton(index), queries }),
-            value: operator.lift(index, &vector.value),
-            ready_ns: vector.ready_ns,
-        };
-        inputs[vector.rank].push(item);
+        let header = Header { indices: IndexSet::singleton(index), queries };
+        inputs[vector.rank].push(Item::new(header).ready_at(vector.ready_ns));
     }
     inputs
+}
+
+/// [`build_rank_inputs`] with an operator argument it ignores: items carry
+/// no values, so the operator has nothing to do here. The benchmark's
+/// ledger replay is its only caller.
+#[must_use]
+pub fn build_rank_inputs_with(
+    batch: &Batch,
+    gathered: &[GatheredVector],
+    tree_ranks: usize,
+    ranks_per_leaf: usize,
+    _operator: &dyn ReduceOperator,
+    timing: &PeTiming,
+) -> Vec<Vec<Item>> {
+    build_rank_inputs(batch, gathered, tree_ranks, ranks_per_leaf, timing)
 }
 
 #[cfg(test)]
@@ -159,8 +141,7 @@ mod tests {
     fn disjoint_ranks_produce_one_shared_item_per_index() {
         let batch = Batch::from_index_sets([indexset![0, 1], indexset![1, 2]]);
         let gathered = gather(&[0, 1, 2], 8);
-        let inputs =
-            build_rank_inputs(&batch, &gathered, 8, 2, ReduceOp::Sum, &PeTiming::default());
+        let inputs = build_rank_inputs(&batch, &gathered, 8, 2, &PeTiming::default());
         let total: usize = inputs.iter().map(Vec::len).sum();
         assert_eq!(total, 3);
         // Index 1 carries both query entries.
@@ -174,12 +155,11 @@ mod tests {
         let batch = Batch::from_index_sets([indexset![0, 8]]);
         let gathered = gather(&[0, 8], 8);
         let timing = PeTiming::default();
-        let inputs = build_rank_inputs(&batch, &gathered, 8, 2, ReduceOp::Sum, &timing);
+        let inputs = build_rank_inputs(&batch, &gathered, 8, 2, &timing);
         assert_eq!(inputs[0].len(), 1);
         let item = &inputs[0][0];
         assert_eq!(item.header.indices, indexset![0, 8]);
         assert!(item.header.queries[0].is_complete());
-        assert_eq!(item.value, vec![8.0; 4]);
         // Serial fold: available only after the later read plus one reduce.
         assert!((item.ready_ns - (80.0 + timing.reduce_latency_ns())).abs() < 1e-9);
     }
@@ -190,8 +170,7 @@ mod tests {
         // Index 0 feeds a pre-reduced item for a and a shared item for b.
         let batch = Batch::from_index_sets([indexset![0, 8], indexset![0, 1]]);
         let gathered = gather(&[0, 1, 8], 8);
-        let inputs =
-            build_rank_inputs(&batch, &gathered, 8, 2, ReduceOp::Sum, &PeTiming::default());
+        let inputs = build_rank_inputs(&batch, &gathered, 8, 2, &PeTiming::default());
         assert_eq!(inputs[0].len(), 2);
         let pre = inputs[0].iter().find(|i| i.header.indices.len() == 2).unwrap();
         let shared = inputs[0].iter().find(|i| i.header.indices.len() == 1).unwrap();
@@ -205,8 +184,7 @@ mod tests {
         // operand on each must pre-reduce.
         let batch = Batch::from_index_sets([indexset![0, 1]]);
         let gathered = gather(&[0, 1], 8);
-        let inputs =
-            build_rank_inputs(&batch, &gathered, 8, 4, ReduceOp::Sum, &PeTiming::default());
+        let inputs = build_rank_inputs(&batch, &gathered, 8, 4, &PeTiming::default());
         let items: Vec<&Item> = inputs.iter().flatten().collect();
         assert_eq!(items.len(), 1);
         assert_eq!(items[0].header.indices, indexset![0, 1]);
@@ -216,26 +194,9 @@ mod tests {
     fn missing_gathered_vectors_are_skipped() {
         let batch = Batch::from_index_sets([indexset![0, 5]]);
         let gathered = gather(&[0], 8); // index 5 never gathered
-        let inputs =
-            build_rank_inputs(&batch, &gathered, 8, 2, ReduceOp::Sum, &PeTiming::default());
+        let inputs = build_rank_inputs(&batch, &gathered, 8, 2, &PeTiming::default());
         let total: usize = inputs.iter().map(Vec::len).sum();
         assert_eq!(total, 1);
-    }
-
-    #[test]
-    fn lifting_operators_inject_accumulators() {
-        // Mean lifts each vector to [values…, count]: the shared item gets
-        // count 1 and the co-resident pre-reduce accumulates count 2.
-        let batch = Batch::from_index_sets([indexset![0, 8], indexset![1]]);
-        let gathered = gather(&[0, 1, 8], 8);
-        let operator = ReduceOp::Mean.operator();
-        let inputs =
-            build_rank_inputs_with(&batch, &gathered, 8, 2, &*operator, &PeTiming::default());
-        let pre = inputs[0].iter().find(|i| i.header.indices.len() == 2).unwrap();
-        assert_eq!(pre.value.len(), 5);
-        assert_eq!(pre.value[4], 2.0, "pre-reduced accumulator counts two vectors");
-        let shared = &inputs[1][0];
-        assert_eq!(shared.value, vec![1.0, 1.0, 1.0, 1.0, 1.0]);
     }
 
     #[test]
@@ -245,8 +206,7 @@ mod tests {
         let batch = Batch::from_index_sets(sets);
         let all: Vec<u32> = batch.unique_indices().iter().map(|v| v.value()).collect();
         let gathered = gather(&all, 4);
-        let inputs =
-            build_rank_inputs(&batch, &gathered, 4, 2, ReduceOp::Sum, &PeTiming::default());
+        let inputs = build_rank_inputs(&batch, &gathered, 4, 2, &PeTiming::default());
         for (rank, items) in inputs.iter().enumerate() {
             let mut seen = std::collections::HashSet::new();
             for item in items {

@@ -1,4 +1,5 @@
-//! Items flowing through the reduction tree: a value plus its header.
+//! Items flowing through the reduction tree's timing models: a header plus
+//! the time it became available.
 //!
 //! Per Sec. IV-B of the paper, data flowing from leaves to the root carries
 //! a **header** with two fields:
@@ -11,6 +12,11 @@
 //! As an item climbs the tree, indices migrate from the `queries` field to
 //! the `indices` field; at the root the remaining set is empty and the
 //! `indices` field names the complete query.
+//!
+//! The compute units choose reduce or forward from the header alone, so an
+//! [`Item`] carries no value: the accumulators are computed by the per-query
+//! fold in [`crate::fastpath`], and the tree models only route headers and
+//! time them.
 
 use std::sync::Arc;
 
@@ -96,27 +102,17 @@ impl std::fmt::Display for Header {
     }
 }
 
-/// A value travelling through the tree with its header.
+/// A header travelling through the tree, with its ready time.
 ///
 /// The header sits behind an [`Arc`]: forwarding an item through a PE level
 /// or fanning one out to several outputs shares the header instead of
 /// deep-cloning its index sets, and the rare in-place edits (the merge
 /// unit) copy-on-write via [`Arc::make_mut`]. Equality still compares the
 /// header contents, not the pointer.
-///
-/// The value is an opaque **operator accumulator** (see
-/// [`crate::reduce::ReduceOperator`]): its width is the operator's
-/// `acc_dim`, not necessarily the embedding dimension. For the element-wise
-/// operators the two coincide; `Mean` carries `dim + 1` (count in the last
-/// slot), `ArgMax` carries `2 × dim` and `TopK` carries `2k`. Headers,
-/// routing and timing never inspect the value, which is what lets one tree
-/// serve every operator.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Item {
     /// Routing and reduction metadata (shared; copy-on-write when edited).
     pub header: Arc<Header>,
-    /// The partially reduced accumulator (operator-defined width).
-    pub value: Vec<f32>,
     /// Nanosecond timestamp at which this item became available (memory
     /// completion for leaves, PE output time inside the tree).
     pub ready_ns: f64,
@@ -125,8 +121,8 @@ pub struct Item {
 impl Item {
     /// An item available at time zero.
     #[must_use]
-    pub fn new(header: Header, value: Vec<f32>) -> Self {
-        Self { header: Arc::new(header), value, ready_ns: 0.0 }
+    pub fn new(header: Header) -> Self {
+        Self { header: Arc::new(header), ready_ns: 0.0 }
     }
 
     /// Sets the availability timestamp.
@@ -210,7 +206,7 @@ mod tests {
 
     #[test]
     fn item_timestamps_compose() {
-        let item = Item::new(Header::default(), vec![0.0; 4]).ready_at(12.5);
+        let item = Item::new(Header::default()).ready_at(12.5);
         assert_eq!(item.ready_ns, 12.5);
         assert_eq!(item.reduced_count(), 0);
     }

@@ -46,12 +46,13 @@
 //! * [`reduce`] — reduction operators: the [`ReduceOperator`] trait with
 //!   per-query accumulator state (Sum/Mean/Max/Min/ArgMax/TopK) and the
 //!   serde-visible [`ReduceOp`] specification.
+//! * [`fastpath`] — the per-query fold that computes every output, with
+//!   analytic timing used under the `Fast` memory model.
 //! * [`pe`], [`timing`] — the PE microarchitecture and Table IV latencies.
-//! * [`tree`], [`inject`] — the reduction tree and leaf-input construction.
+//! * [`tree`], [`inject`] — the event-timed reduction tree and leaf-input
+//!   construction; items carry headers and ready times, no values.
 //! * [`exec_trace`] — per-PE firing traces with a waterfall renderer.
-//! * [`fastpath`] — the fast-functional fold used under the `Fast` memory
-//!   model: bit-identical outputs, analytic timing.
-//! * [`cycle_sim`] — cycle-stepped simulation with finite FIFOs and
+//! * [`cycle_sim`] — cycle-stepped timing with finite FIFOs and
 //!   backpressure, validating Table I's sizing dynamically.
 //! * [`pipeline`] — the staged [`GatherEngine`] trait (preprocess → gather
 //!   → reduce), the `lookup`/`lookup_stream` drivers, and the

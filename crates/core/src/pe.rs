@@ -12,13 +12,16 @@
 //! removes redundant outputs and concatenates the `queries` fields of
 //! outputs that carry the same value — which is what bounds a PE's output
 //! count by the batch size (Table I).
+//!
+//! The decision reads the header alone, so the model carries no values: it
+//! produces the output headers, their ready times and the op counters. The
+//! values themselves are computed by [`crate::fastpath`].
 
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 use crate::item::{Header, Item, PendingQuery};
-use crate::reduce::{ReduceOp, ReduceOperator};
 use crate::timing::PeTiming;
 
 /// Operation counters accumulated by one PE invocation.
@@ -26,7 +29,7 @@ use crate::timing::PeTiming;
 pub struct PeOpCounts {
     /// Header subset comparisons performed by the compute units.
     pub compares: u64,
-    /// Value reductions (element-wise combines).
+    /// Reductions (operand pairs combined by a compute unit).
     pub reduces: u64,
     /// Forwards (items passed through for an unmatched query entry).
     pub forwards: u64,
@@ -57,22 +60,14 @@ impl PeOpCounts {
 ///
 /// The PE itself is stateless between invocations; FIFOs and wiring live in
 /// [`crate::tree::ReductionTree`]. `process` is the combinational behaviour
-/// of one firing.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// of one firing, on headers and ready times only.
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct ProcessingElement {
-    /// Reduction operator applied by the compute units.
-    pub op: ReduceOp,
     /// Stage latencies.
     pub timing: PeTiming,
 }
 
 impl ProcessingElement {
-    /// A PE with the given operator and the default FPGA timing.
-    #[must_use]
-    pub fn new(op: ReduceOp) -> Self {
-        Self { op, timing: PeTiming::default() }
-    }
-
     /// Processes inputs A and B, returning merged outputs and op counts.
     ///
     /// Items in the result carry `ready_ns` timestamps derived from their
@@ -80,97 +75,34 @@ impl ProcessingElement {
     /// (the tree) applies output-port serialization.
     #[must_use]
     pub fn process(&self, a: &[Item], b: &[Item]) -> (Vec<Item>, PeOpCounts) {
-        self.process_with(&*self.op.operator(), a, b)
-    }
-
-    /// Operator-generic variant of [`ProcessingElement::process`]: the
-    /// compute units combine with `operator` instead of instantiating one
-    /// from `self.op`. Item values are treated as opaque accumulators; the
-    /// header dataflow (compare/forward/merge) is operator-independent.
-    #[must_use]
-    pub fn process_with(
-        &self,
-        operator: &dyn ReduceOperator,
-        a: &[Item],
-        b: &[Item],
-    ) -> (Vec<Item>, PeOpCounts) {
         let mut counts =
             PeOpCounts { max_input_items: a.len().max(b.len()) as u64, ..PeOpCounts::default() };
-        let mut raw: Vec<RawOutput> = Vec::new();
-        self.scan_side(a, b, 0, a.len(), &mut raw, &mut counts);
-        self.scan_side(b, a, a.len(), 0, &mut raw, &mut counts);
+        let mut raw: Vec<Item> = Vec::new();
+        self.scan_side(a, b, &mut raw, &mut counts);
+        self.scan_side(b, a, &mut raw, &mut counts);
         counts.raw_outputs = raw.len() as u64;
-        let merged = self.merge_unit(raw, &mut counts);
-        counts.outputs = merged.len() as u64;
-        let outputs = self.materialize_ref(operator, merged, a, b);
-        (outputs, counts)
-    }
-
-    /// Owned-input variant of [`ProcessingElement::process_with`]: consumes
-    /// both input streams and *moves* each accumulator into its last
-    /// surviving output instead of cloning it. Bit-identical to the
-    /// borrowing path (the same combines run on the same operands in the
-    /// same order); the tree uses this since items climb levels by value.
-    #[must_use]
-    pub fn process_owned(
-        &self,
-        operator: &dyn ReduceOperator,
-        a: Vec<Item>,
-        b: Vec<Item>,
-    ) -> (Vec<Item>, PeOpCounts) {
-        let mut counts =
-            PeOpCounts { max_input_items: a.len().max(b.len()) as u64, ..PeOpCounts::default() };
-        let split = a.len();
-        // Both sides in one buffer so disjoint mutable access by input index
-        // (for buffer stealing) is a `split_at_mut` away.
-        let mut inputs = a;
-        inputs.extend(b);
-        let mut raw: Vec<RawOutput> = Vec::new();
-        {
-            let (a, b) = inputs.split_at(split);
-            self.scan_side(a, b, 0, split, &mut raw, &mut counts);
-            self.scan_side(b, a, split, 0, &mut raw, &mut counts);
+        let mut outputs = self.merge_unit(raw, &mut counts);
+        counts.outputs = outputs.len() as u64;
+        let merge_ns = self.timing.merge_cycles as f64 * self.timing.cycle_ns();
+        for item in &mut outputs {
+            item.ready_ns += merge_ns;
         }
-        counts.raw_outputs = raw.len() as u64;
-        let merged = self.merge_unit(raw, &mut counts);
-        counts.outputs = merged.len() as u64;
-        // Per-input remaining-use counts over the *surviving* outputs: once
-        // an input's count hits zero its buffer is free to be moved out.
-        let mut uses = vec![0u32; inputs.len()];
-        for out in &merged {
-            match out.source {
-                RawSource::Reduce { x, y } => {
-                    uses[x] += 1;
-                    uses[y] += 1;
-                }
-                RawSource::Forward { x } => uses[x] += 1,
-            }
-        }
-        let outputs = self.materialize_owned(operator, merged, &mut inputs, &mut uses);
         (outputs, counts)
     }
 
     /// One direction of the compute-unit array: each item of `from` is
     /// compared, per pending-query entry, against all items of `against`.
-    ///
-    /// Outputs are *planned*, not built: headers and timestamps are final,
-    /// but accumulators are deferred to [`ProcessingElement::materialize`]
-    /// so that duplicates dropped by the merge unit never pay a combine.
-    /// `from_base`/`against_base` map slice positions to the shared input
-    /// index space (side A first, then side B).
     fn scan_side(
         &self,
         from: &[Item],
         against: &[Item],
-        from_base: usize,
-        against_base: usize,
-        raw: &mut Vec<RawOutput>,
+        raw: &mut Vec<Item>,
         counts: &mut PeOpCounts,
     ) {
         // Small partner sides: the direct quadratic scan beats building an
         // index (outcome and counters are identical either way).
         if against.len() <= 8 {
-            self.scan_side_direct(from, against, from_base, against_base, raw, counts);
+            self.scan_side_direct(from, against, raw, counts);
             return;
         }
         // Query index over the `against` side: (query, position) sorted by
@@ -186,7 +118,7 @@ impl ProcessingElement {
             })
             .collect();
         candidates.sort_unstable();
-        for (from_pos, item) in from.iter().enumerate() {
+        for item in from {
             for pending in &item.header.queries {
                 let lo = candidates.partition_point(|&(q, _)| q < pending.query);
                 let mut matched = false;
@@ -204,13 +136,7 @@ impl ProcessingElement {
                         // front-to-back and stops here: one compare per
                         // partner up to and including the match.
                         counts.compares += u64::from(against_pos) + 1;
-                        raw.push(self.plan_reduce(
-                            item,
-                            partner,
-                            pending.query,
-                            from_base + from_pos,
-                            against_base + against_pos as usize,
-                        ));
+                        raw.push(self.reduce(item, partner, pending.query));
                         counts.reduces += 1;
                         matched = true;
                         break;
@@ -219,7 +145,7 @@ impl ProcessingElement {
                 if !matched {
                     // No match: the modeled scan visits every partner.
                     counts.compares += against.len() as u64;
-                    raw.push(self.plan_forward(item, pending, from_base + from_pos));
+                    raw.push(self.forward(item, pending));
                     counts.forwards += 1;
                 }
             }
@@ -231,15 +157,13 @@ impl ProcessingElement {
         &self,
         from: &[Item],
         against: &[Item],
-        from_base: usize,
-        against_base: usize,
-        raw: &mut Vec<RawOutput>,
+        raw: &mut Vec<Item>,
         counts: &mut PeOpCounts,
     ) {
-        for (from_pos, item) in from.iter().enumerate() {
+        for item in from {
             for pending in &item.header.queries {
                 let mut matched = false;
-                for (against_pos, partner) in against.iter().enumerate() {
+                for partner in against {
                     counts.compares += 1;
                     let Some(partner_pending) = partner.header.pending_for(pending.query) else {
                         continue;
@@ -247,52 +171,37 @@ impl ProcessingElement {
                     // Paper's rule: the partner's remaining set must contain
                     // everything this item has already reduced.
                     if item.header.indices.is_subset_of(&partner_pending.remaining) {
-                        raw.push(self.plan_reduce(
-                            item,
-                            partner,
-                            pending.query,
-                            from_base + from_pos,
-                            against_base + against_pos,
-                        ));
+                        raw.push(self.reduce(item, partner, pending.query));
                         counts.reduces += 1;
                         matched = true;
                         break;
                     }
                 }
                 if !matched {
-                    raw.push(self.plan_forward(item, pending, from_base + from_pos));
+                    raw.push(self.forward(item, pending));
                     counts.forwards += 1;
                 }
             }
         }
     }
 
-    /// Plans the combination of two items for one query.
-    fn plan_reduce(
-        &self,
-        x: &Item,
-        y: &Item,
-        query: crate::index::QueryId,
-        x_index: usize,
-        y_index: usize,
-    ) -> RawOutput {
+    /// The reduction of two items for one query.
+    fn reduce(&self, x: &Item, y: &Item, query: crate::index::QueryId) -> Item {
         let indices = x.header.indices.union(&y.header.indices);
         let x_pending = x.header.pending_for(query).expect("caller checked");
         let remaining = x_pending.remaining.difference(&y.header.indices);
         debug_assert!(remaining.is_disjoint_from(&indices));
-        let ready = x.ready_ns.max(y.ready_ns) + self.timing.reduce_latency_ns();
-        RawOutput {
+        Item {
             header: Arc::new(Header {
                 indices,
                 queries: vec![PendingQuery::new(query, remaining)],
             }),
-            ready_ns: ready,
-            source: RawSource::Reduce { x: x_index, y: y_index },
+            ready_ns: x.ready_ns.max(y.ready_ns) + self.timing.reduce_latency_ns(),
         }
     }
 
-    /// Plans an item passing through for one unmatched query entry.
-    fn plan_forward(&self, item: &Item, pending: &PendingQuery, x_index: usize) -> RawOutput {
+    /// An item passing through for one unmatched query entry.
+    fn forward(&self, item: &Item, pending: &PendingQuery) -> Item {
         // Forwarding an item whose header already is exactly this one entry
         // (the common case above the leaf level) shares the header instead
         // of rebuilding it.
@@ -304,22 +213,14 @@ impl ProcessingElement {
                 queries: vec![pending.clone()],
             })
         };
-        RawOutput {
-            header,
-            ready_ns: item.ready_ns + self.timing.forward_latency_ns(),
-            source: RawSource::Forward { x: x_index },
-        }
+        Item { header, ready_ns: item.ready_ns + self.timing.forward_latency_ns() }
     }
 
     /// The merge unit: deduplicates identical raw outputs and concatenates
     /// the queries fields of outputs carrying the same value (same indices
-    /// set). The first raw output of a group survives; its deferred source
-    /// is the one materialized, so the surviving operand order — and hence
-    /// the output bit pattern — matches the eager path exactly. (The exact
-    /// operand-order laws the duplicates rely on are pinned by the
-    /// commutativity proptests in [`crate::reduce`].)
-    fn merge_unit(&self, raw: Vec<RawOutput>, counts: &mut PeOpCounts) -> Vec<RawOutput> {
-        let mut merged: Vec<RawOutput> = Vec::new();
+    /// set). The first raw output of a group survives.
+    fn merge_unit(&self, raw: Vec<Item>, counts: &mut PeOpCounts) -> Vec<Item> {
+        let mut merged: Vec<Item> = Vec::new();
         for item in raw {
             if let Some(existing) =
                 merged.iter_mut().find(|m| m.header.indices == item.header.indices)
@@ -347,107 +248,6 @@ impl ProcessingElement {
         }
         merged
     }
-
-    /// Builds the final items for the merge survivors over borrowed inputs,
-    /// running one combine per surviving reduce (duplicates dropped by the
-    /// merge unit never pay one). Every accumulator is cloned from its `x`
-    /// operand — bit-identical to the owned path, which merely elides the
-    /// clone when it can move the buffer instead.
-    fn materialize_ref(
-        &self,
-        operator: &dyn ReduceOperator,
-        merged: Vec<RawOutput>,
-        a: &[Item],
-        b: &[Item],
-    ) -> Vec<Item> {
-        let value_of = |index: usize| {
-            if index < a.len() {
-                &a[index].value
-            } else {
-                &b[index - a.len()].value
-            }
-        };
-        let merge_ns = self.timing.merge_cycles as f64 * self.timing.cycle_ns();
-        merged
-            .into_iter()
-            .map(|out| {
-                let value = match out.source {
-                    RawSource::Reduce { x, y } => {
-                        let mut acc = value_of(x).clone();
-                        operator.combine_into(&mut acc, value_of(y));
-                        acc
-                    }
-                    RawSource::Forward { x } => value_of(x).clone(),
-                };
-                Item { header: out.header, value, ready_ns: out.ready_ns + merge_ns }
-            })
-            .collect()
-    }
-
-    /// Owned-input materialization: an input buffer whose last remaining use
-    /// this is is *moved* out instead of cloned, so the common
-    /// symmetric-pair reduction (one surviving reduce per input pair) is
-    /// allocation-free.
-    fn materialize_owned(
-        &self,
-        operator: &dyn ReduceOperator,
-        merged: Vec<RawOutput>,
-        inputs: &mut [Item],
-        uses: &mut [u32],
-    ) -> Vec<Item> {
-        // Clones `index`'s accumulator — or moves it out on its last
-        // remaining use (`uses` proves no later output reads it again).
-        fn claim(item: &mut Item, uses: &mut [u32], index: usize) -> Vec<f32> {
-            uses[index] -= 1;
-            if uses[index] == 0 {
-                std::mem::take(&mut item.value)
-            } else {
-                item.value.clone()
-            }
-        }
-        let merge_ns = self.timing.merge_cycles as f64 * self.timing.cycle_ns();
-        merged
-            .into_iter()
-            .map(|out| {
-                let value = match out.source {
-                    RawSource::Reduce { x, y } => {
-                        // x and y come from opposite sides, so they are
-                        // always distinct indices.
-                        let (x_item, y_item) = if x < y {
-                            let (lo, hi) = inputs.split_at_mut(y);
-                            (&mut lo[x], &hi[0])
-                        } else {
-                            let (lo, hi) = inputs.split_at_mut(x);
-                            (&mut hi[0], &lo[y])
-                        };
-                        let mut acc = claim(x_item, uses, x);
-                        operator.combine_into(&mut acc, &y_item.value);
-                        uses[y] -= 1;
-                        acc
-                    }
-                    RawSource::Forward { x } => claim(&mut inputs[x], uses, x),
-                };
-                Item { header: out.header, value, ready_ns: out.ready_ns + merge_ns }
-            })
-            .collect()
-    }
-}
-
-/// A planned PE output: final header and timestamp, deferred accumulator.
-struct RawOutput {
-    header: Arc<Header>,
-    ready_ns: f64,
-    source: RawSource,
-}
-
-/// Which input accumulators produce a raw output's value. Indices address
-/// the concatenated input space: side A items first, then side B.
-#[derive(Clone, Copy)]
-enum RawSource {
-    /// `acc = value[x]; combine_into(acc, value[y])`.
-    Reduce { x: usize, y: usize },
-    /// Pass `value[x]` through.
-    Forward { x: usize },
 }
 
 #[cfg(test)]
@@ -456,19 +256,19 @@ mod tests {
     use crate::index::{QueryId, VectorIndex};
     use crate::indexset;
 
-    /// Builds a leaf item: one index, a constant vector, pending entries.
-    fn leaf(index: u32, fill: f32, entries: &[(u32, &[u32])]) -> Item {
+    /// Builds a leaf item: one index and its pending entries.
+    fn leaf(index: u32, entries: &[(u32, &[u32])]) -> Item {
         let queries = entries
             .iter()
             .map(|(q, remaining)| {
                 PendingQuery::new(QueryId(*q), remaining.iter().copied().map(VectorIndex).collect())
             })
             .collect();
-        Item::new(Header::leaf(VectorIndex(index), queries), vec![fill; 4])
+        Item::new(Header::leaf(VectorIndex(index), queries))
     }
 
     fn pe() -> ProcessingElement {
-        ProcessingElement::new(ReduceOp::Sum)
+        ProcessingElement::default()
     }
 
     #[test]
@@ -476,8 +276,8 @@ mod tests {
         // PE (0|1) of Fig. 6: A = index 50 with entries for queries b and c;
         // B = index 11 with entries for queries a and c.
         // (Query letters a..d map to ids 0..3.)
-        let a = leaf(50, 1.0, &[(1, &[83, 94]), (2, &[11, 94, 26])]);
-        let b = leaf(11, 2.0, &[(0, &[44, 32, 83, 77]), (2, &[50, 94, 26])]);
+        let a = leaf(50, &[(1, &[83, 94]), (2, &[11, 94, 26])]);
+        let b = leaf(11, &[(0, &[44, 32, 83, 77]), (2, &[50, 94, 26])]);
         let (out, counts) = pe().process(&[a], &[b]);
         // Raw: forward(A,b), reduce(A,B,c), forward(B,a), reduce(B,A,c) → the
         // two reduces merge: three unique outputs (Fig. 6c).
@@ -493,13 +293,12 @@ mod tests {
         assert_eq!(reduced.header.queries.len(), 1);
         assert_eq!(reduced.header.queries[0].query, QueryId(2));
         assert_eq!(reduced.header.queries[0].remaining, indexset![94, 26]);
-        assert_eq!(reduced.value, vec![3.0; 4]);
     }
 
     #[test]
     fn unmatched_items_forward_with_their_entries() {
-        let a = leaf(1, 1.0, &[(0, &[7])]);
-        let b = leaf(2, 2.0, &[(1, &[9])]);
+        let a = leaf(1, &[(0, &[7])]);
+        let b = leaf(2, &[(1, &[9])]);
         let (out, counts) = pe().process(&[a], &[b]);
         assert_eq!(counts.reduces, 0);
         assert_eq!(counts.forwards, 2);
@@ -510,7 +309,7 @@ mod tests {
     #[test]
     fn one_sided_input_forwards_automatically() {
         // Like PE (4|15) in Fig. 6: only one input exists.
-        let a = leaf(4, 1.0, &[(3, &[15, 77])]);
+        let a = leaf(4, &[(3, &[15, 77])]);
         let (out, counts) = pe().process(&[a], &[]);
         assert_eq!(out.len(), 1);
         assert_eq!(counts.forwards, 1);
@@ -522,13 +321,12 @@ mod tests {
         // Index 5 is used by queries 0 and 1; its partner for both sits on
         // the other input. Both reduces produce the same indices set and the
         // merge unit folds them into one output with two query entries.
-        let a = leaf(5, 1.0, &[(0, &[6]), (1, &[6])]);
-        let b = leaf(6, 2.0, &[(0, &[5]), (1, &[5])]);
+        let a = leaf(5, &[(0, &[6]), (1, &[6])]);
+        let b = leaf(6, &[(0, &[5]), (1, &[5])]);
         let (out, counts) = pe().process(&[a], &[b]);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].header.queries.len(), 2);
         assert!(out[0].header.queries.iter().all(|p| p.is_complete()));
-        assert_eq!(out[0].value, vec![3.0; 4]);
         assert!(counts.merges >= 2);
     }
 
@@ -536,14 +334,11 @@ mod tests {
     fn completed_query_keeps_travelling_as_forward() {
         // An item whose query is complete (remaining empty) and a stranger on
         // the other side: it must forward, not vanish.
-        let done = Item::new(
-            Header {
-                indices: indexset![1, 2],
-                queries: vec![PendingQuery::new(QueryId(0), indexset![])],
-            },
-            vec![3.0; 4],
-        );
-        let other = leaf(9, 1.0, &[(1, &[10])]);
+        let done = Item::new(Header {
+            indices: indexset![1, 2],
+            queries: vec![PendingQuery::new(QueryId(0), indexset![])],
+        });
+        let other = leaf(9, &[(1, &[10])]);
         let (out, _) = pe().process(&[done], &[other]);
         let carried = out
             .iter()
@@ -555,8 +350,8 @@ mod tests {
     #[test]
     fn outputs_never_exceed_query_count() {
         // Table I invariant: outputs ≤ min(nm + n + m, B).
-        let a: Vec<Item> = (0..4).map(|i| leaf(i, 1.0, &[(i, &[i + 100])])).collect();
-        let b: Vec<Item> = (0..4).map(|i| leaf(i + 100, 2.0, &[(i, &[i])])).collect();
+        let a: Vec<Item> = (0..4).map(|i| leaf(i, &[(i, &[i + 100])])).collect();
+        let b: Vec<Item> = (0..4).map(|i| leaf(i + 100, &[(i, &[i])])).collect();
         let (out, _) = pe().process(&a, &b);
         assert!(out.len() <= 4, "got {} outputs", out.len());
         assert!(out.iter().all(|item| item.header.queries.iter().all(PendingQuery::is_complete)));
@@ -564,8 +359,8 @@ mod tests {
 
     #[test]
     fn reduce_timing_dominates_forward_timing() {
-        let a = leaf(1, 1.0, &[(0, &[2])]).ready_at(100.0);
-        let b = leaf(2, 1.0, &[(0, &[1])]).ready_at(50.0);
+        let a = leaf(1, &[(0, &[2])]).ready_at(100.0);
+        let b = leaf(2, &[(0, &[1])]).ready_at(50.0);
         let (out, _) = pe().process(&[a], &[b]);
         let timing = PeTiming::default();
         let expected =
@@ -575,8 +370,8 @@ mod tests {
 
     #[test]
     fn headers_keep_invariant_through_processing() {
-        let a = leaf(3, 1.0, &[(0, &[4, 8]), (1, &[4])]);
-        let b = leaf(4, 2.0, &[(0, &[3, 8]), (1, &[3])]);
+        let a = leaf(3, &[(0, &[4, 8]), (1, &[4])]);
+        let b = leaf(4, &[(0, &[3, 8]), (1, &[3])]);
         let (out, _) = pe().process(&[a], &[b]);
         for item in &out {
             assert!(item.header.invariant_holds(), "violated: {}", item.header);
@@ -596,17 +391,16 @@ mod tests {
             .run(
                 &(1usize..6, 1usize..6, proptest::collection::vec(any::<bool>(), 6)),
                 |(n, m, partnered)| {
-                    let a: Vec<Item> = (0..n)
-                        .map(|i| leaf(i as u32, 1.0, &[(i as u32, &[i as u32 + 16])]))
-                        .collect();
+                    let a: Vec<Item> =
+                        (0..n).map(|i| leaf(i as u32, &[(i as u32, &[i as u32 + 16])])).collect();
                     let b: Vec<Item> = (0..m)
                         .map(|j| {
                             if partnered[j] && j < n {
                                 // Partner of A's query j.
-                                leaf(j as u32 + 16, 2.0, &[(j as u32, &[j as u32])])
+                                leaf(j as u32 + 16, &[(j as u32, &[j as u32])])
                             } else {
                                 // Stranger query with no partner present.
-                                leaf(j as u32 + 16, 2.0, &[(j as u32 + 32, &[j as u32 + 48])])
+                                leaf(j as u32 + 16, &[(j as u32 + 32, &[j as u32 + 48])])
                             }
                         })
                         .collect();
@@ -624,36 +418,5 @@ mod tests {
                 },
             )
             .unwrap();
-    }
-
-    #[test]
-    fn max_reduce_produces_elementwise_max() {
-        let pe = ProcessingElement::new(ReduceOp::Max);
-        let a = leaf(1, 5.0, &[(0, &[2])]);
-        let b = leaf(2, 3.0, &[(0, &[1])]);
-        let (out, _) = pe.process(&[a], &[b]);
-        assert_eq!(out[0].value, vec![5.0; 4]);
-    }
-
-    #[test]
-    fn process_with_runs_an_injected_operator() {
-        // A top-2 operator passed explicitly: item values are (score, index)
-        // accumulators, and the PE merges them like any other value.
-        use crate::reduce::TopKOperator;
-        let operator = TopKOperator::new(2);
-        let pe = ProcessingElement::new(ReduceOp::TopK { k: 2 });
-        let a = Item::new(
-            Header::leaf(VectorIndex(1), vec![PendingQuery::new(QueryId(0), indexset![2])]),
-            operator.lift(VectorIndex(1), &[5.0; 4]),
-        );
-        let b = Item::new(
-            Header::leaf(VectorIndex(2), vec![PendingQuery::new(QueryId(0), indexset![1])]),
-            operator.lift(VectorIndex(2), &[3.0; 4]),
-        );
-        let (out, counts) = pe.process_with(&operator, &[a], &[b]);
-        assert_eq!(counts.reduces, 2);
-        assert_eq!(out.len(), 1);
-        let decoded = TopKOperator::decode(&out[0].value);
-        assert_eq!(decoded, vec![(VectorIndex(1), 20.0), (VectorIndex(2), 12.0)]);
     }
 }

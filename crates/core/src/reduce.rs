@@ -183,7 +183,7 @@ pub trait ReduceOperator: Send + Sync + std::fmt::Debug {
     /// Whether [`ReduceOperator::lift`] is a plain copy of the value.
     /// When true, callers holding a gathered vector may use it directly as
     /// a singleton accumulator (borrowed, bit-identical) instead of
-    /// cloning through `lift` — the fast-functional fold exploits this.
+    /// cloning through `lift` — the fold in [`crate::fastpath`] exploits this.
     /// Keep false (the default) whenever `lift` transforms the value.
     fn lift_is_identity(&self) -> bool {
         false
@@ -630,19 +630,6 @@ impl ReduceOp {
         out
     }
 
-    /// Applies the legacy root-side finalization: for `Mean`, divides by
-    /// the number of reduced vectors; identity otherwise. `ArgMax`/`TopK`
-    /// finalize through [`ReduceOperator::finalize`] instead (their
-    /// accumulators carry their own state), so this is a no-op for them.
-    pub fn finalize(self, value: &mut [f32], count: usize) {
-        if self == ReduceOp::Mean && count > 0 {
-            let scale = 1.0 / count as f32;
-            for x in value.iter_mut() {
-                *x *= scale;
-            }
-        }
-    }
-
     /// Reference reduction of many vectors (used to validate tree outputs).
     ///
     /// For the element-wise operators the inputs are raw vectors; for
@@ -667,10 +654,11 @@ impl ReduceOp {
         }
         match self {
             ReduceOp::ArgMax | ReduceOp::TopK { .. } => Some(self.operator().finalize(&acc)),
-            _ => {
-                self.finalize(&mut acc, count);
-                Some(acc)
+            ReduceOp::Mean => {
+                let scale = 1.0 / count as f32;
+                Some(acc.into_iter().map(|x| x * scale).collect())
             }
+            _ => Some(acc),
         }
     }
 }
@@ -729,10 +717,12 @@ mod tests {
     }
 
     #[test]
-    fn mean_finalizes_at_root() {
-        let mut acc = ReduceOp::Mean.combine(&[2.0], &[4.0]);
-        ReduceOp::Mean.finalize(&mut acc, 2);
-        assert_eq!(acc, vec![3.0]);
+    fn mean_divides_once_at_the_end() {
+        let vectors = [[2.0f32], [4.0]];
+        assert_eq!(
+            ReduceOp::Mean.reduce_all(vectors.iter().map(|v| v.as_slice())),
+            Some(vec![3.0])
+        );
     }
 
     #[test]

@@ -8,6 +8,10 @@
 //! carries a `ready_ns` timestamp, PEs add compare/reduce/forward/merge
 //! latencies, output ports serialize their items, and links add transfer
 //! time.
+//!
+//! The tree is a timing model: its items carry headers and ready times, no
+//! values. The outputs themselves come from the per-query fold in
+//! [`crate::fastpath`].
 
 use serde::{Deserialize, Serialize};
 
@@ -40,57 +44,13 @@ pub struct TreeStats {
 /// Result of running a batch through the tree.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TreeRun {
-    /// Items emitted by the root PE.
+    /// Items emitted by the root PE (headers and ready times).
     pub outputs: Vec<Item>,
     /// Aggregated statistics.
     pub stats: TreeStats,
 }
 
 impl TreeRun {
-    /// Extracts the finished per-query values from the root outputs,
-    /// applying the operator's finalization (e.g. mean division).
-    ///
-    /// Queries whose reduction never completed are omitted (they are counted
-    /// in [`TreeStats::incomplete_outputs`]).
-    #[must_use]
-    pub fn query_outputs(&self, op: crate::reduce::ReduceOp) -> Vec<(QueryId, Vec<f32>)> {
-        let mut results: Vec<(QueryId, Vec<f32>)> = Vec::new();
-        for item in &self.outputs {
-            for pending in &item.header.queries {
-                if pending.is_complete() {
-                    let mut value = item.value.clone();
-                    op.finalize(&mut value, item.header.indices.len());
-                    results.push((pending.query, value));
-                }
-            }
-        }
-        results.sort_by_key(|(query, _)| *query);
-        results.dedup_by_key(|(query, _)| *query);
-        results
-    }
-
-    /// Operator-generic variant of [`TreeRun::query_outputs`]: root items
-    /// hold accumulators, which are finalized through
-    /// [`crate::reduce::ReduceOperator::finalize`] (e.g. the mean division
-    /// using the count carried in the accumulator).
-    #[must_use]
-    pub fn query_outputs_with(
-        &self,
-        operator: &dyn crate::reduce::ReduceOperator,
-    ) -> Vec<(QueryId, Vec<f32>)> {
-        let mut results: Vec<(QueryId, Vec<f32>)> = Vec::new();
-        for item in &self.outputs {
-            for pending in &item.header.queries {
-                if pending.is_complete() {
-                    results.push((pending.query, operator.finalize(&item.value)));
-                }
-            }
-        }
-        results.sort_by_key(|(query, _)| *query);
-        results.dedup_by_key(|(query, _)| *query);
-        results
-    }
-
     /// Per-query completion time: the `ready_ns` of the root item answering
     /// each query.
     #[must_use]
@@ -176,15 +136,12 @@ impl ReductionTree {
     /// Panics if `rank_inputs.len() != leaf_count × ranks_per_leaf`.
     #[must_use]
     pub fn run(&self, rank_inputs: Vec<Vec<Item>>) -> TreeRun {
-        self.run_inner(&*self.config.op.operator(), rank_inputs, None)
+        self.run_inner(rank_inputs, None)
     }
 
-    /// Operator-generic variant of [`ReductionTree::run`]: PEs combine item
-    /// values with `operator` instead of the configured [`crate::ReduceOp`]. The
-    /// leaf inputs must already be lifted accumulators (see
-    /// [`crate::inject::build_rank_inputs_with`]). Timing is unaffected —
-    /// link and PE latencies derive from the configured `vector_dim`, not
-    /// the accumulator width.
+    /// [`ReductionTree::run`] with an operator argument it ignores: the tree
+    /// times headers, whatever the operator. The benchmark's ledger replay
+    /// is its only caller.
     ///
     /// # Panics
     ///
@@ -192,10 +149,10 @@ impl ReductionTree {
     #[must_use]
     pub fn run_with(
         &self,
-        operator: &dyn crate::reduce::ReduceOperator,
+        _operator: &dyn crate::reduce::ReduceOperator,
         rank_inputs: Vec<Vec<Item>>,
     ) -> TreeRun {
-        self.run_inner(operator, rank_inputs, None)
+        self.run(rank_inputs)
     }
 
     /// Like [`ReductionTree::run`], but also records a per-PE firing trace
@@ -210,13 +167,12 @@ impl ReductionTree {
         rank_inputs: Vec<Vec<Item>>,
     ) -> (TreeRun, crate::exec_trace::ExecutionTrace) {
         let mut trace = crate::exec_trace::ExecutionTrace::new();
-        let run = self.run_inner(&*self.config.op.operator(), rank_inputs, Some(&mut trace));
+        let run = self.run_inner(rank_inputs, Some(&mut trace));
         (run, trace)
     }
 
     fn run_inner(
         &self,
-        operator: &dyn crate::reduce::ReduceOperator,
         rank_inputs: Vec<Vec<Item>>,
         mut trace: Option<&mut crate::exec_trace::ExecutionTrace>,
     ) -> TreeRun {
@@ -225,7 +181,7 @@ impl ReductionTree {
             self.leaf_count * self.config.ranks_per_leaf,
             "one input list per rank required"
         );
-        let pe = ProcessingElement { op: self.config.op, timing: self.config.pe_timing };
+        let pe = ProcessingElement { timing: self.config.pe_timing };
         let mut stats = TreeStats { levels: self.levels(), ..TreeStats::default() };
 
         // Leaf level: each PE joins the streams of its ranks, split into the
@@ -238,16 +194,7 @@ impl ReductionTree {
             let a: Vec<Item> = ranks_iter.by_ref().take(half).flatten().collect();
             let b: Vec<Item> =
                 ranks_iter.by_ref().take(self.config.ranks_per_leaf - half).flatten().collect();
-            level.push(self.fire_pe(
-                &pe,
-                operator,
-                a,
-                b,
-                &mut stats,
-                0,
-                index,
-                trace.as_deref_mut(),
-            ));
+            level.push(self.fire_pe(&pe, &a, &b, &mut stats, 0, index, trace.as_deref_mut()));
         }
         stats.per_level_outputs.push(level.iter().map(Vec::len).sum());
 
@@ -262,9 +209,8 @@ impl ReductionTree {
                 let b = self.after_link(children.next().unwrap_or_default());
                 next.push(self.fire_pe(
                     &pe,
-                    operator,
-                    a,
-                    b,
+                    &a,
+                    &b,
                     &mut stats,
                     depth,
                     index,
@@ -291,18 +237,17 @@ impl ReductionTree {
     fn fire_pe(
         &self,
         pe: &ProcessingElement,
-        operator: &dyn crate::reduce::ReduceOperator,
-        a: Vec<Item>,
-        b: Vec<Item>,
+        a: &[Item],
+        b: &[Item],
         stats: &mut TreeStats,
         level: usize,
         index: usize,
         trace: Option<&mut crate::exec_trace::ExecutionTrace>,
     ) -> Vec<Item> {
         let first_input_ns =
-            a.iter().chain(&b).map(|item| item.ready_ns).fold(f64::INFINITY, f64::min);
+            a.iter().chain(b).map(|item| item.ready_ns).fold(f64::INFINITY, f64::min);
         let (inputs_a, inputs_b) = (a.len(), b.len());
-        let (mut out, counts) = pe.process_owned(operator, a, b);
+        let (mut out, counts) = pe.process(a, b);
         stats.ops.merge(&counts);
         stats.pes += 1;
         stats.max_buffer_items = stats.max_buffer_items.max(counts.max_input_items);
@@ -348,24 +293,17 @@ mod tests {
     use crate::index::VectorIndex;
     use crate::indexset;
     use crate::item::Header;
-    use crate::reduce::ReduceOp;
 
     /// Distributes a batch's leaf items over `ranks` ranks by `index mod
-    /// ranks`, with synthetic values `[index; dim]`, honouring the per-side
-    /// invariant via the injector.
-    fn rank_inputs_ratio(
-        batch: &Batch,
-        ranks: usize,
-        dim: usize,
-        ranks_per_leaf: usize,
-    ) -> Vec<Vec<Item>> {
+    /// ranks`, honouring the per-side invariant via the injector.
+    fn rank_inputs_ratio(batch: &Batch, ranks: usize, ranks_per_leaf: usize) -> Vec<Vec<Item>> {
         let gathered: Vec<crate::inject::GatheredVector> = batch
             .unique_indices()
             .iter()
             .map(|index| crate::inject::GatheredVector {
                 index,
                 rank: index.value() as usize % ranks,
-                value: vec![index.value() as f32; dim].into(),
+                value: vec![index.value() as f32; 4].into(),
                 ready_ns: 0.0,
             })
             .collect();
@@ -374,13 +312,12 @@ mod tests {
             &gathered,
             ranks,
             ranks_per_leaf,
-            ReduceOp::Sum,
             &crate::timing::PeTiming::default(),
         )
     }
 
-    fn rank_inputs(batch: &Batch, ranks: usize, dim: usize) -> Vec<Vec<Item>> {
-        rank_inputs_ratio(batch, ranks, dim, 2)
+    fn rank_inputs(batch: &Batch, ranks: usize) -> Vec<Vec<Item>> {
+        rank_inputs_ratio(batch, ranks, 2)
     }
 
     fn tree(ranks: usize) -> ReductionTree {
@@ -388,31 +325,35 @@ mod tests {
             .unwrap()
     }
 
-    fn check_against_reference(batch: &Batch, ranks: usize) {
-        let tree = tree(ranks);
-        let run = tree.run(rank_inputs(batch, ranks, 4));
+    /// Every query leaves the root complete, on an item whose `indices`
+    /// field names exactly the query's index set.
+    fn check_every_query_completes(run: &TreeRun, batch: &Batch) {
         assert_eq!(run.stats.incomplete_outputs, 0);
-        let outputs = run.query_outputs(ReduceOp::Sum);
-        let reference = batch.reference_outputs(ReduceOp::Sum, |i| vec![i.value() as f32; 4]);
-        assert_eq!(outputs.len(), batch.len());
-        for ((qa, got), (qb, expected)) in outputs.iter().zip(&reference) {
-            assert_eq!(qa, qb);
-            let expected = expected.as_ref().unwrap();
-            for (x, y) in got.iter().zip(expected) {
-                assert!((x - y).abs() < 1e-3, "query {qa}: {got:?} vs {expected:?}");
-            }
+        assert_eq!(run.query_completion_ns().len(), batch.len());
+        for query in batch.queries() {
+            let root = run
+                .outputs
+                .iter()
+                .find(|item| item.header.queries.iter().any(|p| p.query == query.id))
+                .unwrap_or_else(|| panic!("query {} missing at the root", query.id));
+            assert!(root.header.pending_for(query.id).unwrap().is_complete());
+            assert_eq!(root.header.indices, query.indices, "query {}", query.id);
         }
     }
 
+    fn check_completes(batch: &Batch, ranks: usize) {
+        check_every_query_completes(&tree(ranks).run(rank_inputs(batch, ranks)), batch);
+    }
+
     #[test]
-    fn fig6_batch_reduces_correctly_on_8_ranks() {
+    fn fig6_batch_completes_on_8_ranks() {
         let batch = Batch::from_index_sets([
             indexset![11, 44, 32, 83, 77],
             indexset![50, 83, 94],
             indexset![11, 50, 44, 94, 26],
             indexset![4, 15, 77],
         ]);
-        check_against_reference(&batch, 8);
+        check_completes(&batch, 8);
     }
 
     #[test]
@@ -420,7 +361,7 @@ mod tests {
         // Indices 0 and 31 sit on ranks 0 and 31: reduction can only happen
         // at the root (the paper's worst case).
         let batch = Batch::from_index_sets([indexset![0, 31]]);
-        check_against_reference(&batch, 32);
+        check_completes(&batch, 32);
     }
 
     #[test]
@@ -428,14 +369,12 @@ mod tests {
         // Indices 0 and 1 share a leaf PE (1PE:2R): one reduce, no forwards
         // needed above the leaf level.
         let batch = Batch::from_index_sets([indexset![0, 1]]);
-        let tree = tree(32);
-        let run = tree.run(rank_inputs(&batch, 32, 4));
+        let run = tree(32).run(rank_inputs(&batch, 32));
         // Both compare directions fire the reduce; the merge unit folds them
         // into one output (hardware-faithful counting).
         assert_eq!(run.stats.ops.reduces, 2);
         assert_eq!(run.stats.ops.merges, 1);
-        let outputs = run.query_outputs(ReduceOp::Sum);
-        assert_eq!(outputs[0].1, vec![1.0; 4]);
+        check_every_query_completes(&run, &batch);
     }
 
     #[test]
@@ -463,25 +402,25 @@ mod tests {
         let mut inputs = vec![Vec::new(); 4];
         let headers = batch.leaf_headers();
         let (index, pending) = headers.into_iter().find(|(i, _)| *i == VectorIndex(0)).unwrap();
-        inputs[0].push(Item::new(Header::leaf(index, pending), vec![0.0; 4]));
+        inputs[0].push(Item::new(Header::leaf(index, pending)));
         let run = tree.run(inputs);
         assert_eq!(run.stats.incomplete_outputs, 1);
-        assert!(run.query_outputs(ReduceOp::Sum).is_empty());
+        assert!(run.query_completion_ns().is_empty());
     }
 
     #[test]
     fn shared_index_served_to_both_queries() {
         // Both queries need index 5 (the paper's v5 example, Fig. 1/2).
         let batch = Batch::from_index_sets([indexset![1, 2, 5, 6], indexset![3, 4, 5]]);
-        check_against_reference(&batch, 8);
+        check_completes(&batch, 8);
     }
 
     #[test]
     fn completion_time_grows_with_tree_depth() {
         let batch = Batch::from_index_sets([indexset![0, 1]]);
         // Same batch, deeper tree (more ranks): completion no earlier.
-        let shallow = tree(4).run(rank_inputs(&batch, 4, 4));
-        let deep = tree(32).run(rank_inputs(&batch, 32, 4));
+        let shallow = tree(4).run(rank_inputs(&batch, 4));
+        let deep = tree(32).run(rank_inputs(&batch, 32));
         assert!(deep.stats.completion_ns >= shallow.stats.completion_ns);
     }
 
@@ -492,9 +431,7 @@ mod tests {
         let tree = ReductionTree::new(config, 8).unwrap();
         assert_eq!(tree.pe_count(), 15);
         let batch = Batch::from_index_sets([indexset![0, 1, 6, 7]]);
-        let run = tree.run(rank_inputs_ratio(&batch, 8, 4, 1));
-        let outputs = run.query_outputs(ReduceOp::Sum);
-        assert_eq!(outputs[0].1, vec![14.0; 4]);
+        check_every_query_completes(&tree.run(rank_inputs_ratio(&batch, 8, 1)), &batch);
     }
 
     #[test]
@@ -504,91 +441,7 @@ mod tests {
         let tree = ReductionTree::new(config, 16).unwrap();
         assert_eq!(tree.pe_count(), 7);
         let batch = Batch::from_index_sets([indexset![0, 5, 10, 15]]);
-        let run = tree.run(rank_inputs_ratio(&batch, 16, 4, 4));
-        let outputs = run.query_outputs(ReduceOp::Sum);
-        assert_eq!(outputs[0].1, vec![30.0; 4]);
-    }
-
-    #[test]
-    fn trait_path_sum_is_byte_identical_to_legacy() {
-        // The thin-adapter guarantee end-to-end: running the tree through
-        // the legacy enum path and through an explicit SumOperator must
-        // produce byte-identical outputs on a sharing-heavy batch.
-        let sets: Vec<_> = (0..12u32).map(|i| indexset![i % 8, (i + 3) % 8, 16 + i % 4]).collect();
-        let batch = Batch::from_index_sets(sets);
-        let tree = tree(8);
-        let legacy = tree.run(rank_inputs(&batch, 8, 4));
-        let operator = ReduceOp::Sum.operator();
-        let traited = tree.run_with(&*operator, rank_inputs(&batch, 8, 4));
-        let legacy_out = legacy.query_outputs(ReduceOp::Sum);
-        let traited_out = traited.query_outputs_with(&*operator);
-        assert_eq!(legacy_out.len(), traited_out.len());
-        for ((qa, a), (qb, b)) in legacy_out.iter().zip(&traited_out) {
-            assert_eq!(qa, qb);
-            assert_eq!(
-                a.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                b.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-            );
-        }
-        assert_eq!(legacy.stats, traited.stats);
-    }
-
-    #[test]
-    fn mean_through_the_tree_divides_exactly_once() {
-        let batch = Batch::from_index_sets([indexset![0, 5, 9, 31], indexset![5, 6]]);
-        let operator = ReduceOp::Mean.operator();
-        let gathered: Vec<crate::inject::GatheredVector> = batch
-            .unique_indices()
-            .iter()
-            .map(|index| crate::inject::GatheredVector {
-                index,
-                rank: index.value() as usize % 32,
-                value: vec![index.value() as f32; 4].into(),
-                ready_ns: 0.0,
-            })
-            .collect();
-        let inputs = crate::inject::build_rank_inputs_with(
-            &batch,
-            &gathered,
-            32,
-            2,
-            &*operator,
-            &crate::timing::PeTiming::default(),
-        );
-        let run = tree(32).run_with(&*operator, inputs);
-        let outputs = run.query_outputs_with(&*operator);
-        assert_eq!(outputs[0].1, vec![(0.0 + 5.0 + 9.0 + 31.0) / 4.0; 4]);
-        assert_eq!(outputs[1].1, vec![5.5; 4]);
-    }
-
-    #[test]
-    fn topk_through_the_tree_selects_best_indices() {
-        use crate::reduce::TopKOperator;
-        let batch = Batch::from_index_sets([indexset![0, 7, 13, 21, 30]]);
-        let operator = TopKOperator::new(2); // score = element sum = 4·index
-        let gathered: Vec<crate::inject::GatheredVector> = batch
-            .unique_indices()
-            .iter()
-            .map(|index| crate::inject::GatheredVector {
-                index,
-                rank: index.value() as usize % 32,
-                value: vec![index.value() as f32; 4].into(),
-                ready_ns: 0.0,
-            })
-            .collect();
-        let inputs = crate::inject::build_rank_inputs_with(
-            &batch,
-            &gathered,
-            32,
-            2,
-            &operator,
-            &crate::timing::PeTiming::default(),
-        );
-        let run = tree(32).run_with(&operator, inputs);
-        assert_eq!(run.stats.incomplete_outputs, 0);
-        let outputs = run.query_outputs_with(&operator);
-        let decoded = TopKOperator::decode(&outputs[0].1);
-        assert_eq!(decoded, vec![(VectorIndex(30), 120.0), (VectorIndex(21), 84.0)]);
+        check_every_query_completes(&tree.run(rank_inputs_ratio(&batch, 16, 4)), &batch);
     }
 
     #[test]
@@ -597,13 +450,12 @@ mod tests {
         // query count (Table I invariant).
         let sets: Vec<_> = (0..16u32).map(|i| indexset![i % 8, (i + 3) % 8, 16 + i % 4]).collect();
         let batch = Batch::from_index_sets(sets);
-        let tree = tree(8);
-        let run = tree.run(rank_inputs(&batch, 8, 4));
+        let run = tree(8).run(rank_inputs(&batch, 8));
         assert!(
             run.stats.max_buffer_items <= 16 + batch.unique_indices().len() as u64,
             "buffer occupancy {} out of range",
             run.stats.max_buffer_items
         );
-        check_against_reference(&batch, 8);
+        check_every_query_completes(&run, &batch);
     }
 }

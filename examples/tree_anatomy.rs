@@ -7,6 +7,7 @@
 //! cargo run --example tree_anatomy
 //! ```
 
+use fafnir_core::fastpath::fast_reduce;
 use fafnir_core::inject::{build_rank_inputs, GatheredVector};
 use fafnir_core::{Batch, FafnirConfig, IndexSet, PeTiming, ReduceOp, ReductionTree, VectorIndex};
 
@@ -42,10 +43,11 @@ fn main() -> Result<(), fafnir_core::FafnirError> {
             ready_ns: 60.0 + 10.0 * f64::from(index.value()),
         })
         .collect();
-    let inputs =
-        build_rank_inputs(&batch, &gathered, ranks, 2, ReduceOp::Sum, &PeTiming::default());
+    let inputs = build_rank_inputs(&batch, &gathered, ranks, 2, &PeTiming::default());
 
+    // The tree times headers; the fold computes the values.
     let (run, trace) = tree.run_traced(inputs);
+    let fold = fast_reduce(&batch, &gathered, &tree, &*ReduceOp::Sum.operator());
 
     println!("{}", trace.render_waterfall(56));
 
@@ -66,7 +68,7 @@ fn main() -> Result<(), fafnir_core::FafnirError> {
     }
 
     println!("\nquery outputs (first element):");
-    for (query, value) in run.query_outputs(ReduceOp::Sum) {
+    for (query, value) in &fold.outputs {
         println!("  {query} -> {:.1}", value[0]);
     }
     println!(

@@ -25,8 +25,12 @@ test:
 docs:
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
+# The ledger benchmark is its own Cargo workspace: build and test it.
+ledger-check:
+    cargo test --release --offline --manifest-path ledger/Cargo.toml -q
+
 # Everything CI runs.
-ci: fmt clippy tier1 docs
+ci: fmt clippy tier1 docs ledger-check
 
 # Regenerate the parallel-driver measurement (BENCH_parallel_driver.json).
 bench-driver:
@@ -88,16 +92,16 @@ bench-kernels *ARGS:
     cargo bench -p fafnir-bench --bench reduce_kernels -- {{ARGS}}
 
 # Profile the serving data plane with gprofng (binutils). Samples the
-# profile_sim example looping the serving-bench workload and prints the
-# hottest functions. Relative percentages are trustworthy even where the
-# absolute totals undersample; compare profiles at the same LOOPS.
-# Requires `gprofng` on PATH. `mode` selects the memory model
-# (`just profile fast` profiles the fast-functional data plane).
-profile mode="cycle" loops="10":
-    cargo build --release -p fafnir-serve --examples
+# ledger benchmark running one serving workload and prints the hottest
+# functions. Relative percentages are trustworthy even where the absolute
+# totals undersample; compare profiles at the same SECONDS. Requires
+# `gprofng` on PATH. `workload` is `serve_cycle` or `serve_fast` (the fast
+# memory model); `ledger --trace 1` gives the per-layer split instead.
+profile workload="serve_cycle" seconds="10":
+    cargo build --release --offline --manifest-path ledger/Cargo.toml
     rm -rf /tmp/fafnir-profile.er
-    MEMORY_MODEL={{mode}} LOOPS={{loops}} gprofng collect app \
-        -o /tmp/fafnir-profile.er target/release/examples/profile_sim
+    gprofng collect app -o /tmp/fafnir-profile.er ledger/target/release/ledger \
+        --workload {{workload}} --seed 1 --seconds {{seconds}}
     gprofng display text -functions /tmp/fafnir-profile.er | head -40
 
 # A quick look at the resilience layer: a straggler replica with hedging.

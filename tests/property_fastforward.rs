@@ -12,7 +12,7 @@ use proptest::prelude::*;
 
 use fafnir_core::cycle_sim::CycleTree;
 use fafnir_core::inject::{build_rank_inputs, GatheredVector};
-use fafnir_core::{Batch, FafnirConfig, IndexSet, PeTiming, ReduceOp, ReductionTree, VectorIndex};
+use fafnir_core::{Batch, FafnirConfig, IndexSet, PeTiming, ReductionTree, VectorIndex};
 use fafnir_mem::{MemoryConfig, MemorySystem, PagePolicy, Request, SchedulerPolicy};
 
 /// A random request with staggered arrivals: long gaps are exactly where
@@ -86,7 +86,7 @@ fn inputs_for(batch: &Batch, ranks: usize) -> Vec<Vec<fafnir_core::Item>> {
             ready_ns: 40.0 + 3.0 * f64::from(index.value()),
         })
         .collect();
-    build_rank_inputs(batch, &gathered, ranks, 2, ReduceOp::Sum, &PeTiming::default())
+    build_rank_inputs(batch, &gathered, ranks, 2, &PeTiming::default())
 }
 
 proptest! {
