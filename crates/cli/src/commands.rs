@@ -1,169 +1,275 @@
-//! The CLI subcommands: each takes parsed flags and returns its report as a
-//! string (so the logic is unit-testable without capturing stdout).
+//! The CLI subcommands: one flag table each, and a function that takes the
+//! checked flags and returns the report as a string (so the logic is
+//! unit-testable without capturing stdout).
 
-use fafnir_baselines::{LookupEngine, LookupOutcome, NoNdpEngine, RecNmpEngine, TensorDimmEngine};
+use std::ops::Bound::{Excluded, Included, Unbounded};
+
+use fafnir_baselines::{CoreModel, LookupEngine, NoNdpEngine, RecNmpEngine, TensorDimmEngine};
 use fafnir_core::model::report::DeploymentSummary;
-use fafnir_core::{FafnirConfig, FafnirEngine, PeTiming, StripedSource};
-use fafnir_mem::MemoryConfig;
+use fafnir_core::{Batch, FafnirConfig, FafnirEngine, PeTiming, StripedSource};
+use fafnir_mem::{MemoryConfig, MemoryModelKind};
 use fafnir_sparse::{fafnir_spmv, gen, two_step, LilMatrix, SpmvTiming};
+use fafnir_workloads::faults::FaultPlan;
 use fafnir_workloads::query::{BatchGenerator, Popularity};
 use fafnir_workloads::trace::QueryTrace;
 
-use crate::args::{ArgError, ParsedArgs};
+use crate::args::Kind::{self, Choice, Count, Number, Switch, Text};
+use crate::args::{count, dispatch, flag, number, usage, ArgError, Args, Command, Flag, Range};
 
-/// Runs the parsed command, returning the printable report.
+const ANY: Kind = Count(0, u64::MAX);
+const NONZERO: Kind = Count(1, u64::MAX);
+const U32_MAX: u64 = u32::MAX as u64;
+const AT_LEAST_ZERO: Range = (Included(0.0), Unbounded);
+const NON_NEGATIVE: Kind = Number(AT_LEAST_ZERO);
+const POSITIVE: Kind = Number((Excluded(0.0), Unbounded));
+const FRACTION: Kind = Number((Included(0.0), Included(1.0)));
+const NONZERO_FRACTION: Kind = Number((Excluded(0.0), Included(1.0)));
+
+const SEED: Flag = flag("seed", ANY, Some("7"), "random seed");
+const SKEW: Flag = flag("skew", NON_NEGATIVE, Some("1.15"), "Zipf exponent; 0 draws uniformly");
+const UNIVERSE: Flag = flag("universe", Count(1, U32_MAX), Some("2000"), "embedding rows");
+const QUERY_LEN: Flag = flag("query-len", NONZERO, Some("16"), "indices per query");
+const BATCH: Flag = flag("batch", NONZERO, Some("32"), "queries per batch");
+const RANKS: Flag = flag("ranks", Count(1, 64), Some("32"), "memory ranks, a power of two");
+const RATIO: Flag = flag("ratio", NONZERO, Some("2"), "ranks per leaf PE: 1, 2 or 4");
+const JSON: Flag = flag("json", Switch, None, "print JSON instead of a table");
+
+/// Traffic: the query generator, built by [`traffic`].
+const TRAFFIC: &[Flag] = &[SKEW, UNIVERSE, QUERY_LEN, SEED];
+
+/// Engine: the reduction and memory model, read by [`engine_setup`].
+const ENGINE: &[Flag] = &[
+    flag("op", Text("sum|mean|max|min|argmax|topk:K"), Some("sum"), "reduction operator"),
+    flag("memory-model", Choice(&["cycle", "fast"]), Some("cycle"), "DRAM timing model"),
+    flag("no-dedup", Switch, None, "read every reference: no batch deduplication"),
+];
+
+/// Serving: open-loop load on replicated workers.
+const SERVING: &[Flag] = &[
+    flag("rate", POSITIVE, Some("1e6"), "offered load in queries/s"),
+    flag("workers", NONZERO, Some("4"), "accelerator replicas"),
+    flag("duration-queries", NONZERO, Some("512"), "queries to simulate"),
+];
+
+const LOOKUP: &[Flag] = &[
+    BATCH,
+    RANKS,
+    flag(
+        "engine",
+        Choice(&["fafnir", "recnmp", "tensordimm", "no-ndp", "all"]),
+        Some("all"),
+        "engines to run",
+    ),
+    flag("interactive", Switch, None, "FAFNIR serves one query per hardware batch"),
+    flag("refresh", Switch, None, "model DRAM refresh"),
+];
+
+const SERVE: &[Flag] = &[
+    flag("process", Choice(&["poisson", "onoff"]), Some("poisson"), "arrival process"),
+    flag("policy", Choice(&["size", "deadline", "adaptive"]), Some("adaptive"), "batching"),
+    BATCH,
+    flag("max-wait-ns", NON_NEGATIVE, Some("500000"), "longest batching wait"),
+    flag("queue-capacity", NONZERO, Some("1024"), "admission queue bound"),
+    flag("shed", Choice(&["drop-newest", "drop-oldest"]), Some("drop-newest"), "on a full queue"),
+    flag("faults", Text("none|outage|slow:MULT:N|crash:MTTF:MTTR"), Some("none"), "fault plan"),
+    flag("timeout-ns", POSITIVE, None, "per-batch dispatch timeout (off)"),
+    flag("retries", Count(0, U32_MAX), Some("0"), "retries per failed batch"),
+    flag("backoff-ns", NON_NEGATIVE, Some("1000"), "base retry backoff"),
+    flag("hedge-ns", NON_NEGATIVE, None, "hedge a batch still running after this (off)"),
+    flag("sweep-windows", Text("W1,W2,..."), None, "one deadline-policy scenario per window"),
+    flag("scenario-threads", NONZERO, Some("1"), "sweep parallelism"),
+    JSON,
+];
+
+const CLUSTER: &[Flag] = &[
+    flag("shards", NONZERO, Some("4"), "reduction trees"),
+    flag("strategy", Choice(&["tablewise", "rowhash", "rowrange"]), Some("rowrange"), "sharding"),
+    flag("rows-per-table", Count(1, U32_MAX), Some("250"), "table size for tablewise"),
+    flag("replicate-hot", FRACTION, Some("0"), "share of hottest rows on every shard"),
+    flag("router", Choice(&["roundrobin", "leastloaded"]), Some("roundrobin"), "replica choice"),
+    JSON,
+];
+
+const SPMV: &[Flag] = &[
+    flag("gen", Choice(&["uniform", "rmat", "banded", "spd"]), Some("rmat"), "matrix generator"),
+    flag("rows", NONZERO, Some("4096"), "matrix rows"),
+    flag("density", NONZERO_FRACTION, Some("0.01"), "uniform: share of non-zeros"),
+    flag("nnz", ANY, None, "rmat: edges (rows*8)"),
+    flag("bandwidth", ANY, Some("4"), "banded/spd: band width"),
+    flag("vector-size", Count(2, u64::MAX), Some("2048"), "tree input vector size"),
+    flag("mtx", Text("FILE"), None, "load Matrix Market input"),
+    SEED,
+    flag("partition", Choice(&["row", "nnz", "col", "grid"]), None, "split over ranks (off)"),
+    flag("ranks", NONZERO, Some("8"), "ranks for --partition"),
+    flag("stream", Switch, None, "chunk-at-a-time partitioned driver"),
+    JSON,
+];
+
+const TRACE: &[Flag] = &[
+    flag("record", ANY, None, "write N queries to stdout as text"),
+    flag("stats", Text("FILE"), None, "reuse statistics of a trace file"),
+    flag("distances", Text("FILE"), None, "reuse distances and LRU hit rates of a trace file"),
+];
+
+/// Every subcommand, in usage order; [`run`] dispatches over this table.
+pub const COMMANDS: &[Command] = &[
+    Command {
+        name: "lookup",
+        summary: "run an embedding-lookup batch through the engines",
+        flags: &[LOOKUP, TRAFFIC, ENGINE],
+        run: lookup,
+    },
+    Command {
+        name: "serve",
+        summary: "simulate an online lookup service in virtual time",
+        flags: &[SERVING, SERVE, TRAFFIC, ENGINE],
+        run: serve,
+    },
+    Command {
+        name: "cluster",
+        summary: "serve against a sharded multi-tree cluster",
+        flags: &[CLUSTER, SERVING, TRAFFIC, ENGINE],
+        run: cluster,
+    },
+    Command {
+        name: "spmv",
+        summary: "run y = A·x on FAFNIR and the Two-Step baseline",
+        flags: &[SPMV],
+        run: spmv,
+    },
+    Command {
+        name: "report",
+        summary: "print the deployment summary",
+        flags: &[&[RANKS, RATIO, flag("cores", ANY, Some("4"), "host cores")]],
+        run: report,
+    },
+    Command {
+        name: "trace",
+        summary: "record or characterize query traces",
+        flags: &[TRACE, TRAFFIC],
+        run: trace,
+    },
+    Command {
+        name: "anatomy",
+        summary: "draw one batch's PE waterfall through the reduction tree",
+        flags: &[&[
+            flag("batch", ANY, Some("4"), "queries per batch"),
+            Flag { default: Some("8"), ..QUERY_LEN },
+            Flag { default: Some("8"), ..RANKS },
+            SKEW,
+            UNIVERSE,
+            SEED,
+        ]],
+        run: anatomy,
+    },
+    Command {
+        name: "energy",
+        summary: "DRAM and tree energy of one batch, with and without dedup",
+        flags: &[&[BATCH], TRAFFIC],
+        run: energy,
+    },
+    Command {
+        name: "selftest",
+        summary: "check the engine against the software reference",
+        flags: &[&[RANKS, RATIO, flag("batches", ANY, Some("6"), "16-query batches"), SEED]],
+        run: selftest,
+    },
+    Command { name: "help", summary: "this text", flags: &[], run: |_| Ok(usage(COMMANDS, None)) },
+];
+
+/// Runs the command line (without the program name), returning the
+/// printable report.
 ///
 /// # Errors
 ///
-/// Returns [`ArgError`] for unknown commands or invalid flag values.
-pub fn run(args: &ParsedArgs) -> Result<String, ArgError> {
-    match args.command.as_str() {
-        "lookup" => lookup(args),
-        "serve" => serve(args),
-        "cluster" => cluster(args),
-        "spmv" => spmv(args),
-        "report" => report(args),
-        "trace" => trace(args),
-        "anatomy" => anatomy(args),
-        "energy" => energy(args),
-        "selftest" => selftest(args),
-        "help" => Ok(usage()),
-        other => Err(ArgError(format!("unknown command `{other}` (try `fafnir help`)"))),
+/// Returns [`ArgError`] for unknown commands, flags the command's table
+/// rejects, or a failed run.
+pub fn run(tokens: &[String]) -> Result<String, ArgError> {
+    dispatch(COMMANDS, tokens)
+}
+
+/// Builds the query generator from the traffic flags, checking
+/// `1 ≤ query-len ≤ universe ≤ 2^32 − 1` and a finite skew ≥ 0.
+fn traffic(args: &Args) -> Result<BatchGenerator, ArgError> {
+    let skew: f64 = args.parse_as("skew")?;
+    let universe: u64 = args.parse_as("universe")?;
+    let query_len: usize = args.parse_as("query-len")?;
+    if query_len as u64 > universe {
+        return Err(ArgError::flag(
+            "query-len",
+            format!("{query_len} exceeds --universe {universe}"),
+        ));
     }
+    let popularity =
+        if skew == 0.0 { Popularity::Uniform } else { Popularity::Zipf { exponent: skew } };
+    Ok(BatchGenerator::new(popularity, universe, query_len, args.parse_as("seed")?))
 }
 
-/// The usage text.
-#[must_use]
-pub fn usage() -> String {
-    "fafnir — FAFNIR (HPCA 2021) reproduction CLI\n\
-     \n\
-     USAGE: fafnir <command> [flags]\n\
-     \n\
-     COMMANDS\n\
-       lookup   run an embedding-lookup batch through the engines\n\
-                --batch N (32) --query-len Q (16) --skew S (1.15)\n\
-                --universe U (2000) --ranks R (32) --seed X (7)\n\
-                --engine fafnir|recnmp|tensordimm|no-ndp|all (all)\n\
-                --op sum|mean|max|min|argmax|topk:K (sum)\n\
-                --memory-model cycle|fast (cycle)\n\
-                --no-dedup --interactive --refresh\n\
-       serve    simulate an online lookup service in virtual time\n\
-                --rate QPS (1e6) --process poisson|onoff (poisson)\n\
-                --policy size|deadline|adaptive (adaptive) --batch N (32)\n\
-                --max-wait-ns W (500000) --workers K (4)\n\
-                --duration-queries N (512) --queue-capacity C (1024)\n\
-                --shed drop-newest|drop-oldest (drop-newest)\n\
-                --skew S (1.15) --universe U (2000) --query-len Q (16)\n\
-                --op sum|mean|max|min|argmax|topk:K (sum)\n\
-                --memory-model cycle|fast (cycle)\n\
-                --seed X (7) --no-dedup --json\n\
-                --faults none|outage|slow:MULT:N|crash:MTTF:MTTR (none)\n\
-                --timeout-ns T (off) --retries R (0) --backoff-ns B (1000)\n\
-                --hedge-ns H (off)\n\
-                --sweep-windows W1,W2,... (run one deadline-policy scenario\n\
-                per window) --scenario-threads N (1, sweep parallelism)\n\
-       cluster  serve against a sharded multi-tree cluster\n\
-                --shards N (4) --strategy tablewise|rowhash|rowrange (rowrange)\n\
-                --rows-per-table R (250, tablewise) --replicate-hot F (0)\n\
-                --router roundrobin|leastloaded (roundrobin)\n\
-                --rate QPS (1e6) --workers K (4) --duration-queries N (512)\n\
-                --skew S (1.15) --universe U (2000) --query-len Q (16)\n\
-                --op sum|mean|max|min|argmax|topk:K (sum)\n\
-                --memory-model cycle|fast (cycle) --seed X (7) --json\n\
-       spmv     run y = A·x on FAFNIR and the Two-Step baseline\n\
-                --gen uniform|rmat|banded|spd (rmat) --rows N (4096)\n\
-                --density D (0.01, uniform) --nnz N (rows*8, rmat)\n\
-                --bandwidth B (4, banded/spd) --vector-size V (2048)\n\
-                --mtx FILE (load Matrix Market input) --seed X (7)\n\
-                --partition row|nnz|col|grid (off) --ranks R (8)\n\
-                --stream (chunk-at-a-time driver) --json\n\
-       report   print the deployment summary\n\
-                --ranks R (32) --ratio 1|2|4 (2) --cores C (4)\n\
-       trace    record or characterize query traces\n\
-                --record N (write N queries to stdout as text)\n\
-                --stats FILE (reuse statistics of a trace file)\n\
-                --skew S --universe U --query-len Q --seed X\n\
-       help     this text\n"
-        .to_string()
+/// The engine flags on the paper's defaults, plus the memory model.
+fn engine_setup(args: &Args) -> Result<(FafnirConfig, MemoryModelKind), ArgError> {
+    let config = FafnirConfig {
+        dedup: !args.switch("no-dedup"),
+        op: args.parse_as("op")?,
+        ..FafnirConfig::paper_default()
+    };
+    Ok((config, args.parse_as("memory-model")?))
 }
 
-/// Parses `--op sum|mean|max|min|argmax|topk:K` (default `sum`).
-fn reduce_op(args: &ParsedArgs) -> Result<fafnir_core::ReduceOp, ArgError> {
-    args.get_or("op", "sum").parse().map_err(|e| ArgError(format!("flag `--op`: {e}")))
-}
-
-/// Parses `--memory-model cycle|fast` (default `cycle`).
-fn memory_model(args: &ParsedArgs) -> Result<fafnir_mem::MemoryModelKind, ArgError> {
-    args.get_or("memory-model", "cycle")
-        .parse()
-        .map_err(|e| ArgError(format!("flag `--memory-model`: {e}")))
-}
-
-fn memory_for(ranks: usize) -> Result<MemoryConfig, ArgError> {
-    if ranks == 0 || !ranks.is_power_of_two() || ranks > 64 {
-        return Err(ArgError(format!("--ranks must be a power of two ≤ 64, got {ranks}")));
+/// `--ranks`, which the reduction tree needs to be a power of two.
+fn tree_ranks(args: &Args) -> Result<usize, ArgError> {
+    let ranks: usize = args.parse_as("ranks")?;
+    if !ranks.is_power_of_two() {
+        return Err(ArgError::flag("ranks", format!("must be a power of two, got {ranks}")));
     }
-    Ok(MemoryConfig::with_total_ranks(ranks))
+    Ok(ranks)
 }
 
-fn outcome_row(name: &str, outcome: &LookupOutcome) -> String {
-    format!(
-        "{name:<12} {:>10.2} us {:>12} {:>14} B {:>9.0} %\n",
+/// One engine's row of the lookup table.
+fn outcome_row<E: LookupEngine>(
+    engine: &E,
+    batch: &Batch,
+    source: &StripedSource,
+) -> Result<String, ArgError> {
+    let outcome = engine.lookup(batch, source).map_err(|e| ArgError(e.to_string()))?;
+    Ok(format!(
+        "{:<12} {:>10.2} us {:>12} {:>14} B {:>9.0} %\n",
+        engine.name(),
         outcome.total_ns / 1e3,
         outcome.vectors_read,
         outcome.bytes_to_host,
         outcome.ndp_fraction() * 100.0
-    )
+    ))
 }
 
-fn lookup(args: &ParsedArgs) -> Result<String, ArgError> {
-    let batch_size: usize = args.number_or("batch", 32)?;
-    let query_len: usize = args.number_or("query-len", 16)?;
-    let skew: f64 = args.number_or("skew", 1.15)?;
-    let universe: u64 = args.number_or("universe", 2_000)?;
-    let ranks: usize = args.number_or("ranks", 32)?;
-    let seed: u64 = args.number_or("seed", 7)?;
-    let engine_choice = args.get_or("engine", "all");
-    let op = reduce_op(args)?;
-    if batch_size == 0 || query_len == 0 {
-        return Err(ArgError("--batch and --query-len must be non-zero".into()));
-    }
-
-    let mut mem = memory_for(ranks)?;
-    mem.refresh = args.switch("refresh");
-    mem.model = memory_model(args)?;
+fn lookup(args: &Args) -> Result<String, ArgError> {
+    let batch_size: usize = args.parse_as("batch")?;
+    let ranks = tree_ranks(args)?;
+    let engine_choice = args.value("engine")?;
+    let (config, model) = engine_setup(args)?;
+    let config = FafnirConfig { ranks_per_leaf: ranks.min(2), ..config };
+    let mem = MemoryConfig {
+        refresh: args.switch("refresh"),
+        model,
+        ..MemoryConfig::with_total_ranks(ranks)
+    };
     let source = StripedSource::new(mem.topology, 128);
-    let popularity =
-        if skew == 0.0 { Popularity::Uniform } else { Popularity::Zipf { exponent: skew } };
-    let mut generator = BatchGenerator::new(popularity, universe, query_len, seed);
+    let mut generator = traffic(args)?;
     let batch = generator.batch(batch_size);
 
     let mut out = format!(
-        "lookup: {batch_size} queries x {query_len} indices over {ranks} ranks \
-         ({:.0} % unique)\n",
+        "lookup: {batch_size} queries x {} indices over {ranks} ranks ({:.0} % unique)\n",
+        generator.query_len(),
         batch.unique_fraction() * 100.0
     );
     out.push_str(&format!(
         "{:<12} {:>13} {:>12} {:>16} {:>10}\n",
         "engine", "latency", "DRAM reads", "bytes to host", "NDP share"
     ));
-
-    let config = FafnirConfig {
-        ranks_per_leaf: ranks.min(2),
-        dedup: !args.switch("no-dedup"),
-        op,
-        ..FafnirConfig::paper_default()
-    };
-    if !["all", "fafnir", "recnmp", "tensordimm", "no-ndp"].contains(&engine_choice) {
-        return Err(ArgError(format!(
-            "unknown engine `{engine_choice}` (fafnir|recnmp|tensordimm|no-ndp|all)"
-        )));
-    }
     let wants = |name: &str| engine_choice == "all" || engine_choice == name;
     if wants("fafnir") {
         let engine = FafnirEngine::new(config, mem)
             .map_err(|e| ArgError(format!("fafnir configuration: {e}")))?;
-        let outcome = if args.switch("interactive") {
+        if args.switch("interactive") {
             let result =
                 engine.lookup_interactive(&batch, &source).map_err(|e| ArgError(e.to_string()))?;
             out.push_str(&format!(
@@ -174,36 +280,19 @@ fn lookup(args: &ParsedArgs) -> Result<String, ArgError> {
                 result.traffic.bytes_to_host,
                 100
             ));
-            None
         } else {
-            Some(engine.lookup(&batch, &source).map_err(|e| ArgError(e.to_string()))?)
-        };
-        if let Some(outcome) = outcome {
-            out.push_str(&outcome_row("fafnir", &outcome));
+            out.push_str(&outcome_row(&engine, &batch, &source)?);
         }
     }
+    let (core, pe, op) = (CoreModel::server_cpu(), PeTiming::fpga_200mhz(), config.op);
     if wants("recnmp") {
-        let outcome = RecNmpEngine::new(
-            mem,
-            fafnir_baselines::CoreModel::server_cpu(),
-            PeTiming::fpga_200mhz(),
-            op,
-        )
-        .lookup(&batch, &source)
-        .map_err(|e| ArgError(e.to_string()))?;
-        out.push_str(&outcome_row("recnmp", &outcome));
+        out.push_str(&outcome_row(&RecNmpEngine::new(mem, core, pe, op), &batch, &source)?);
     }
     if wants("tensordimm") {
-        let outcome = TensorDimmEngine::new(mem, PeTiming::fpga_200mhz(), op)
-            .lookup(&batch, &source)
-            .map_err(|e| ArgError(e.to_string()))?;
-        out.push_str(&outcome_row("tensordimm", &outcome));
+        out.push_str(&outcome_row(&TensorDimmEngine::new(mem, pe, op), &batch, &source)?);
     }
     if wants("no-ndp") {
-        let outcome = NoNdpEngine::new(mem, fafnir_baselines::CoreModel::server_cpu(), op)
-            .lookup(&batch, &source)
-            .map_err(|e| ArgError(e.to_string()))?;
-        out.push_str(&outcome_row("no-ndp", &outcome));
+        out.push_str(&outcome_row(&NoNdpEngine::new(mem, core, op), &batch, &source)?);
     }
     if args.switch("interactive") {
         out.push_str("(* interactive mode: one query per hardware batch)\n");
@@ -211,119 +300,87 @@ fn lookup(args: &ParsedArgs) -> Result<String, ArgError> {
     Ok(out)
 }
 
-fn serve(args: &ParsedArgs) -> Result<String, ArgError> {
+fn serve(args: &Args) -> Result<String, ArgError> {
     use fafnir_serve::{
         run_scenarios, BatchPolicy, ResilienceConfig, Scenario, ServeConfig, ServeReport,
         ShedPolicy,
     };
     use fafnir_workloads::arrival::ArrivalProcess;
 
-    let rate: f64 = args.number_or("rate", 1e6)?;
-    let batch: usize = args.number_or("batch", 32)?;
-    let max_wait_ns: f64 = args.number_or("max-wait-ns", 500_000.0)?;
-    let workers: usize = args.number_or("workers", 4)?;
-    let queries: usize = args.number_or("duration-queries", 512)?;
-    let queue_capacity: usize = args.number_or("queue-capacity", 1_024)?;
-    let seed: u64 = args.number_or("seed", 7)?;
-    let skew: f64 = args.number_or("skew", 1.15)?;
-    let universe: u64 = args.number_or("universe", 2_000)?;
-    let query_len: usize = args.number_or("query-len", 16)?;
+    let rate: f64 = args.parse_as("rate")?;
+    let batch: usize = args.parse_as("batch")?;
+    let max_wait_ns: f64 = args.parse_as("max-wait-ns")?;
+    let workers: usize = args.parse_as("workers")?;
+    let queries: usize = args.parse_as("duration-queries")?;
+    let seed: u64 = args.parse_as("seed")?;
 
-    let arrivals = match args.get_or("process", "poisson") {
+    // The tables admit only the listed words, so each match's last arm
+    // takes the remaining one.
+    let arrivals = match args.value("process")? {
         "poisson" => ArrivalProcess::Poisson { rate_qps: rate },
         // 10 % duty-cycle bursts at 10x the nominal rate: the long-run mean
         // stays at --rate, so poisson and onoff runs are comparable.
-        "onoff" => ArrivalProcess::OnOff {
+        _ => ArrivalProcess::OnOff {
             burst_qps: rate * 10.0,
             mean_on_ns: 20_000.0,
             mean_off_ns: 180_000.0,
         },
-        other => return Err(ArgError(format!("unknown process `{other}` (poisson|onoff)"))),
     };
-    let policy = match args.get_or("policy", "adaptive") {
+    let policy = match args.value("policy")? {
         "size" => BatchPolicy::Size { batch },
         "deadline" => BatchPolicy::Deadline { max_wait_ns, max_batch: batch },
-        "adaptive" => BatchPolicy::Adaptive { batch, max_wait_ns },
-        other => {
-            return Err(ArgError(format!("unknown policy `{other}` (size|deadline|adaptive)")))
-        }
+        _ => BatchPolicy::Adaptive { batch, max_wait_ns },
     };
-    let shed = match args.get_or("shed", "drop-newest") {
+    let shed = match args.value("shed")? {
         "drop-newest" => ShedPolicy::DropNewest,
-        "drop-oldest" => ShedPolicy::DropOldest,
-        other => {
-            return Err(ArgError(format!(
-                "unknown shed policy `{other}` \
-                                         (drop-newest|drop-oldest)"
-            )))
-        }
+        _ => ShedPolicy::DropOldest,
     };
     let config = ServeConfig {
         arrivals,
         policy,
         workers,
-        queue_capacity,
+        queue_capacity: args.parse_as("queue-capacity")?,
         shed,
         queries,
         seed,
         ..ServeConfig::default()
     };
-
-    let faults = parse_fault_plan(args.get_or("faults", "none"), workers, queries, rate, seed)?;
-    let timeout_ns = match args.get("timeout-ns") {
-        None => None,
-        Some(_) => Some(args.number_or("timeout-ns", 0.0f64)?),
-    };
-    let hedge_ns = match args.get("hedge-ns") {
-        None => None,
-        Some(_) => Some(args.number_or("hedge-ns", 0.0f64)?),
-    };
     let resilience = ResilienceConfig {
-        faults,
-        timeout_ns,
-        retries: args.number_or("retries", 0u32)?,
-        backoff_ns: args.number_or("backoff-ns", 1_000.0f64)?,
-        hedge_ns,
+        faults: fault_plan(args.value("faults")?, workers, queries, rate, seed)?,
+        timeout_ns: args.optional("timeout-ns")?,
+        retries: args.parse_as("retries")?,
+        backoff_ns: args.parse_as("backoff-ns")?,
+        hedge_ns: args.optional("hedge-ns")?,
     };
 
-    let engine_config = FafnirConfig {
-        dedup: !args.switch("no-dedup"),
-        op: reduce_op(args)?,
-        ..FafnirConfig::paper_default()
-    };
-    let (engine, source) = fafnir_serve::worker_setup(engine_config, memory_model(args)?)
-        .map_err(|e| ArgError(e.to_string()))?;
-    let popularity =
-        if skew == 0.0 { Popularity::Uniform } else { Popularity::Zipf { exponent: skew } };
-    let traffic = || BatchGenerator::new(popularity, universe, query_len, seed);
+    let (engine_config, model) = engine_setup(args)?;
+    let (engine, source) =
+        fafnir_serve::worker_setup(engine_config, model).map_err(|e| ArgError(e.to_string()))?;
+    let traffic = traffic(args)?;
 
-    let scenario_threads: usize = args.number_or("scenario-threads", 1)?;
-    if scenario_threads == 0 {
-        return Err(ArgError("--scenario-threads must be at least 1".into()));
-    }
     // A sweep fans one scenario per batching window out over the runner;
     // without one the single scenario takes the same path with one thread's
     // worth of work, so the report stays byte-identical to a direct
     // `simulate_resilient` call.
     let scenarios = match args.get("sweep-windows") {
-        None => vec![Scenario::new("serve", config, traffic()).with_resilience(resilience.clone())],
+        None => vec![Scenario::new("serve", config, traffic).with_resilience(resilience.clone())],
         Some(spec) => spec
             .split(',')
             .map(|raw| {
-                let window: f64 = raw.trim().parse().map_err(|_| {
-                    ArgError(format!("--sweep-windows: `{raw}` is not a valid window in ns"))
-                })?;
+                // Each window is a `--max-wait-ns`.
+                let window = number(raw.trim(), AT_LEAST_ZERO)
+                    .map_err(|e| ArgError::flag("sweep-windows", e))?;
                 let config = ServeConfig {
                     policy: BatchPolicy::Deadline { max_wait_ns: window, max_batch: batch },
                     ..config
                 };
-                Ok(Scenario::new(format!("window {window} ns"), config, traffic())
+                Ok(Scenario::new(format!("window {window} ns"), config, traffic.clone())
                     .with_resilience(resilience.clone()))
             })
             .collect::<Result<Vec<_>, ArgError>>()?,
     };
     let configs: Vec<ServeConfig> = scenarios.iter().map(|s| s.config).collect();
-    let results = run_scenarios(&engine, &source, scenarios, scenario_threads);
+    let results = run_scenarios(&engine, &source, scenarios, args.parse_as("scenario-threads")?);
 
     let mut reports = Vec::with_capacity(results.len());
     for (result, config) in results.into_iter().zip(configs) {
@@ -352,79 +409,41 @@ fn serve(args: &ParsedArgs) -> Result<String, ArgError> {
     }
 }
 
-fn cluster(args: &ParsedArgs) -> Result<String, ArgError> {
-    use fafnir_cluster::{cluster_setup, ClusterReport, RouterPolicy};
+fn cluster(args: &Args) -> Result<String, ArgError> {
+    use fafnir_cluster::{cluster_setup, ClusterReport};
     use fafnir_core::{ShardPlan, ShardStrategy, VectorIndex};
     use fafnir_serve::{simulate_resilient, ResilienceConfig, ServeConfig, ServeReport};
     use fafnir_workloads::arrival::ArrivalProcess;
     use fafnir_workloads::Zipf;
 
-    let shards: usize = args.number_or("shards", 4)?;
-    if shards == 0 {
-        return Err(ArgError("--shards must be at least 1 (a cluster needs a shard)".into()));
-    }
-    let universe: u64 = args.number_or("universe", 2_000)?;
-    if universe == 0 || universe > u64::from(u32::MAX) {
-        return Err(ArgError(format!("--universe must be in 1..=2^32-1, got {universe}")));
-    }
-    let strategy = match args.get_or("strategy", "rowrange") {
+    let mut traffic = traffic(args)?;
+    let universe = traffic.universe();
+    let strategy = match args.value("strategy")? {
         "tablewise" => {
-            let rows_per_table: u32 = args.number_or("rows-per-table", 250)?;
-            if rows_per_table == 0 {
-                return Err(ArgError("--rows-per-table must be non-zero".into()));
-            }
-            ShardStrategy::TableWise { rows_per_table }
+            ShardStrategy::TableWise { rows_per_table: args.parse_as("rows-per-table")? }
         }
         "rowhash" => ShardStrategy::RowHash,
-        "rowrange" => ShardStrategy::RowRange { universe: universe as u32 },
-        other => {
-            return Err(ArgError(format!(
-                "unknown strategy `{other}` (tablewise|rowhash|rowrange)"
-            )))
-        }
+        _ => ShardStrategy::RowRange { universe: universe as u32 },
     };
-    let replicate_hot: f64 = args.number_or("replicate-hot", 0.0)?;
-    if !(0.0..=1.0).contains(&replicate_hot) {
-        return Err(ArgError(format!(
-            "--replicate-hot must be a fraction in 0..=1, got {replicate_hot}"
-        )));
-    }
-    let policy: RouterPolicy = args
-        .get_or("router", "roundrobin")
-        .parse()
-        .map_err(|e| ArgError(format!("flag `--router`: {e}")))?;
-
-    let rate: f64 = args.number_or("rate", 1e6)?;
-    let workers: usize = args.number_or("workers", 4)?;
-    let queries: usize = args.number_or("duration-queries", 512)?;
-    let seed: u64 = args.number_or("seed", 7)?;
-    let skew: f64 = args.number_or("skew", 1.15)?;
-    let query_len: usize = args.number_or("query-len", 16)?;
-
-    let mut plan = ShardPlan::new(shards, strategy);
+    let mut plan = ShardPlan::new(args.parse_as("shards")?, strategy);
+    let replicate_hot: f64 = args.parse_as("replicate-hot")?;
     if replicate_hot > 0.0 {
-        let hot = Zipf::new(universe, skew.max(0.0)).hot_set(replicate_hot);
+        let hot = Zipf::new(universe, args.parse_as("skew")?).hot_set(replicate_hot);
         plan = plan.with_replicated(hot.into_iter().map(|id| VectorIndex(id as u32)));
     }
-    let engine_config = FafnirConfig {
-        dedup: !args.switch("no-dedup"),
-        op: reduce_op(args)?,
-        ..FafnirConfig::paper_default()
-    };
-    let (cluster, source) = cluster_setup(engine_config, memory_model(args)?, plan, policy)
+    let (engine_config, model) = engine_setup(args)?;
+    let (cluster, source) = cluster_setup(engine_config, model, plan, args.parse_as("router")?)
         .map_err(|e| ArgError(e.to_string()))?;
 
+    let workers: usize = args.parse_as("workers")?;
     let config = ServeConfig {
-        arrivals: ArrivalProcess::Poisson { rate_qps: rate },
+        arrivals: ArrivalProcess::Poisson { rate_qps: args.parse_as("rate")? },
         workers,
-        queries,
-        seed,
+        queries: args.parse_as("duration-queries")?,
+        seed: args.parse_as("seed")?,
         ..ServeConfig::default()
     };
     let resilience = ResilienceConfig::none(workers);
-    let popularity =
-        if skew == 0.0 { Popularity::Uniform } else { Popularity::Zipf { exponent: skew } };
-    let mut traffic = BatchGenerator::new(popularity, universe, query_len, seed);
     let outcome = simulate_resilient(&cluster, &source, &mut traffic, &config, &resilience)
         .map_err(|e| ArgError(e.to_string()))?;
     let serve_report = ServeReport::with_resilience(&config, &resilience, &outcome);
@@ -435,86 +454,58 @@ fn cluster(args: &ParsedArgs) -> Result<String, ArgError> {
 /// Parses the `--faults` grammar: `none`, `outage`, `slow:MULT:N`
 /// (first N workers at MULT× service time), or `crash:MTTF:MTTR`
 /// (seeded crash/restart churn in ns, horizon 10× the nominal run length).
-fn parse_fault_plan(
+fn fault_plan(
     spec: &str,
     workers: usize,
     queries: usize,
     rate_qps: f64,
     seed: u64,
-) -> Result<fafnir_workloads::faults::FaultPlan, ArgError> {
-    use fafnir_workloads::faults::FaultPlan;
-    let parse_field = |name: &str, raw: &str| -> Result<f64, ArgError> {
-        raw.parse().map_err(|_| ArgError(format!("--faults {spec}: `{raw}` is not a valid {name}")))
-    };
+) -> Result<FaultPlan, ArgError> {
+    let field =
+        |raw: &str, lo| number(raw, (lo, Unbounded)).map_err(|e| ArgError::flag("faults", e));
     let parts: Vec<&str> = spec.split(':').collect();
     match parts.as_slice() {
         ["none"] => Ok(FaultPlan::none(workers)),
         ["outage"] => Ok(FaultPlan::total_outage(workers)),
         ["slow", multiplier, slowed] => {
-            let multiplier = parse_field("multiplier", multiplier)?;
-            let slowed = slowed.parse::<usize>().map_err(|_| {
-                ArgError(format!("--faults {spec}: `{slowed}` is not a valid worker count"))
-            })?;
-            if slowed > workers {
-                return Err(ArgError(format!(
-                    "--faults {spec}: cannot slow {slowed} of {workers} workers"
-                )));
-            }
-            Ok(FaultPlan::slow_workers(workers, slowed, multiplier))
+            let slowed =
+                count(slowed, 0, workers as u64).map_err(|e| ArgError::flag("faults", e))?;
+            Ok(FaultPlan::slow_workers(workers, slowed as usize, field(multiplier, Included(1.0))?))
         }
         ["crash", mttf, mttr] => {
-            let mttf_ns = parse_field("MTTF", mttf)?;
-            let mttr_ns = parse_field("MTTR", mttr)?;
-            if !(mttf_ns.is_finite() && mttf_ns > 0.0 && mttr_ns.is_finite() && mttr_ns > 0.0) {
-                return Err(ArgError(format!(
-                    "--faults {spec}: MTTF and MTTR must be positive and finite"
-                )));
-            }
+            let (mttf_ns, mttr_ns) = (field(mttf, Excluded(0.0))?, field(mttr, Excluded(0.0))?);
             let horizon_ns = (queries as f64 / rate_qps.max(1.0)) * 1e9 * 10.0;
             Ok(FaultPlan::crash_restart(workers, mttf_ns, mttr_ns, horizon_ns.max(1.0), seed))
         }
-        _ => Err(ArgError(format!(
-            "unknown --faults spec `{spec}` (none|outage|slow:MULT:N|crash:MTTF:MTTR)"
-        ))),
+        _ => Err(ArgError::flag(
+            "faults",
+            format!("`{spec}` is not none|outage|slow:MULT:N|crash:MTTF:MTTR"),
+        )),
     }
 }
 
-fn spmv(args: &ParsedArgs) -> Result<String, ArgError> {
-    let rows: usize = args.number_or("rows", 4_096)?;
-    let seed: u64 = args.number_or("seed", 7)?;
-    let vector_size: usize = args.number_or("vector-size", 2_048)?;
-    if rows == 0 {
-        return Err(ArgError("--rows must be non-zero".into()));
-    }
-    if vector_size < 2 {
-        return Err(ArgError(
-            "--vector-size must be at least 2: a 1-stream merge round never \
-             shrinks the stream count"
-                .into(),
-        ));
-    }
-    let generator = args.get_or("gen", "rmat");
+fn spmv(args: &Args) -> Result<String, ArgError> {
+    let rows: usize = args.parse_as("rows")?;
+    let seed: u64 = args.parse_as("seed")?;
+    let generator = args.value("gen")?;
     let (matrix, label) = if let Some(path) = args.get("mtx") {
         let matrix = fafnir_sparse::mtx::read_file(std::path::Path::new(path))
-            .map_err(|e| ArgError(e.to_string()))?;
+            .map_err(|e| ArgError::flag("mtx", e))?;
         (matrix, "mtx file")
     } else {
         let matrix = match generator {
-            "uniform" => {
-                let density: f64 = args.number_or("density", 0.01)?;
-                gen::uniform(rows, rows, density, seed)
-            }
+            "uniform" => gen::uniform(rows, rows, args.parse_as("density")?, seed),
             "rmat" => {
                 let scale = rows.next_power_of_two().trailing_zeros();
-                let nnz: usize = args.number_or("nnz", rows * 8)?;
+                let nnz = args.optional("nnz")?.unwrap_or(rows * 8);
                 gen::rmat(scale.max(1), nnz, seed)
             }
-            "banded" => gen::banded(rows, args.number_or("bandwidth", 4)?, seed),
-            "spd" => gen::spd_banded(rows, args.number_or("bandwidth", 4)?, seed),
-            other => return Err(ArgError(format!("unknown generator `{other}`"))),
+            "banded" => gen::banded(rows, args.parse_as("bandwidth")?, seed),
+            _ => gen::spd_banded(rows, args.parse_as("bandwidth")?, seed),
         };
         (matrix, generator)
     };
+    let vector_size: usize = args.parse_as("vector-size")?;
     if let Some(spec) = args.get("partition") {
         return run_spmv_partitioned(&matrix, label, spec, vector_size, args);
     }
@@ -526,23 +517,17 @@ fn run_spmv_partitioned(
     label: &str,
     spec: &str,
     vector_size: usize,
-    args: &ParsedArgs,
+    args: &Args,
 ) -> Result<String, ArgError> {
     use fafnir_sparse::{
         execute_partitioned, stream_partitioned, PartitionReport, PartitionStrategy, SpmvPartition,
     };
-    let ranks: usize = args.number_or("ranks", 8)?;
-    if ranks == 0 {
-        return Err(ArgError("--ranks must be non-zero".into()));
-    }
+    let ranks: usize = args.parse_as("ranks")?;
     let strategy = match spec {
         "row" => PartitionStrategy::RowBlock,
         "nnz" => PartitionStrategy::NnzBalancedRows,
         "col" => PartitionStrategy::ColumnBlock,
-        "grid" => PartitionStrategy::grid(ranks),
-        other => {
-            return Err(ArgError(format!("unknown --partition `{other}` (row|nnz|col|grid)")));
-        }
+        _ => PartitionStrategy::grid(ranks),
     };
     // Surface oversubscription as a flag error, not a panic downstream.
     let fits = match strategy {
@@ -553,11 +538,14 @@ fn run_spmv_partitioned(
         }
     };
     if !fits {
-        return Err(ArgError(format!(
-            "--ranks {ranks} oversubscribes a {} x {} matrix under --partition {spec}",
-            matrix.rows(),
-            matrix.cols()
-        )));
+        return Err(ArgError::flag(
+            "ranks",
+            format!(
+                "{ranks} oversubscribes a {} x {} matrix under --partition {spec}",
+                matrix.rows(),
+                matrix.cols()
+            ),
+        ));
     }
     let partition = SpmvPartition::new(matrix, strategy, ranks);
     let x = vec![1.0; matrix.cols()];
@@ -614,41 +602,29 @@ fn run_spmv_report(
     ))
 }
 
-fn report(args: &ParsedArgs) -> Result<String, ArgError> {
-    let ranks: usize = args.number_or("ranks", 32)?;
-    let ratio: usize = args.number_or("ratio", 2)?;
-    let cores: usize = args.number_or("cores", 4)?;
-    let _ = memory_for(ranks)?;
+fn report(args: &Args) -> Result<String, ArgError> {
+    let ranks = tree_ranks(args)?;
+    let ratio: usize = args.parse_as("ratio")?;
     let config = FafnirConfig { ranks_per_leaf: ratio, ..FafnirConfig::paper_default() };
     config.validate().map_err(|e| ArgError(e.to_string()))?;
     if !ranks.is_multiple_of(ratio) || !(ranks / ratio).is_power_of_two() {
         return Err(ArgError(format!("ranks {ranks} incompatible with ratio 1PE:{ratio}R")));
     }
-    Ok(DeploymentSummary::new(&config, ranks, cores).render())
+    Ok(DeploymentSummary::new(&config, ranks, args.parse_as("cores")?).render())
 }
 
-fn anatomy(args: &ParsedArgs) -> Result<String, ArgError> {
+fn anatomy(args: &Args) -> Result<String, ArgError> {
     use fafnir_core::inject::{build_rank_inputs, GatheredVector};
-    use fafnir_core::{PeTiming, ReductionTree};
-    let batch_size: usize = args.number_or("batch", 4)?;
-    let query_len: usize = args.number_or("query-len", 8)?;
-    let ranks: usize = args.number_or("ranks", 8)?;
-    let skew: f64 = args.number_or("skew", 1.15)?;
-    let universe: u64 = args.number_or("universe", 2_000)?;
-    let seed: u64 = args.number_or("seed", 7)?;
-    let _ = memory_for(ranks)?;
+    use fafnir_core::ReductionTree;
+    let batch_size: usize = args.parse_as("batch")?;
+    let ranks = tree_ranks(args)?;
     let config = FafnirConfig {
         vector_dim: 8,
         ranks_per_leaf: ranks.min(2),
         ..FafnirConfig::paper_default()
     };
     let tree = ReductionTree::new(config, ranks).map_err(|e| ArgError(e.to_string()))?;
-    let mut generator = BatchGenerator::new(
-        if skew == 0.0 { Popularity::Uniform } else { Popularity::Zipf { exponent: skew } },
-        universe,
-        query_len,
-        seed,
-    );
+    let mut generator = traffic(args)?;
     let batch = generator.batch(batch_size);
     let gathered: Vec<GatheredVector> = batch
         .unique_indices()
@@ -664,74 +640,51 @@ fn anatomy(args: &ParsedArgs) -> Result<String, ArgError> {
         build_rank_inputs(&batch, &gathered, ranks, config.ranks_per_leaf, &PeTiming::default());
     let (run, trace) = tree.run_traced(inputs);
     let mut out = format!(
-        "anatomy: {batch_size} queries x {query_len} indices over {ranks} ranks          ({} PEs, {} levels)
-
-",
+        "anatomy: {batch_size} queries x {} indices over {ranks} ranks          \
+         ({} PEs, {} levels)\n\n",
+        generator.query_len(),
         tree.pe_count(),
         tree.levels()
     );
     out.push_str(&trace.render_waterfall(56));
-    out.push_str(
-        "
-per-level roll-up (level, reduces, forwards, outputs):
-",
-    );
+    out.push_str("\nper-level roll-up (level, reduces, forwards, outputs):\n");
     for (level, reduces, forwards, outputs) in trace.level_summary() {
-        out.push_str(&format!(
-            "  L{level}: r{reduces} f{forwards} out {outputs}
-"
-        ));
+        out.push_str(&format!("  L{level}: r{reduces} f{forwards} out {outputs}\n"));
     }
     out.push_str(&format!(
-        "completion {:.0} ns, {} incomplete outputs
-",
+        "completion {:.0} ns, {} incomplete outputs\n",
         run.stats.completion_ns, run.stats.incomplete_outputs
     ));
     Ok(out)
 }
 
-fn selftest(args: &ParsedArgs) -> Result<String, ArgError> {
-    use fafnir_core::{verify_engine, FafnirEngine};
-    let ranks: usize = args.number_or("ranks", 32)?;
-    let ratio: usize = args.number_or("ratio", 2)?;
-    let batch_count: usize = args.number_or("batches", 6)?;
-    let seed: u64 = args.number_or("seed", 7)?;
-    let mem = memory_for(ranks)?;
-    let config = FafnirConfig { ranks_per_leaf: ratio, ..FafnirConfig::paper_default() };
+fn selftest(args: &Args) -> Result<String, ArgError> {
+    use fafnir_core::verify_engine;
+    let mem = MemoryConfig::with_total_ranks(tree_ranks(args)?);
+    let config =
+        FafnirConfig { ranks_per_leaf: args.parse_as("ratio")?, ..FafnirConfig::paper_default() };
     let engine = FafnirEngine::new(config, mem).map_err(|e| ArgError(e.to_string()))?;
     let source = StripedSource::new(mem.topology, 128);
-    let mut generator = BatchGenerator::new(Popularity::Zipf { exponent: 1.15 }, 2_000, 16, seed);
+    let mut generator =
+        BatchGenerator::new(Popularity::Zipf { exponent: 1.15 }, 2_000, 16, args.parse_as("seed")?);
+    let batch_count: usize = args.parse_as("batches")?;
     let batches: Vec<_> = (0..batch_count.max(1)).map(|_| generator.batch(16)).collect();
-    let report = verify_engine(&engine, &source, &batches);
-    Ok(format!(
-        "{}
-",
-        report.summary()
-    ))
+    Ok(format!("{}\n", verify_engine(&engine, &source, &batches).summary()))
 }
 
-fn energy(args: &ParsedArgs) -> Result<String, ArgError> {
+fn energy(args: &Args) -> Result<String, ArgError> {
     use fafnir_core::model::energy::TreeEnergyModel;
-    use fafnir_core::FafnirEngine;
     use fafnir_mem::EnergyModel;
-    let batch_size: usize = args.number_or("batch", 32)?;
-    let query_len: usize = args.number_or("query-len", 16)?;
-    let skew: f64 = args.number_or("skew", 1.15)?;
-    let universe: u64 = args.number_or("universe", 2_000)?;
-    let seed: u64 = args.number_or("seed", 7)?;
+    let batch_size: usize = args.parse_as("batch")?;
     let mem = MemoryConfig::ddr4_2400_4ch();
     let source = StripedSource::new(mem.topology, 128);
-    let mut generator = BatchGenerator::new(
-        if skew == 0.0 { Popularity::Uniform } else { Popularity::Zipf { exponent: skew } },
-        universe,
-        query_len,
-        seed,
-    );
+    let mut generator = traffic(args)?;
     let batch = generator.batch(batch_size);
     let dram_model = EnergyModel::ddr4();
     let tree_model = TreeEnergyModel::asap7();
     let mut out = format!(
-        "energy: {batch_size} queries x {query_len} indices ({:.0} % unique)\n",
+        "energy: {batch_size} queries x {} indices ({:.0} % unique)\n",
+        generator.query_len(),
         batch.unique_fraction() * 100.0
     );
     for (name, dedup) in [("with dedup", true), ("without dedup", false)] {
@@ -751,26 +704,17 @@ fn energy(args: &ParsedArgs) -> Result<String, ArgError> {
     Ok(out)
 }
 
-fn trace(args: &ParsedArgs) -> Result<String, ArgError> {
-    if let Some(count) = args.get("record") {
-        let count: usize =
-            count.parse().map_err(|_| ArgError(format!("--record: `{count}` is not a number")))?;
-        let skew: f64 = args.number_or("skew", 1.15)?;
-        let universe: u64 = args.number_or("universe", 2_000)?;
-        let query_len: usize = args.number_or("query-len", 16)?;
-        let seed: u64 = args.number_or("seed", 7)?;
-        let mut generator = BatchGenerator::new(
-            if skew == 0.0 { Popularity::Uniform } else { Popularity::Zipf { exponent: skew } },
-            universe,
-            query_len,
-            seed,
-        );
-        return Ok(QueryTrace::record(&mut generator, count).to_text());
+fn trace(args: &Args) -> Result<String, ArgError> {
+    if let Some(count) = args.optional("record")? {
+        return Ok(QueryTrace::record(&mut traffic(args)?, count).to_text());
     }
-    if let Some(path) = args.get("distances") {
+    let read = |name: &str| -> Result<Option<QueryTrace>, ArgError> {
+        let Some(path) = args.get(name) else { return Ok(None) };
         let text = std::fs::read_to_string(path)
-            .map_err(|e| ArgError(format!("cannot read `{path}`: {e}")))?;
-        let trace = QueryTrace::from_text(&text).map_err(|e| ArgError(e.to_string()))?;
+            .map_err(|e| ArgError::flag(name, format!("cannot read `{path}`: {e}")))?;
+        QueryTrace::from_text(&text).map(Some).map_err(|e| ArgError::flag(name, e))
+    };
+    if let Some(trace) = read("distances")? {
         let distances = trace.reuse_distances();
         let mut out = format!(
             "reuse distances over {} references ({} cold):\n",
@@ -791,10 +735,7 @@ fn trace(args: &ParsedArgs) -> Result<String, ArgError> {
         }
         return Ok(out);
     }
-    if let Some(path) = args.get("stats") {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| ArgError(format!("cannot read `{path}`: {e}")))?;
-        let trace = QueryTrace::from_text(&text).map_err(|e| ArgError(e.to_string()))?;
+    if let Some(trace) = read("stats")? {
         let reuse = trace.reuse_stats(5);
         let mut out = format!(
             "trace: {} queries, {} references, {} distinct indices \
@@ -817,375 +758,255 @@ mod tests {
     use super::*;
 
     fn run_line(line: &str) -> Result<String, ArgError> {
-        run(&ParsedArgs::parse(line.split_whitespace().map(String::from)).unwrap())
+        run(&line.split_whitespace().map(String::from).collect::<Vec<_>>())
     }
 
-    #[test]
-    fn lookup_reports_all_engines() {
-        let out = run_line("lookup --batch 4 --query-len 4 --seed 1").unwrap();
-        for name in ["fafnir", "recnmp", "tensordimm", "no-ndp"] {
-            assert!(out.contains(name), "missing {name} in:\n{out}");
-        }
-    }
-
-    #[test]
-    fn lookup_single_engine_and_no_dedup() {
-        let out = run_line("lookup --batch 4 --query-len 4 --engine fafnir --no-dedup").unwrap();
-        assert!(out.contains("fafnir"));
-        assert!(!out.contains("recnmp"));
-    }
-
-    #[test]
-    fn lookup_accepts_every_reduce_op() {
-        for op in ["sum", "mean", "max", "min", "argmax", "topk:4"] {
-            let out = run_line(&format!("lookup --batch 4 --query-len 4 --op {op}")).unwrap();
-            assert!(out.contains("fafnir"), "--op {op}:\n{out}");
-        }
-    }
-
-    #[test]
-    fn serve_accepts_reduce_ops() {
-        let out = run_line(
-            "serve --rate 2e6 --policy deadline --max-wait-ns 20000 \
-             --workers 2 --duration-queries 48 --seed 7 --op mean",
-        )
-        .unwrap();
-        assert!(out.contains("p50"), "{out}");
-    }
-
-    #[test]
-    fn op_flag_rejects_garbage_and_duplicates() {
-        for bad in ["bogus", "topk:0", "topk:x", "topk:"] {
-            let error = run_line(&format!("lookup --op {bad}")).unwrap_err();
-            assert!(error.0.contains("--op"), "`{bad}` must fail on --op: {error}");
-        }
-        assert!(run_line("serve --op bogus --duration-queries 8").unwrap_err().0.contains("--op"));
-        let duplicate = crate::args::ParsedArgs::parse(
-            "lookup --op sum --op mean".split_whitespace().map(String::from),
-        )
-        .unwrap_err();
-        assert!(duplicate.0.contains("twice"), "{duplicate}");
-    }
-
-    #[test]
-    fn memory_model_flag_selects_fast_mode_on_lookup_and_serve() {
-        let fast =
-            run_line("lookup --batch 4 --query-len 4 --engine fafnir --memory-model fast").unwrap();
-        assert!(fast.contains("fafnir"), "{fast}");
-        let serve = run_line(
-            "serve --rate 2e6 --policy deadline --max-wait-ns 20000 \
-             --workers 2 --duration-queries 48 --seed 7 --memory-model fast",
-        )
-        .unwrap();
-        assert!(serve.contains("p50"), "{serve}");
-    }
-
-    #[test]
-    fn memory_model_flag_rejects_garbage_and_duplicates() {
-        for bad in ["bogus", "FAST", "cycle-accurate"] {
-            let error = run_line(&format!("lookup --memory-model {bad}")).unwrap_err();
-            assert!(error.0.contains("--memory-model"), "`{bad}` must fail on flag: {error}");
-        }
-        assert!(run_line("serve --memory-model bogus --duration-queries 8")
-            .unwrap_err()
-            .0
-            .contains("--memory-model"));
-        let duplicate = crate::args::ParsedArgs::parse(
-            "lookup --memory-model fast --memory-model cycle".split_whitespace().map(String::from),
-        )
-        .unwrap_err();
-        assert!(duplicate.0.contains("twice"), "{duplicate}");
-    }
-
-    #[test]
-    fn cluster_reports_sharding_and_latency_metrics() {
-        let out = run_line(
+    /// Valid runs and what their reports must say; a `!` needle must be
+    /// absent.
+    const REPORTS: &[(&str, &[&str])] = &[
+        ("lookup --batch 4 --query-len 4 --seed 1", &["fafnir ", "recnmp", "tensordimm", "no-ndp"]),
+        ("lookup --batch 4 --query-len 4 --engine fafnir --no-dedup", &["fafnir", "!recnmp"]),
+        ("lookup --batch 4 --query-len 4 --engine fafnir --memory-model fast", &["fafnir"]),
+        (
+            "lookup --batch 2 --query-len 4 --engine fafnir --interactive",
+            &["fafnir*", "interactive"],
+        ),
+        ("serve --rate 2e6 --workers 2 --duration-queries 48 --op mean", &["p50"]),
+        ("serve --rate 2e6 --workers 2 --duration-queries 48 --memory-model fast", &["p50"]),
+        (
+            "serve --rate 2e6 --policy deadline --max-wait-ns 20000 --workers 2 \
+             --duration-queries 48 --seed 7",
+            &["deadline policy", "p50", "p99", "reads per query", "shed"],
+        ),
+        (
+            "serve --rate 2e6 --policy deadline --max-wait-ns 20000 --workers 2 \
+             --duration-queries 64 --seed 7 --faults slow:8:1 --hedge-ns 3000 --json",
+            &["\"hedges\"", "\"hedge_wins\"", "\"worker_availability\"", "\"p999_ns\""],
+        ),
+        (
+            "serve --rate 2e6 --workers 2 --duration-queries 64 --faults crash:20000:10000 \
+             --retries 3 --timeout-ns 50000",
+            &["resilience"],
+        ),
+        (
+            "serve --rate 2e6 --workers 2 --duration-queries 32 --faults outage --json",
+            &["\"served\": 0", "\"latency\": null"],
+        ),
+        (
             "cluster --shards 4 --strategy rowrange --rate 2e6 --workers 2 \
              --duration-queries 48 --seed 7 --memory-model fast",
-        )
-        .unwrap();
-        for needle in ["shards", "rowrange", "shard imbalance", "cross-shard traffic", "p50"] {
-            assert!(out.contains(needle), "missing `{needle}` in:\n{out}");
+            &["shards", "rowrange", "shard imbalance", "cross-shard traffic", "p50"],
+        ),
+        (
+            "cluster --shards 2 --router leastloaded --duration-queries 16 --workers 2 \
+             --memory-model fast",
+            &["leastloaded"],
+        ),
+        ("spmv --gen banded --rows 256 --partition nnz --ranks 4 --stream", &["streaming driver"]),
+        (
+            "spmv --gen banded --rows 256 --partition col --ranks 4 --json --seed 3",
+            &["\"strategy\": \"col\"", "\"sync_entries\""],
+        ),
+        ("report --ranks 32 --ratio 2", &["31", "1.25 mm2"]),
+        ("selftest --ranks 16 --ratio 2 --batches 2", &["PASS"]),
+        ("energy --batch 8 --query-len 8 --seed 4", &["with dedup", "without dedup", "nJ"]),
+        (
+            "anatomy --batch 3 --query-len 4 --ranks 8 --seed 9",
+            &["L0 PE0", "roll-up", "0 incomplete"],
+        ),
+        ("help", &["USAGE"]),
+    ];
+
+    #[test]
+    fn reports_carry_their_metrics() {
+        let mut rows: Vec<(String, &[&str])> =
+            REPORTS.iter().map(|&(line, needles)| (line.to_string(), needles)).collect();
+        for op in ["sum", "mean", "max", "min", "argmax", "topk:4"] {
+            rows.push((format!("lookup --batch 4 --query-len 4 --op {op}"), &["fafnir"]));
         }
-    }
-
-    #[test]
-    fn cluster_runs_under_both_memory_models_and_json_is_deterministic() {
-        for model in ["cycle", "fast"] {
-            let line = format!(
-                "cluster --shards 2 --strategy rowhash --replicate-hot 0.02 --rate 2e6 \
-                 --workers 2 --duration-queries 32 --seed 7 --memory-model {model} --json"
-            );
-            let first = run_line(&line).unwrap();
-            let second = run_line(&line).unwrap();
-            assert_eq!(first, second, "--memory-model {model}");
-            assert!(first.contains("\"strategy\": \"rowhash\""), "{first}");
-        }
-    }
-
-    #[test]
-    fn shards_flag_rejects_zero_garbage_and_duplicates() {
-        let zero = run_line("cluster --shards 0 --duration-queries 8").unwrap_err();
-        assert!(zero.0.contains("--shards"), "{zero}");
-        assert!(zero.0.contains("at least 1"), "{zero}");
-        for bad in ["bogus", "-1", "1.5"] {
-            let error = run_line(&format!("cluster --shards {bad}")).unwrap_err();
-            assert!(error.0.contains("shards"), "`{bad}` must fail on --shards: {error}");
-        }
-        let duplicate = crate::args::ParsedArgs::parse(
-            "cluster --shards 2 --shards 4".split_whitespace().map(String::from),
-        )
-        .unwrap_err();
-        assert!(duplicate.0.contains("twice"), "{duplicate}");
-    }
-
-    #[test]
-    fn strategy_flag_rejects_garbage_and_duplicates() {
-        for bad in ["bogus", "ROWHASH", "range"] {
-            let error = run_line(&format!("cluster --strategy {bad}")).unwrap_err();
-            assert!(error.0.contains("strategy"), "`{bad}` must fail on --strategy: {error}");
-        }
-        let duplicate = crate::args::ParsedArgs::parse(
-            "cluster --strategy rowhash --strategy rowrange".split_whitespace().map(String::from),
-        )
-        .unwrap_err();
-        assert!(duplicate.0.contains("twice"), "{duplicate}");
-    }
-
-    #[test]
-    fn replicate_hot_flag_rejects_garbage_and_duplicates() {
-        for bad in ["bogus", "-0.5", "1.5", "2"] {
-            let error = run_line(&format!("cluster --replicate-hot {bad}")).unwrap_err();
-            assert!(
-                error.0.contains("replicate-hot"),
-                "`{bad}` must fail on --replicate-hot: {error}"
-            );
-        }
-        let duplicate = crate::args::ParsedArgs::parse(
-            "cluster --replicate-hot 0.1 --replicate-hot 0.2".split_whitespace().map(String::from),
-        )
-        .unwrap_err();
-        assert!(duplicate.0.contains("twice"), "{duplicate}");
-    }
-
-    #[test]
-    fn router_flag_rejects_garbage() {
-        let error = run_line("cluster --router bogus").unwrap_err();
-        assert!(error.0.contains("--router"), "{error}");
-        let ok = run_line(
-            "cluster --shards 2 --router leastloaded --duration-queries 16 \
-             --workers 2 --memory-model fast",
-        )
-        .unwrap();
-        assert!(ok.contains("leastloaded"), "{ok}");
-    }
-
-    #[test]
-    fn lookup_interactive_mode_annotates() {
-        let out = run_line("lookup --batch 2 --query-len 4 --engine fafnir --interactive").unwrap();
-        assert!(out.contains("fafnir*"));
-        assert!(out.contains("interactive mode"));
-    }
-
-    #[test]
-    fn lookup_rejects_bad_ranks() {
-        let error = run_line("lookup --ranks 3").unwrap_err();
-        assert!(error.0.contains("power of two"));
-    }
-
-    #[test]
-    fn serve_reports_load_latency_and_dram_metrics() {
-        let out = run_line(
-            "serve --rate 2e6 --policy deadline --max-wait-ns 20000 \
-             --workers 2 --duration-queries 48 --seed 7",
-        )
-        .unwrap();
-        for needle in ["deadline policy", "p50", "p99", "reads per query", "shed"] {
-            assert!(out.contains(needle), "missing `{needle}` in:\n{out}");
-        }
-    }
-
-    #[test]
-    fn serve_json_is_deterministic_across_runs() {
-        let line = "serve --rate 2e6 --policy adaptive --batch 16 --max-wait-ns 10000 \
-                    --duration-queries 48 --seed 7 --json";
-        let first = run_line(line).unwrap();
-        let second = run_line(line).unwrap();
-        assert_eq!(first, second, "serve --json must be byte-identical across runs");
-        for key in ["\"policy\": \"adaptive\"", "\"p99_ns\"", "\"dram_reads_per_query\""] {
-            assert!(first.contains(key), "missing {key} in:\n{first}");
-        }
-        // A different seed must actually change the run.
-        let other = run_line(&line.replace("--seed 7", "--seed 8")).unwrap();
-        assert_ne!(first, other);
-    }
-
-    #[test]
-    fn serve_rejects_unknown_enums_and_degenerate_configs() {
-        assert!(run_line("serve --policy bogus").unwrap_err().0.contains("policy"));
-        assert!(run_line("serve --process bogus").unwrap_err().0.contains("process"));
-        assert!(run_line("serve --shed bogus").unwrap_err().0.contains("shed"));
-        assert!(run_line("serve --workers 0 --duration-queries 8").is_err());
-        assert!(run_line("serve --rate -5 --duration-queries 8").is_err());
-        assert!(run_line("serve --faults bogus").unwrap_err().0.contains("--faults"));
-        assert!(run_line("serve --faults slow:4").unwrap_err().0.contains("--faults"));
-        assert!(run_line("serve --faults slow:4:9 --workers 2").is_err());
-        assert!(run_line("serve --faults crash:0:100 --duration-queries 8").is_err());
-        assert!(run_line("serve --timeout-ns -1 --duration-queries 8").is_err());
-    }
-
-    #[test]
-    fn serve_fault_flags_surface_resilience_metrics() {
-        let line = "serve --rate 2e6 --policy deadline --max-wait-ns 20000 --workers 2 \
-                    --duration-queries 64 --seed 7 --faults slow:8:1 --hedge-ns 3000 --json";
-        let out = run_line(line).unwrap();
-        for key in ["\"hedges\"", "\"hedge_wins\"", "\"worker_availability\"", "\"p999_ns\""] {
-            assert!(out.contains(key), "missing {key} in:\n{out}");
-        }
-        assert_eq!(out, run_line(line).unwrap(), "faulty serve runs must be deterministic");
-
-        let table = run_line(
-            "serve --rate 2e6 --workers 2 --duration-queries 64 \
-             --faults crash:20000:10000 --retries 3 --timeout-ns 50000",
-        )
-        .unwrap();
-        assert!(table.contains("resilience"), "table must show the resilience row:\n{table}");
-    }
-
-    #[test]
-    fn serve_total_outage_sheds_everything_with_null_latency() {
-        let out =
-            run_line("serve --rate 2e6 --workers 2 --duration-queries 32 --faults outage --json")
-                .unwrap();
-        assert!(out.contains("\"served\": 0"), "outage must serve nothing:\n{out}");
-        assert!(out.contains("\"latency\": null"), "empty sample must be null:\n{out}");
-    }
-
-    #[test]
-    fn spmv_runs_each_generator() {
-        for generator in ["uniform", "rmat", "banded", "spd"] {
-            let out = run_line(&format!("spmv --gen {generator} --rows 128 --seed 2")).unwrap();
-            assert!(out.contains("speedup"), "{generator}:\n{out}");
-        }
-        assert!(run_line("spmv --gen bogus").is_err());
-    }
-
-    #[test]
-    fn spmv_loads_matrix_market_files() {
-        let text = "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n2 2 2.0\n";
-        let path = std::env::temp_dir().join("fafnir-cli-test.mtx");
-        std::fs::write(&path, text).unwrap();
-        let out = run_line(&format!("spmv --mtx {}", path.display())).unwrap();
-        assert!(out.contains("2 x 2"), "{out}");
-        assert!(out.contains("speedup"));
-        std::fs::remove_file(&path).ok();
-        assert!(run_line("spmv --mtx /does/not/exist.mtx").is_err());
-    }
-
-    #[test]
-    fn spmv_runs_each_partition_strategy() {
         for strategy in ["row", "nnz", "col", "grid"] {
-            let line =
-                format!("spmv --gen rmat --rows 128 --partition {strategy} --ranks 4 --seed 3");
-            let out = run_line(&line).unwrap();
-            assert!(out.contains("nnz imbalance"), "{strategy}:\n{out}");
-            assert!(out.contains("ideal 4x"), "{strategy}:\n{out}");
+            let line = format!("spmv --gen rmat --rows 128 --partition {strategy} --ranks 4");
+            rows.push((line, &["nnz imbalance", "ideal 4x"]));
+        }
+        for (line, needles) in rows {
+            let out = run_line(&line).unwrap_or_else(|e| panic!("`{line}`: {e}"));
+            for needle in needles {
+                match needle.strip_prefix('!') {
+                    Some(absent) => assert!(!out.contains(absent), "`{line}` has `{absent}`"),
+                    None => assert!(out.contains(needle), "`{line}` lacks `{needle}`:\n{out}"),
+                }
+            }
         }
     }
 
     #[test]
-    fn spmv_partition_streams_and_serializes() {
-        let out =
-            run_line("spmv --gen banded --rows 256 --partition nnz --ranks 4 --stream --seed 3")
-                .unwrap();
-        assert!(out.contains("streaming driver"), "{out}");
-        let json =
-            run_line("spmv --gen banded --rows 256 --partition col --ranks 4 --json --seed 3")
-                .unwrap();
-        assert!(json.contains("\"strategy\": \"col\""), "{json}");
-        assert!(json.contains("\"sync_entries\""), "{json}");
+    fn the_seed_changes_the_run() {
+        let line = "serve --rate 2e6 --batch 16 --max-wait-ns 10000 --duration-queries 48 --json";
+        assert_ne!(run_line(line).unwrap(), run_line(&format!("{line} --seed 8")).unwrap());
+    }
+
+    /// Command lines that must fail, each with the flag its error names.
+    const REJECTED: &[(&str, &str)] = &[
+        ("lookup --op bogus", "op"),
+        ("lookup --op topk:0", "op"),
+        ("lookup --op topk:x", "op"),
+        ("lookup --op topk:", "op"),
+        ("serve --op bogus --duration-queries 8", "op"),
+        ("lookup --op sum --op mean", "op"),
+        ("lookup --memory-model bogus", "memory-model"),
+        ("lookup --memory-model FAST", "memory-model"),
+        ("lookup --memory-model cycle-accurate", "memory-model"),
+        ("serve --memory-model bogus --duration-queries 8", "memory-model"),
+        ("lookup --memory-model fast --memory-model cycle", "memory-model"),
+        ("lookup --no-dedup --no-dedup", "no-dedup"),
+        ("lookup --batch", "batch"),
+        ("lookup --batch --seed 3", "batch"),
+        ("lookup --batch x", "batch"),
+        ("lookup --batch 1 --batch 2", "batch"),
+        ("lookup --ranks 3", "ranks"),
+        ("lookup --ranks 128", "ranks"),
+        ("cluster --shards 0 --duration-queries 8", "shards"),
+        ("cluster --shards bogus", "shards"),
+        ("cluster --shards -1", "shards"),
+        ("cluster --shards 1.5", "shards"),
+        ("cluster --shards 2 --shards 4", "shards"),
+        ("cluster --strategy bogus", "strategy"),
+        ("cluster --strategy ROWHASH", "strategy"),
+        ("cluster --strategy range", "strategy"),
+        ("cluster --strategy rowhash --strategy rowrange", "strategy"),
+        ("cluster --replicate-hot bogus", "replicate-hot"),
+        ("cluster --replicate-hot -0.5", "replicate-hot"),
+        ("cluster --replicate-hot 1.5", "replicate-hot"),
+        ("cluster --replicate-hot 2", "replicate-hot"),
+        ("cluster --replicate-hot 0.1 --replicate-hot 0.2", "replicate-hot"),
+        ("cluster --router bogus", "router"),
+        ("serve --policy bogus", "policy"),
+        ("serve --process bogus", "process"),
+        ("serve --shed bogus", "shed"),
+        ("serve --workers 0 --duration-queries 8", "workers"),
+        ("serve --rate -5 --duration-queries 8", "rate"),
+        ("serve --faults bogus", "faults"),
+        ("serve --faults slow:4", "faults"),
+        ("serve --faults slow:4:9 --workers 2", "faults"),
+        ("serve --faults crash:0:100 --duration-queries 8", "faults"),
+        ("serve --timeout-ns -1 --duration-queries 8", "timeout-ns"),
+        ("serve --sweep-windows 1000,nan --duration-queries 8", "sweep-windows"),
+        ("spmv --gen bogus", "gen"),
+        ("spmv --partition diagonal", "partition"),
+        ("spmv --partition row --ranks x", "ranks"),
+        ("spmv --partition row --ranks 0", "ranks"),
+        ("spmv --gen banded --rows 4 --partition row --ranks 64", "ranks"),
+        ("spmv --partition row --partition col", "partition"),
+        ("spmv --stream --stream", "stream"),
+        ("spmv --gen banded --rows 64 --vector-size 1", "vector-size"),
+        ("spmv --mtx /does/not/exist.mtx", "mtx"),
+        // Inputs that used to panic the binary or be ignored.
+        ("lookup --universe 0", "universe"),
+        ("serve --universe 0", "universe"),
+        ("trace --record 4 --universe 0", "universe"),
+        ("energy --universe 0", "universe"),
+        ("lookup --universe 4", "query-len"),
+        ("lookup --skew -1", "skew"),
+        ("lookup --skew inf", "skew"),
+        ("spmv --gen uniform --density 0", "density"),
+        ("spmv --gen uniform --density 2", "density"),
+        ("serve --worker 2", "worker"),
+        ("report --json", "json"),
+    ];
+
+    #[test]
+    fn every_rejection_names_its_flag() {
+        for &(line, flag) in REJECTED {
+            let error = run_line(line).expect_err(line);
+            assert!(error.0.starts_with(&format!("flag `--{flag}`: ")), "`{line}`: {error}");
+        }
+        for (line, needle) in [
+            ("", "subcommand"),
+            ("frobnicate", "fafnir help"),
+            ("lookup stray", "positional"),
+            ("report --ranks 32 --ratio 3", "ratio"),
+            ("selftest --ranks 16 --ratio 3", "ranks_per_leaf"),
+            ("trace", "--record"),
+        ] {
+            let error = run_line(line).expect_err(line);
+            assert!(error.0.contains(needle), "`{line}`: {error}");
+        }
+    }
+
+    /// A small run of each command, under the hostile-value test.
+    fn base(command: &str) -> &'static str {
+        match command {
+            "lookup" => "--batch 2 --query-len 2 --engine fafnir --memory-model fast",
+            "serve" | "cluster" => "--duration-queries 8 --workers 2 --memory-model fast",
+            "spmv" => "--rows 64",
+            "trace" => "--record 4",
+            "anatomy" | "energy" => "--batch 2 --query-len 2",
+            "selftest" => "--ranks 4 --batches 1",
+            _ => "",
+        }
     }
 
     #[test]
-    fn spmv_partition_flags_reject_garbage() {
-        assert!(run_line("spmv --partition diagonal").unwrap_err().0.contains("diagonal"));
-        assert!(run_line("spmv --partition row --ranks x").is_err());
-        assert!(run_line("spmv --partition row --ranks 0").is_err());
-        // Oversubscription is a flag error, not a panic.
-        let err = run_line("spmv --gen banded --rows 4 --partition row --ranks 64").unwrap_err();
-        assert!(err.0.contains("oversubscribes"), "{err}");
-        // Duplicate flags are rejected by the parser.
-        let parse = ParsedArgs::parse(
-            "spmv --partition row --partition col".split_whitespace().map(String::from),
+    fn hostile_values_on_every_flag_return_instead_of_panicking() {
+        for command in COMMANDS {
+            for flag in command.flags() {
+                let name = format!("--{}", flag.name);
+                for value in ["0", "-1", "nan", "inf", "x"] {
+                    let mut tokens = vec![command.name.to_string()];
+                    let base: Vec<&str> = base(command.name).split_whitespace().collect();
+                    for pair in base.chunks(2).filter(|pair| pair[0] != name) {
+                        tokens.extend(pair.iter().map(|token| token.to_string()));
+                    }
+                    tokens.extend([name.clone(), value.to_string()]);
+                    let _ = run(&tokens);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn help_renders_every_command_and_flag_from_the_tables() {
+        let names: Vec<&str> = COMMANDS.iter().map(|command| command.name).collect();
+        assert_eq!(
+            names,
+            [
+                "lookup", "serve", "cluster", "spmv", "report", "trace", "anatomy", "energy",
+                "selftest", "help"
+            ]
         );
-        assert!(parse.unwrap_err().0.contains("twice"));
-        let parse =
-            ParsedArgs::parse("spmv --stream --stream".split_whitespace().map(String::from));
-        assert!(parse.unwrap_err().0.contains("twice"));
+        let help = run_line("help").unwrap();
+        assert_eq!(help, run_line("--help").unwrap());
+        for command in COMMANDS {
+            // `--help` prints the command's usage instead of running it.
+            let own = run_line(&format!("{} --help --bogus", command.name)).unwrap();
+            let block = &own[own.find("COMMANDS\n").unwrap() + 9..];
+            assert!(block.starts_with(&format!("  {:<10}{}\n", command.name, command.summary)));
+            assert!(help.contains(block), "{} is missing from `fafnir help`", command.name);
+            let mut seen = Vec::new();
+            for flag in command.flags() {
+                assert!(block.contains(&format!("    --{} ", flag.name)), "{}", flag.name);
+                assert!(!seen.contains(&flag.name), "{} declares --{} twice", block, flag.name);
+                seen.push(flag.name);
+            }
+        }
     }
 
     #[test]
-    fn spmv_rejects_vector_size_one() {
-        let err = run_line("spmv --gen banded --rows 64 --vector-size 1").unwrap_err();
-        assert!(err.0.contains("at least 2"), "{err}");
-    }
+    fn file_inputs_round_trip() {
+        let text = "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n2 2 2.0\n";
+        let mtx = std::env::temp_dir().join("fafnir-cli-test.mtx");
+        std::fs::write(&mtx, text).unwrap();
+        let out = run_line(&format!("spmv --mtx {}", mtx.display())).unwrap();
+        assert!(out.contains("2 x 2") && out.contains("speedup"), "{out}");
+        std::fs::remove_file(&mtx).ok();
 
-    #[test]
-    fn report_matches_paper_floorplan() {
-        let out = run_line("report --ranks 32 --ratio 2").unwrap();
-        assert!(out.contains("31"));
-        assert!(out.contains("1.25 mm2"));
-        assert!(run_line("report --ranks 32 --ratio 3").is_err());
-    }
-
-    #[test]
-    fn trace_record_round_trips_through_stats() {
-        let text = run_line("trace --record 10 --query-len 4 --seed 3").unwrap();
-        let dir = std::env::temp_dir().join("fafnir-cli-test-trace.txt");
-        std::fs::write(&dir, &text).unwrap();
-        let out = run_line(&format!("trace --stats {}", dir.display())).unwrap();
-        assert!(out.contains("10 queries"));
-        assert!(out.contains("hottest"));
-        std::fs::remove_file(&dir).ok();
-    }
-
-    #[test]
-    fn trace_distances_prints_lru_curve() {
-        let text = run_line("trace --record 30 --query-len 8 --seed 5").unwrap();
-        let path = std::env::temp_dir().join("fafnir-cli-test-dist.txt");
-        std::fs::write(&path, &text).unwrap();
-        let out = run_line(&format!("trace --distances {}", path.display())).unwrap();
-        assert!(out.contains("LRU hit rate"), "{out}");
-        assert!(out.contains("256 entries"));
+        let trace = run_line("trace --record 30 --query-len 8 --seed 5").unwrap();
+        let path = std::env::temp_dir().join("fafnir-cli-test-trace.txt");
+        std::fs::write(&path, &trace).unwrap();
+        let stats = run_line(&format!("trace --stats {}", path.display())).unwrap();
+        assert!(stats.contains("30 queries") && stats.contains("hottest"), "{stats}");
+        let distances = run_line(&format!("trace --distances {}", path.display())).unwrap();
+        assert!(distances.contains("LRU hit rate") && distances.contains("256 entries"));
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn selftest_passes_on_valid_configs_and_fails_cleanly_on_bad_ones() {
-        let out = run_line("selftest --ranks 16 --ratio 2 --batches 2").unwrap();
-        assert!(out.starts_with("PASS"), "{out}");
-        assert!(run_line("selftest --ranks 16 --ratio 3").is_err());
-    }
-
-    #[test]
-    fn energy_reports_dedup_savings() {
-        let out = run_line("energy --batch 8 --query-len 8 --seed 4").unwrap();
-        assert!(out.contains("with dedup"), "{out}");
-        assert!(out.contains("without dedup"));
-        assert!(out.contains("nJ"));
-    }
-
-    #[test]
-    fn anatomy_renders_a_waterfall() {
-        let out = run_line("anatomy --batch 3 --query-len 4 --ranks 8 --seed 9").unwrap();
-        assert!(out.contains("L0 PE0"), "{out}");
-        assert!(out.contains("per-level roll-up"));
-        assert!(out.contains("0 incomplete"));
-    }
-
-    #[test]
-    fn unknown_command_suggests_help() {
-        assert!(run_line("frobnicate").unwrap_err().0.contains("help"));
-        assert!(run_line("help").unwrap().contains("USAGE"));
     }
 }

@@ -17,16 +17,12 @@ mod commands;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let tokens: Vec<String> = std::env::args().skip(1).collect();
-    let parsed = match args::ParsedArgs::parse(tokens) {
-        Ok(parsed) => parsed,
-        Err(error) => {
-            eprintln!("error: {error}");
-            eprintln!("{}", commands::usage());
-            return ExitCode::FAILURE;
-        }
-    };
-    match commands::run(&parsed) {
+    let tokens: Result<Vec<String>, _> =
+        std::env::args_os().skip(1).map(std::ffi::OsString::into_string).collect();
+    let report = tokens
+        .map_err(|raw| args::ArgError(format!("argument {raw:?} is not valid UTF-8")))
+        .and_then(|tokens| commands::run(&tokens));
+    match report {
         Ok(report) => {
             print!("{report}");
             ExitCode::SUCCESS
