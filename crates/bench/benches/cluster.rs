@@ -15,7 +15,7 @@
 
 use std::time::Instant;
 
-use fafnir_bench::{banner, extract_number, print_table};
+use fafnir_bench::{banner, print_table, record};
 use fafnir_cluster::{cluster_setup, ClusterReport, RouterPolicy};
 use fafnir_core::{FafnirConfig, ShardPlan, ShardStrategy, VectorIndex};
 use fafnir_mem::MemoryModelKind;
@@ -77,7 +77,6 @@ fn run_scenario(
 }
 
 fn main() {
-    let force = std::env::args().any(|arg| arg == "--force");
     banner(
         "Sharded cluster — throughput, imbalance, cross-shard traffic vs shard count",
         "row-range sharding over independent trees; split queries merge via ReduceOperator",
@@ -131,19 +130,6 @@ fn main() {
         scenarios[SHARD_COUNTS.len() + 2].report.throughput_qps,
     );
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_cluster.json");
-    if let Ok(previous) = std::fs::read_to_string(path) {
-        let regressed = [("sim_queries_per_sec", sim_queries_per_sec)].iter().any(|&(key, new)| {
-            extract_number(&previous, key).is_some_and(|old| new < old * REGRESSION_TOLERANCE)
-        });
-        if regressed && !force {
-            eprintln!(
-                "refusing to overwrite {path}: result regressed vs the recorded run \
-                 ({sim_queries_per_sec:.0} queries/s); rerun with --force to accept"
-            );
-            std::process::exit(1);
-        }
-    }
     let sweep: Vec<String> = scenarios
         .iter()
         .map(|s| {
@@ -179,6 +165,5 @@ fn main() {
         relieved.report.imbalance,
         cycle.report.throughput_qps,
     );
-    std::fs::write(path, json).expect("write BENCH_cluster.json");
-    println!("recorded {path}");
+    record("cluster", &json, &[("sim_queries_per_sec", sim_queries_per_sec)], REGRESSION_TOLERANCE);
 }

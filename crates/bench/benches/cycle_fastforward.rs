@@ -17,7 +17,7 @@
 use std::time::Instant;
 
 use criterion::black_box;
-use fafnir_bench::{banner, extract_number, print_table, times};
+use fafnir_bench::{banner, print_table, record, times};
 use fafnir_core::cycle_sim::CycleTree;
 use fafnir_core::inject::{build_rank_inputs, GatheredVector};
 use fafnir_core::{Batch, FafnirConfig, IndexSet, PeTiming, ReductionTree, VectorIndex};
@@ -80,7 +80,6 @@ fn tree_inputs(batch: &Batch, ranks: usize) -> Vec<Vec<fafnir_core::Item>> {
 }
 
 fn main() {
-    let force = std::env::args().any(|arg| arg == "--force");
     banner(
         "Event-driven fast-forward — wall clock vs unit stepping",
         "next-event jumps make idle-heavy simulations cheap without changing a single cycle",
@@ -158,21 +157,6 @@ fn main() {
          {skipped} of {final_fast} memory cycles skipped"
     );
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_cycle_fastforward.json");
-    if let Ok(previous) = std::fs::read_to_string(path) {
-        let regressed = [("mem_speedup", mem_speedup), ("tree_speedup", tree_speedup)].iter().any(
-            |&(key, new)| {
-                extract_number(&previous, key).is_some_and(|old| new < old * REGRESSION_TOLERANCE)
-            },
-        );
-        if regressed && !force {
-            eprintln!(
-                "refusing to overwrite {path}: speedup regressed vs the recorded result \
-                 (mem {mem_speedup:.1}x, tree {tree_speedup:.1}x); rerun with --force to accept"
-            );
-            std::process::exit(1);
-        }
-    }
     let json = format!(
         "{{\n  \"bench\": \"cycle_fastforward\",\n  \
          \"parity\": \"command logs, stats, completions and final cycles identical between \
@@ -186,6 +170,10 @@ fn main() {
          \"tree_stepped_wall_ns\": {tree_stepped_ns:.0},\n  \
          \"tree_fast_wall_ns\": {tree_fast_ns:.0},\n  \"tree_speedup\": {tree_speedup:.2}\n}}\n"
     );
-    std::fs::write(path, json).expect("write BENCH_cycle_fastforward.json");
-    println!("recorded {path}");
+    record(
+        "cycle_fastforward",
+        &json,
+        &[("mem_speedup", mem_speedup), ("tree_speedup", tree_speedup)],
+        REGRESSION_TOLERANCE,
+    );
 }

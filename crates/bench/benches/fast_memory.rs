@@ -16,7 +16,7 @@
 
 use std::time::Instant;
 
-use fafnir_bench::{banner, extract_number, paper_memory, paper_traffic, print_table};
+use fafnir_bench::{banner, paper_memory, paper_traffic, print_table, record};
 use fafnir_core::{FafnirEngine, StripedSource};
 use fafnir_mem::MemoryModelKind;
 use fafnir_serve::{
@@ -56,7 +56,6 @@ fn measure(engine: &FafnirEngine, source: &StripedSource, passes: usize) -> f64 
 }
 
 fn main() {
-    let force = std::env::args().any(|arg| arg == "--force");
     banner(
         "Fast-functional memory — simulator throughput vs fidelity",
         "analytic batch pricing + the fast fold trade timing detail for ~10x wall-clock",
@@ -114,21 +113,6 @@ fn main() {
          {speedup_vs_baseline:.1}x over the recorded baseline), divergence within envelope"
     );
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fast_memory.json");
-    if let Ok(previous) = std::fs::read_to_string(path) {
-        let regressed = [("fast_sim_queries_per_sec", fast_qps), ("speedup_vs_cycle", speedup)]
-            .iter()
-            .any(|&(key, new)| {
-                extract_number(&previous, key).is_some_and(|old| new < old * REGRESSION_TOLERANCE)
-            });
-        if regressed && !force {
-            eprintln!(
-                "refusing to overwrite {path}: result regressed vs the recorded run \
-                 (fast {fast_qps:.0} queries/s, {speedup:.2}x); rerun with --force to accept"
-            );
-            std::process::exit(1);
-        }
-    }
     let divergence: Vec<String> =
         worst.iter().map(|(name, value)| format!("\"{name}\": {value:.6}")).collect();
     let json = format!(
@@ -146,6 +130,10 @@ fn main() {
          \"dram_reads\": 0.01, \"goodput\": 0.05}}\n}}\n",
         divergence.join(", ")
     );
-    std::fs::write(path, json).expect("write BENCH_fast_memory.json");
-    println!("recorded {path}");
+    record(
+        "fast_memory",
+        &json,
+        &[("fast_sim_queries_per_sec", fast_qps), ("speedup_vs_cycle", speedup)],
+        REGRESSION_TOLERANCE,
+    );
 }

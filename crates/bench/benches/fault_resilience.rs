@@ -15,7 +15,7 @@
 
 use std::time::Instant;
 
-use fafnir_bench::{banner, extract_number, paper_memory, paper_traffic, print_table};
+use fafnir_bench::{banner, paper_memory, paper_traffic, print_table, record};
 use fafnir_core::{FafnirEngine, StripedSource};
 use fafnir_serve::{simulate_resilient, BatchPolicy, ResilienceConfig, ServeConfig, ServeReport};
 use fafnir_workloads::arrival::ArrivalProcess;
@@ -38,7 +38,6 @@ fn serve_config() -> ServeConfig {
 }
 
 fn main() {
-    let force = std::env::args().any(|arg| arg == "--force");
     banner(
         "Fault resilience — hedged dispatch vs DRAM reads per query",
         "a duplicate dispatch re-issues deduplicated DRAM reads to cut the straggler tail",
@@ -114,26 +113,6 @@ fn main() {
         churn_report.crashes,
     );
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fault_resilience.json");
-    if let Ok(previous) = std::fs::read_to_string(path) {
-        let regressed = [
-            ("p999_speedup_hedged", p999_speedup_hedged),
-            ("churn_delivery", churn_delivery),
-            ("sim_queries_per_sec", sim_queries_per_sec),
-        ]
-        .iter()
-        .any(|&(key, new)| {
-            extract_number(&previous, key).is_some_and(|old| new < old * REGRESSION_TOLERANCE)
-        });
-        if regressed && !force {
-            eprintln!(
-                "refusing to overwrite {path}: result regressed vs the recorded run \
-                 (p99.9 speedup {p999_speedup_hedged:.3}, churn delivery {churn_delivery:.3}, \
-                 {sim_queries_per_sec:.0} queries/s); rerun with --force to accept"
-            );
-            std::process::exit(1);
-        }
-    }
     let per_delay: Vec<String> = HEDGE_DELAYS_NS
         .iter()
         .zip(&reports)
@@ -165,6 +144,14 @@ fn main() {
         churn_report.retries,
         churn_report.crashes,
     );
-    std::fs::write(path, json).expect("write BENCH_fault_resilience.json");
-    println!("recorded {path}");
+    record(
+        "fault_resilience",
+        &json,
+        &[
+            ("p999_speedup_hedged", p999_speedup_hedged),
+            ("churn_delivery", churn_delivery),
+            ("sim_queries_per_sec", sim_queries_per_sec),
+        ],
+        REGRESSION_TOLERANCE,
+    );
 }

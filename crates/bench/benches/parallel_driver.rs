@@ -15,7 +15,7 @@
 use std::time::Instant;
 
 use criterion::black_box;
-use fafnir_bench::{banner, paper_memory, paper_traffic, print_table, times};
+use fafnir_bench::{banner, paper_memory, paper_traffic, print_table, record, times};
 use fafnir_core::{Batch, FafnirEngine, GatherEngine, ParallelBatchDriver, StripedSource};
 
 const SOFTWARE_BATCHES: usize = 8;
@@ -132,7 +132,5 @@ fn main() {
         skipped_json.join(", "),
         driver_json.join(",\n")
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_parallel_driver.json");
-    std::fs::write(path, json).expect("write BENCH_parallel_driver.json");
-    println!("recorded {path}");
+    record("parallel_driver", &json, &[], 1.0);
 }

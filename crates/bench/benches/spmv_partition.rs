@@ -16,7 +16,7 @@
 
 use std::time::Instant;
 
-use fafnir_bench::{banner, extract_number, print_table};
+use fafnir_bench::{banner, print_table, record};
 use fafnir_sparse::{
     execute_partitioned, fafnir_spmv, gen, CooMatrix, LilMatrix, PartitionReport,
     PartitionStrategy, SpmvPartition, SpmvTiming,
@@ -75,7 +75,6 @@ fn sweep_matrix(
 }
 
 fn main() {
-    let force = std::env::args().any(|arg| arg == "--force");
     banner(
         "Partitioned SpMV — imbalance vs speedup across rank counts",
         "1D row / nnz-balanced / column and 2D grid partitions, real-PIM style",
@@ -140,19 +139,6 @@ fn main() {
         pick("banded", "nnz", 16).nnz_imbalance,
     );
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_spmv.json");
-    if let Ok(previous) = std::fs::read_to_string(path) {
-        let regressed = [("sim_nnz_per_sec", sim_nnz_per_sec)].iter().any(|&(key, new)| {
-            extract_number(&previous, key).is_some_and(|old| new < old * REGRESSION_TOLERANCE)
-        });
-        if regressed && !force {
-            eprintln!(
-                "refusing to overwrite {path}: result regressed vs the recorded run \
-                 ({sim_nnz_per_sec:.0} nnz/s); rerun with --force to accept"
-            );
-            std::process::exit(1);
-        }
-    }
     let sweep: Vec<String> = scenarios
         .iter()
         .map(|s| {
@@ -192,6 +178,5 @@ fn main() {
         row_16.speedup,
         nnz_16.speedup,
     );
-    std::fs::write(path, json).expect("write BENCH_spmv.json");
-    println!("recorded {path}");
+    record("spmv", &json, &[("sim_nnz_per_sec", sim_nnz_per_sec)], REGRESSION_TOLERANCE);
 }

@@ -17,7 +17,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use fafnir_bench::{banner, extract_number, paper_memory, print_table};
+use fafnir_bench::{banner, paper_memory, print_table, record};
 use fafnir_core::{Batch, FafnirConfig, FafnirEngine, GatherEngine, ReduceOp, TopKOperator};
 use fafnir_workloads::similarity::{recall_at_k, SimilarityWorkload};
 use fafnir_workloads::EmbeddingTableSet;
@@ -31,7 +31,6 @@ const K_SWEEP: [usize; 5] = [1, 2, 4, 8, 16];
 const REGRESSION_TOLERANCE: f64 = 0.9;
 
 fn main() {
-    let force = std::env::args().any(|arg| arg == "--force");
     banner(
         "Top-K similarity serving — recall/latency vs k",
         "near-memory re-ranking returns 2k floats per query instead of the full vector",
@@ -95,21 +94,6 @@ fn main() {
          across k = {K_SWEEP:?}; bench rate {lookups_per_sec:.0} lookups/s of wall clock"
     );
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_topk.json");
-    if let Ok(previous) = std::fs::read_to_string(path) {
-        // Recall is deterministic (seeded queries, seeded tables), so any drop
-        // means the reduction or the workload changed behaviour; the wall-clock
-        // rate is recorded for context but too noisy to gate on.
-        let regressed = extract_number(&previous, "mean_recall")
-            .is_some_and(|old| mean_recall < old * REGRESSION_TOLERANCE);
-        if regressed && !force {
-            eprintln!(
-                "refusing to overwrite {path}: mean recall {mean_recall:.3} regressed \
-                 vs the recorded run; rerun with --force to accept"
-            );
-            std::process::exit(1);
-        }
-    }
     let json = format!(
         "{{\n  \"bench\": \"topk\",\n  \
          \"scenario\": \"shortlist {SHORTLIST} of {UNIVERSE} candidates, \
@@ -119,6 +103,8 @@ fn main() {
          \"lookups_per_sec\": {lookups_per_sec:.0}\n}}\n",
         sweep_json.join(",\n    "),
     );
-    std::fs::write(path, json).expect("write BENCH_topk.json");
-    println!("recorded {path}");
+    // Recall is deterministic (seeded queries, seeded tables), so any drop
+    // means the reduction or the workload changed behaviour; the wall-clock
+    // rate is recorded for context but too noisy to gate on.
+    record("topk", &json, &[("mean_recall", mean_recall)], REGRESSION_TOLERANCE);
 }

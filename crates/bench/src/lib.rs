@@ -3,7 +3,8 @@
 //! Each `benches/*.rs` target regenerates one table or figure of the paper
 //! (see DESIGN.md's per-experiment index). This library holds the shared
 //! pieces: aligned table printing, the calibrated paper-traffic generator,
-//! engine constructors, and the JSON reader behind the regression guards.
+//! engine constructors, and the `BENCH_*.json` writer with its regression
+//! guard.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -141,6 +142,44 @@ pub fn extract_number(json: &str, key: &str) -> Option<f64> {
     rest[..end].trim().parse().ok()
 }
 
+/// Writes `json` to `BENCH_<name>.json` at the workspace root and prints
+/// its path. When a guarded metric fell below `tolerance` × its recorded
+/// value, the bench refuses (exit code 1) unless it was run with
+/// `--force`.
+///
+/// # Panics
+///
+/// Panics if the record cannot be written.
+pub fn record(name: &str, json: &str, guarded: &[(&str, f64)], tolerance: f64) {
+    let path = format!("{}/../../BENCH_{name}.json", env!("CARGO_MANIFEST_DIR"));
+    let previous = std::fs::read_to_string(&path).ok();
+    let force = std::env::args().any(|arg| arg == "--force");
+    if let Some(reason) = refusal(previous.as_deref(), guarded, tolerance, force) {
+        eprintln!("refusing to overwrite {path}: {reason}; rerun with --force to accept");
+        std::process::exit(1);
+    }
+    std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    println!("recorded {path}");
+}
+
+/// Why a new record must not replace `previous`: the first guarded key
+/// whose new value fell below `tolerance` × its recorded value. `None`
+/// when nothing is recorded, nothing regressed, or `force` is set.
+#[must_use]
+pub fn refusal(
+    previous: Option<&str>,
+    guarded: &[(&str, f64)],
+    tolerance: f64,
+    force: bool,
+) -> Option<String> {
+    let previous = previous.filter(|_| !force)?;
+    guarded.iter().find_map(|&(key, new)| {
+        let old = extract_number(previous, key)?;
+        (new < old * tolerance)
+            .then(|| format!("{key} {new} regressed below {tolerance} x the recorded {old}"))
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,6 +190,18 @@ mod tests {
         assert_eq!(extract_number(json, "qps"), Some(1250.5));
         assert_eq!(extract_number(json, "recall"), None);
         assert_eq!(extract_number(json, "speedup"), Some(3.0));
+    }
+
+    #[test]
+    fn the_guard_refuses_only_a_recorded_regression_without_force() {
+        let previous = "{\"qps\": 1000, \"recall\": 0.8}";
+        let regressed = [("qps", 700.0), ("recall", 0.8)];
+        assert_eq!(refusal(None, &regressed, 0.8, false), None);
+        let reason = refusal(Some(previous), &regressed, 0.8, false).unwrap();
+        assert!(reason.starts_with("qps 700 regressed"), "{reason}");
+        assert_eq!(refusal(Some(previous), &regressed, 0.8, true), None);
+        assert_eq!(refusal(Some(previous), &[("qps", 800.0), ("recall", 0.7)], 0.8, false), None);
+        assert_eq!(refusal(Some(previous), &[("latency", 1.0)], 0.8, false), None);
     }
 
     #[test]

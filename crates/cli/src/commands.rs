@@ -14,7 +14,7 @@ use fafnir_workloads::query::{BatchGenerator, Popularity};
 use fafnir_workloads::trace::QueryTrace;
 
 use crate::args::Kind::{self, Choice, Count, Number, Switch, Text};
-use crate::args::{count, dispatch, flag, number, usage, ArgError, Args, Command, Flag, Range};
+use crate::args::{count, flag, number, usage, ArgError, Args, Command, Flag, Range};
 
 const ANY: Kind = Count(0, u64::MAX);
 const NONZERO: Kind = Count(1, u64::MAX);
@@ -111,7 +111,7 @@ const TRACE: &[Flag] = &[
     flag("distances", Text("FILE"), None, "reuse distances and LRU hit rates of a trace file"),
 ];
 
-/// Every subcommand, in usage order; [`run`] dispatches over this table.
+/// Every subcommand, in usage order; `fafnir` dispatches over this table.
 pub const COMMANDS: &[Command] = &[
     Command {
         name: "lookup",
@@ -176,17 +176,6 @@ pub const COMMANDS: &[Command] = &[
     },
     Command { name: "help", summary: "this text", flags: &[], run: |_| Ok(usage(COMMANDS, None)) },
 ];
-
-/// Runs the command line (without the program name), returning the
-/// printable report.
-///
-/// # Errors
-///
-/// Returns [`ArgError`] for unknown commands, flags the command's table
-/// rejects, or a failed run.
-pub fn run(tokens: &[String]) -> Result<String, ArgError> {
-    dispatch(COMMANDS, tokens)
-}
 
 /// Builds the query generator from the traffic flags, checking
 /// `1 ≤ query-len ≤ universe ≤ 2^32 − 1` and a finite skew ≥ 0.
@@ -756,9 +745,10 @@ fn trace(args: &Args) -> Result<String, ArgError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::args::dispatch;
 
     fn run_line(line: &str) -> Result<String, ArgError> {
-        run(&line.split_whitespace().map(String::from).collect::<Vec<_>>())
+        dispatch(COMMANDS, &line.split_whitespace().map(String::from).collect::<Vec<_>>())
     }
 
     /// Valid runs and what their reports must say; a `!` needle must be
@@ -766,16 +756,13 @@ mod tests {
     const REPORTS: &[(&str, &[&str])] = &[
         ("lookup --batch 4 --query-len 4 --seed 1", &["fafnir ", "recnmp", "tensordimm", "no-ndp"]),
         ("lookup --batch 4 --query-len 4 --engine fafnir --no-dedup", &["fafnir", "!recnmp"]),
-        ("lookup --batch 4 --query-len 4 --engine fafnir --memory-model fast", &["fafnir"]),
         (
-            "lookup --batch 2 --query-len 4 --engine fafnir --interactive",
-            &["fafnir*", "interactive"],
+            "lookup --batch 2 --engine fafnir --interactive --memory-model fast",
+            &["fafnir*", "mode"],
         ),
-        ("serve --rate 2e6 --workers 2 --duration-queries 48 --op mean", &["p50"]),
-        ("serve --rate 2e6 --workers 2 --duration-queries 48 --memory-model fast", &["p50"]),
+        ("serve --rate 2e6 --duration-queries 48 --op mean --memory-model fast", &["p50"]),
         (
-            "serve --rate 2e6 --policy deadline --max-wait-ns 20000 --workers 2 \
-             --duration-queries 48 --seed 7",
+            "serve --rate 2e6 --policy deadline --max-wait-ns 20000 --duration-queries 48",
             &["deadline policy", "p50", "p99", "reads per query", "shed"],
         ),
         (
@@ -793,14 +780,8 @@ mod tests {
             &["\"served\": 0", "\"latency\": null"],
         ),
         (
-            "cluster --shards 4 --strategy rowrange --rate 2e6 --workers 2 \
-             --duration-queries 48 --seed 7 --memory-model fast",
-            &["shards", "rowrange", "shard imbalance", "cross-shard traffic", "p50"],
-        ),
-        (
-            "cluster --shards 2 --router leastloaded --duration-queries 16 --workers 2 \
-             --memory-model fast",
-            &["leastloaded"],
+            "cluster --router leastloaded --duration-queries 48 --memory-model fast",
+            &["shards", "rowrange", "leastloaded", "shard imbalance", "cross-shard", "p50"],
         ),
         ("spmv --gen banded --rows 256 --partition nnz --ranks 4 --stream", &["streaming driver"]),
         (
@@ -810,11 +791,7 @@ mod tests {
         ("report --ranks 32 --ratio 2", &["31", "1.25 mm2"]),
         ("selftest --ranks 16 --ratio 2 --batches 2", &["PASS"]),
         ("energy --batch 8 --query-len 8 --seed 4", &["with dedup", "without dedup", "nJ"]),
-        (
-            "anatomy --batch 3 --query-len 4 --ranks 8 --seed 9",
-            &["L0 PE0", "roll-up", "0 incomplete"],
-        ),
-        ("help", &["USAGE"]),
+        ("anatomy --batch 3 --query-len 4 --seed 9", &["L0 PE0", "roll-up", "0 incomplete"]),
     ];
 
     #[test]
@@ -958,7 +935,7 @@ mod tests {
                         tokens.extend(pair.iter().map(|token| token.to_string()));
                     }
                     tokens.extend([name.clone(), value.to_string()]);
-                    let _ = run(&tokens);
+                    let _ = dispatch(COMMANDS, &tokens);
                 }
             }
         }

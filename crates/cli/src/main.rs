@@ -21,7 +21,7 @@ fn main() -> ExitCode {
         std::env::args_os().skip(1).map(std::ffi::OsString::into_string).collect();
     let report = tokens
         .map_err(|raw| args::ArgError(format!("argument {raw:?} is not valid UTF-8")))
-        .and_then(|tokens| commands::run(&tokens));
+        .and_then(|tokens| args::dispatch(commands::COMMANDS, &tokens));
     match report {
         Ok(report) => {
             print!("{report}");

@@ -30,7 +30,7 @@ use crate::error::FafnirError;
 use crate::fastpath::fast_reduce;
 use crate::index::{IndexSet, QueryId, VectorIndex};
 use crate::inject::{build_rank_inputs, GatheredVector};
-use crate::pipeline::{GatherEngine, GatherOutcome, MemoryPlan, PlannedRead};
+use crate::pipeline::{GatherEngine, GatherOutcome, MemoryPlan, PlannedRead, SequentialMerge};
 use crate::placement::EmbeddingSource;
 use crate::reduce::{ReduceOp, ReduceOperator};
 use crate::tree::{ReductionTree, TreeRun, TreeStats};
@@ -325,35 +325,17 @@ impl FafnirEngine {
         batch: &Batch,
         source: &S,
     ) -> Result<LookupResult, FafnirError> {
-        if batch.is_empty() {
-            return Err(FafnirError::InvalidBatch("batch has no queries".into()));
-        }
-        let mut combined: Option<LookupResult> = None;
+        let mut merge = SequentialMerge::default();
         for query in batch.queries() {
             let mut single = Batch::new();
             single.push(query.indices.clone());
             let mut result = self.lookup(&single, source)?;
             // Restore the caller's query id.
-            result.outputs[0].0 = query.id;
-            match &mut combined {
-                None => combined = Some(result),
-                Some(total) => {
-                    total.outputs.extend(result.outputs);
-                    total.latency.total_ns += result.latency.total_ns;
-                    total.latency.memory_ns += result.latency.memory_ns;
-                    total.latency.compute_tail_ns += result.latency.compute_tail_ns;
-                    total.memory.merge(&result.memory);
-                    total.tree.ops.merge(&result.tree.ops);
-                    total.traffic.total_references += result.traffic.total_references;
-                    total.traffic.vectors_read += result.traffic.vectors_read;
-                    total.traffic.bytes_from_dram += result.traffic.bytes_from_dram;
-                    total.traffic.bytes_to_host += result.traffic.bytes_to_host;
-                }
-            }
+            result.outputs.iter_mut().for_each(|(id, _)| *id = query.id);
+            result.per_query_ns.iter_mut().for_each(|(id, _)| *id = query.id);
+            merge.push(result);
         }
-        let mut combined = combined.expect("non-empty batch");
-        combined.outputs.sort_by_key(|(query, _)| *query);
-        Ok(combined)
+        merge.finish().ok_or_else(|| FafnirError::InvalidBatch("batch has no queries".into()))
     }
 
     /// Number of point-to-point connections in a FAFNIR deployment over `m`
@@ -987,6 +969,21 @@ mod tests {
         assert!(interactive.latency.total_ns > batched.latency.total_ns);
         assert_eq!(interactive.traffic.vectors_read, 6);
         assert_eq!(batched.traffic.vectors_read, 5);
+    }
+
+    #[test]
+    fn interactive_mode_times_each_query_in_sequence() {
+        let mut batch = Batch::new();
+        for indices in [indexset![7, 1, 9], indexset![2, 3], indexset![4, 8, 6, 5]] {
+            batch.push(indices);
+        }
+        let result = engine().lookup_interactive(&batch, &source()).unwrap();
+        let ids: Vec<QueryId> = result.per_query_ns.iter().map(|&(id, _)| id).collect();
+        assert_eq!(ids, batch.queries().iter().map(|query| query.id).collect::<Vec<_>>());
+        let times: Vec<f64> = result.per_query_ns.iter().map(|&(_, ns)| ns).collect();
+        assert!(times.windows(2).all(|pair| pair[0] <= pair[1]), "{times:?}");
+        assert_eq!(times.last().copied(), Some(result.latency.total_ns));
+        assert_eq!(result.tree.completion_ns, result.latency.total_ns);
     }
 
     #[test]

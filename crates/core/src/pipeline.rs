@@ -186,13 +186,13 @@ pub fn gather_plan(plan: &MemoryPlan) -> GatherOutcome {
 /// accelerator occupancy: batch k+1 starts when batch k finishes, so
 /// per-query completions shift by the running offset and totals add.
 #[derive(Debug, Default)]
-struct SequentialMerge {
+pub(crate) struct SequentialMerge {
     result: Option<LookupResult>,
     offset_ns: f64,
 }
 
 impl SequentialMerge {
-    fn push(&mut self, sub: LookupResult) {
+    pub(crate) fn push(&mut self, sub: LookupResult) {
         let offset = self.offset_ns;
         self.offset_ns += sub.latency.total_ns;
         let Some(result) = &mut self.result else {
@@ -217,7 +217,7 @@ impl SequentialMerge {
         result.traffic.bytes_to_host += sub.traffic.bytes_to_host;
     }
 
-    fn finish(self) -> Option<LookupResult> {
+    pub(crate) fn finish(self) -> Option<LookupResult> {
         self.result.map(|mut result| {
             result.tree.completion_ns = result.latency.total_ns;
             result.outputs.sort_by_key(|(query, _)| *query);
