@@ -21,6 +21,15 @@ tier1:
 test:
     cargo test --workspace -q
 
+# Compile every bench target without running it.
+bench-build:
+    cargo bench --workspace --no-run
+
+# Fast-vs-cycle calibration gate: the smoke matrix must stay inside the
+# recorded tolerance envelope (see crates/serve/src/calibrate.rs).
+calibration-gate:
+    cargo test -p fafnir-serve --test calibration -q -- calibration_smoke_matrix_is_within_the_recorded_envelope
+
 # Docs gate (matches CI: rustdoc warnings are errors).
 docs:
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
@@ -30,7 +39,7 @@ ledger-check:
     cargo test --release --offline --manifest-path ledger/Cargo.toml -q
 
 # Everything CI runs.
-ci: fmt clippy tier1 docs ledger-check
+ci: fmt clippy tier1 docs test ledger-check bench-build calibration-gate
 
 # Regenerate the parallel-driver measurement (BENCH_parallel_driver.json).
 bench-driver:
