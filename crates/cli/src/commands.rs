@@ -926,6 +926,8 @@ mod tests {
     #[test]
     fn hostile_values_on_every_flag_return_instead_of_panicking() {
         for command in COMMANDS {
+            let line = format!("{} {}", command.name, base(command.name));
+            run_line(&line).unwrap_or_else(|e| panic!("base run `{line}`: {e}"));
             for flag in command.flags() {
                 let name = format!("--{}", flag.name);
                 for value in ["0", "-1", "nan", "inf", "x"] {

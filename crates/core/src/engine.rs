@@ -308,7 +308,9 @@ impl FafnirEngine {
     }
 
     /// Interactive (non-batch) lookup: queries are served one at a time,
-    /// each as its own hardware batch, and their latencies accumulate.
+    /// each as its own hardware batch, merged on one serial timeline the
+    /// way [`GatherEngine::lookup`] merges hardware batches, so
+    /// `per_query_ns` holds every query's completion under its own id.
     ///
     /// Sec. IV-C: "the same mechanism can also be used for interactive
     /// processing, in which all nodes would either forward or reduce without
