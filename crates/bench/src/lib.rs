@@ -165,8 +165,7 @@ pub fn record(name: &str, json: &str, guarded: &[(&str, f64)], tolerance: f64) {
 /// Why a new record must not replace `previous`: the first guarded key
 /// whose new value fell below `tolerance` × its recorded value. `None`
 /// when nothing is recorded, nothing regressed, or `force` is set.
-#[must_use]
-pub fn refusal(
+fn refusal(
     previous: Option<&str>,
     guarded: &[(&str, f64)],
     tolerance: f64,
