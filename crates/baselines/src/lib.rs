@@ -10,18 +10,18 @@
 //!   reduction *only* for operands co-located in one DIMM, 128 KB rank
 //!   caches ([`cache`]) instead of batch dedup.
 //!
-//! All engines implement the staged `fafnir_core::GatherEngine` pipeline
-//! (preprocess → gather → reduce) *and* the analytic [`model::LookupEngine`]
-//! view, produce functionally verified outputs, and report the
-//! latency/traffic/ops breakdowns the paper's figures are built from.
-//! `FafnirEngine` itself implements [`model::LookupEngine`] here (see
-//! [`model`]), so all four engines compare uniformly. The SpMV baseline
-//! (the Two-Step algorithm) lives in `fafnir-sparse`, next to the formats
-//! it consumes.
+//! Every engine — these three and `fafnir_core::FafnirEngine` — answers
+//! through the staged `fafnir_core::GatherEngine` pipeline (preprocess →
+//! gather → reduce) with one `fafnir_core::LookupResult`: functionally
+//! verified outputs plus the latency/traffic/op breakdowns the paper's
+//! figures are built from. The baselines price their reduce stage with an
+//! analytic model over the simulated memory phase; [`model::CoreModel`]
+//! holds the host-side costs. The SpMV baseline (the Two-Step algorithm)
+//! lives in `fafnir-sparse`, next to the formats it consumes.
 //!
 //! ```
-//! use fafnir_baselines::{LookupEngine, RecNmpEngine};
-//! use fafnir_core::{Batch, StripedSource};
+//! use fafnir_baselines::RecNmpEngine;
+//! use fafnir_core::{Batch, GatherEngine, StripedSource};
 //! use fafnir_core::indexset;
 //! use fafnir_mem::MemoryConfig;
 //!
@@ -30,8 +30,8 @@
 //! let engine = RecNmpEngine::paper_default(mem);
 //! let source = StripedSource::new(mem.topology, 128);
 //! let batch = Batch::from_index_sets([indexset![1, 2, 5, 6]]);
-//! let outcome = engine.lookup(&batch, &source)?;
-//! println!("{}: {:.0} ns", engine.name(), outcome.total_ns);
+//! let result = engine.lookup(&batch, &source)?;
+//! println!("{}: {:.0} ns", engine.name(), result.latency.total_ns);
 //! # Ok(())
 //! # }
 //! ```
@@ -46,7 +46,7 @@ pub mod recnmp;
 pub mod tensordimm;
 
 pub use cache::VectorCache;
-pub use model::{CoreModel, LookupEngine, LookupOutcome};
+pub use model::CoreModel;
 pub use no_ndp::NoNdpEngine;
 pub use recnmp::RecNmpEngine;
 pub use tensordimm::TensorDimmEngine;

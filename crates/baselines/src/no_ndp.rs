@@ -6,12 +6,14 @@
 //! paper starts from.
 
 use fafnir_core::batch::Batch;
-use fafnir_core::pipeline::{GatherEngine, GatherOutcome, MemoryPlan, PlannedRead};
+use fafnir_core::pipeline::{
+    analytic_result, GatherEngine, GatherOutcome, MemoryPlan, PlannedRead,
+};
 use fafnir_core::placement::EmbeddingSource;
-use fafnir_core::{FafnirError, LookupResult, ReduceOp};
+use fafnir_core::{FafnirError, LatencyBreakdown, LookupResult, ReduceOp, TrafficStats};
 use fafnir_mem::MemoryConfig;
 
-use crate::model::{CoreModel, LookupEngine, LookupOutcome};
+use crate::model::CoreModel;
 
 /// Processor-centric baseline: no near-data processing at all.
 #[derive(Debug, Clone, Copy)]
@@ -32,52 +34,6 @@ impl NoNdpEngine {
     #[must_use]
     pub fn paper_default(mem_config: MemoryConfig) -> Self {
         Self::new(mem_config, CoreModel::server_cpu(), ReduceOp::Sum)
-    }
-
-    /// Analytic model applied to a gathered plan: core-side reduction after
-    /// the memory phase drains.
-    fn outcome<S: EmbeddingSource>(
-        &self,
-        plan: &MemoryPlan,
-        gathered: &GatherOutcome,
-        source: &S,
-    ) -> LookupOutcome {
-        let batch = &plan.batch;
-        let vector_bytes = source.vector_dim() * 4;
-        let read_count = plan.reads.len() as u64;
-        let memory_ns = gathered.idle_ns;
-
-        // The cores run the operator's accumulator, so software combines
-        // cost `acc_dim` lanes per fold (== `dim` for the element-wise ops,
-        // `dim + 1` for Mean's carried count, `2k` for TopK heaps).
-        let operator = self.op.operator();
-        let acc_dim = operator.acc_dim(source.vector_dim());
-
-        // Core-side reduction: every query folds q accumulators into one.
-        let partials: u64 = batch.total_references() as u64;
-        let outputs = batch.len() as u64;
-        let compute_ns = self.core.reduce_ns(partials, outputs, acc_dim);
-
-        // Functional outputs via the software reference (that is literally
-        // what this baseline does): lift → combine → finalize per query.
-        let outputs_vec =
-            fafnir_core::engine::reference_lookup_with(batch, source, operator.as_ref());
-
-        let dim = acc_dim as u64;
-        LookupOutcome {
-            outputs: outputs_vec,
-            total_ns: memory_ns + compute_ns,
-            memory_ns,
-            compute_ns,
-            compute_throughput_ns: compute_ns,
-            // The reads themselves deliver the data to the cores.
-            host_transfer_ns: 0.0,
-            memory: gathered.memory,
-            vectors_read: read_count,
-            bytes_to_host: read_count * vector_bytes as u64,
-            ndp_elem_ops: 0,
-            core_elem_ops: (partials - outputs) * dim,
-        }
     }
 }
 
@@ -118,31 +74,50 @@ impl GatherEngine for NoNdpEngine {
         Ok(vec![plan])
     }
 
+    /// Core-side reduction after the memory phase drains.
     fn reduce<S: EmbeddingSource>(
         &self,
         plan: &MemoryPlan,
         gathered: GatherOutcome,
         source: &S,
     ) -> Result<LookupResult, FafnirError> {
-        let outcome = self.outcome(plan, &gathered, source);
-        Ok(outcome.into_lookup_result(plan.batch.total_references() as u64))
-    }
-}
+        let batch = &plan.batch;
+        let vector_bytes = source.vector_dim() * 4;
+        let read_count = plan.reads.len() as u64;
+        let memory_ns = gathered.idle_ns;
 
-impl LookupEngine for NoNdpEngine {
-    fn name(&self) -> &'static str {
-        "no-ndp"
-    }
+        // The cores run the operator's accumulator, so software combines
+        // cost `acc_dim` lanes per fold (== `dim` for the element-wise ops,
+        // `dim + 1` for Mean's carried count, `2k` for TopK heaps).
+        let operator = self.op.operator();
+        let acc_dim = operator.acc_dim(source.vector_dim());
 
-    fn lookup<S: EmbeddingSource>(
-        &self,
-        batch: &Batch,
-        source: &S,
-    ) -> Result<LookupOutcome, FafnirError> {
-        let plans = self.preprocess(batch, source)?;
-        let plan = &plans[0];
-        let gathered = self.gather(plan);
-        Ok(self.outcome(plan, &gathered, source))
+        // Core-side reduction: every query folds q accumulators into one.
+        let partials: u64 = batch.total_references() as u64;
+        let outputs = batch.len() as u64;
+        let compute_ns = self.core.reduce_ns(partials, outputs, acc_dim);
+
+        // Functional outputs via the software reference (that is literally
+        // what this baseline does): lift → combine → finalize per query.
+        let outputs_vec =
+            fafnir_core::engine::reference_lookup_with(batch, source, operator.as_ref());
+
+        let latency = LatencyBreakdown {
+            total_ns: memory_ns + compute_ns,
+            memory_ns,
+            compute_tail_ns: compute_ns,
+            compute_busy_ns: compute_ns,
+            // The reads themselves deliver the data to the cores.
+            host_link_ns: 0.0,
+        };
+        let traffic = TrafficStats {
+            total_references: partials,
+            vectors_read: read_count,
+            bytes_from_dram: gathered.memory.bytes_transferred,
+            bytes_to_host: read_count * vector_bytes as u64,
+        };
+        let core_elem_ops = (partials - outputs) * acc_dim as u64;
+        Ok(analytic_result(outputs_vec, latency, gathered.memory, traffic, 0, core_elem_ops))
     }
 }
 
@@ -162,46 +137,33 @@ mod tests {
     fn outputs_match_reference() {
         let (engine, source) = setup();
         let batch = Batch::from_index_sets([indexset![1, 2, 5, 6], indexset![3, 4, 5]]);
-        let outcome = LookupEngine::lookup(&engine, &batch, &source).unwrap();
-        assert_outputs_match(&outcome, &batch, &source, ReduceOp::Sum);
+        let result = engine.lookup(&batch, &source).unwrap();
+        assert_outputs_match(&result, &batch, &source, ReduceOp::Sum);
     }
 
     #[test]
     fn reads_every_reference_and_moves_everything() {
         let (engine, source) = setup();
         let batch = Batch::from_index_sets([indexset![1, 2, 5], indexset![3, 4, 5]]);
-        let outcome = LookupEngine::lookup(&engine, &batch, &source).unwrap();
-        assert_eq!(outcome.vectors_read, 6); // v5 read twice
-        assert_eq!(outcome.bytes_to_host, 6 * 512);
-        assert_eq!(outcome.ndp_elem_ops, 0);
-        assert_eq!(outcome.core_elem_ops, 4 * 128); // (6 − 2) combines × 128
+        let result = engine.lookup(&batch, &source).unwrap();
+        assert_eq!(result.traffic.vectors_read, 6); // v5 read twice
+        assert_eq!(result.traffic.bytes_to_host, 6 * 512);
+        assert_eq!(result.ndp_elem_ops, 0);
+        assert_eq!(result.core_elem_ops, 4 * 128); // (6 − 2) combines × 128
     }
 
     #[test]
     fn empty_batch_is_rejected() {
         let (engine, source) = setup();
-        assert!(LookupEngine::lookup(&engine, &Batch::new(), &source).is_err());
+        assert!(engine.lookup(&Batch::new(), &source).is_err());
     }
 
     #[test]
     fn compute_follows_memory() {
         let (engine, source) = setup();
         let batch = Batch::from_index_sets([indexset![1, 2, 5, 6]]);
-        let outcome = LookupEngine::lookup(&engine, &batch, &source).unwrap();
-        assert!(outcome.total_ns > outcome.memory_ns);
-        assert!(outcome.compute_ns > 0.0);
-    }
-
-    #[test]
-    fn staged_lookup_result_mirrors_outcome() {
-        let (engine, source) = setup();
-        let batch = Batch::from_index_sets([indexset![1, 2, 5], indexset![3, 4, 5]]);
-        let outcome = LookupEngine::lookup(&engine, &batch, &source).unwrap();
-        let result = GatherEngine::lookup(&engine, &batch, &source).unwrap();
-        assert_eq!(result.outputs, outcome.outputs);
-        assert_eq!(result.latency.total_ns, outcome.total_ns);
-        assert_eq!(result.latency.memory_ns, outcome.memory_ns);
-        assert_eq!(result.traffic.vectors_read, outcome.vectors_read);
-        assert_eq!(result.traffic.bytes_to_host, outcome.bytes_to_host);
+        let latency = engine.lookup(&batch, &source).unwrap().latency;
+        assert!(latency.total_ns > latency.memory_ns);
+        assert!(latency.compute_tail_ns > 0.0);
     }
 }

@@ -8,14 +8,16 @@
 //! 128 KB per-rank LRU cache instead of batch dedup.
 
 use fafnir_core::batch::Batch;
-use fafnir_core::pipeline::{GatherEngine, GatherOutcome, MemoryPlan, PlannedRead};
+use fafnir_core::pipeline::{
+    analytic_result, GatherEngine, GatherOutcome, MemoryPlan, PlannedRead,
+};
 use fafnir_core::placement::EmbeddingSource;
 use fafnir_core::timing::PeTiming;
-use fafnir_core::{FafnirError, LookupResult, ReduceOp};
+use fafnir_core::{FafnirError, LatencyBreakdown, LookupResult, ReduceOp, TrafficStats};
 use fafnir_mem::MemoryConfig;
 
 use crate::cache::VectorCache;
-use crate::model::{CoreModel, LookupEngine, LookupOutcome};
+use crate::model::CoreModel;
 
 /// The RecNMP engine.
 #[derive(Debug, Clone)]
@@ -78,44 +80,43 @@ impl RecNmpEngine {
         self
     }
 
-    /// Streamed execution with *persistent* rank caches: batch k+1 hits on
-    /// vectors batch k loaded. This is the cross-batch reuse FAFNIR's
-    /// per-batch dedup cannot capture (and the caches' justification in the
-    /// RecNMP design); the outcomes expose the warming hit rate.
+    /// Runs `batches` one after another with *persistent* rank caches:
+    /// batch k+1 hits on vectors batch k loaded. This is the cross-batch
+    /// reuse FAFNIR's per-batch dedup cannot capture (and the caches'
+    /// justification in the RecNMP design); each result comes with its
+    /// batch's cache hit rate.
     ///
-    /// For the trait-level stream over a shared memory system see
-    /// [`GatherEngine::lookup_stream`] (cold caches per batch).
+    /// [`GatherEngine::lookup`] runs a batch on cold caches, and
+    /// [`GatherEngine::lookup_stream`] overlaps batches on one shared memory
+    /// system, cold caches per batch.
     ///
     /// # Errors
     ///
     /// Returns an error under the same conditions as
-    /// [`LookupEngine::lookup`] for any batch.
-    pub fn lookup_stream<S: EmbeddingSource>(
+    /// [`GatherEngine::lookup`] for any batch.
+    pub fn lookup_warm_stream<S: EmbeddingSource>(
         &self,
         batches: &[Batch],
         source: &S,
-    ) -> Result<Vec<(LookupOutcome, f64)>, FafnirError> {
-        let ranks = self.mem_config.topology.total_ranks();
-        let mut caches: Vec<VectorCache> =
-            (0..ranks).map(|_| VectorCache::recnmp_rank_cache()).collect();
-        let mut outcomes = Vec::with_capacity(batches.len());
+    ) -> Result<Vec<(LookupResult, f64)>, FafnirError> {
+        let mut caches = self.cold_caches();
+        let mut results = Vec::with_capacity(batches.len());
         for batch in batches {
             let before_hits: u64 = caches.iter().map(VectorCache::hits).sum();
             let before_accesses: u64 = caches.iter().map(VectorCache::accesses).sum();
             let plan = self.plan_with_caches(batch, source, &mut caches)?;
-            let gathered = self.gather(&plan);
-            let outcome = self.outcome(&plan, &gathered, source);
+            let result = self.reduce(&plan, self.gather(&plan), source)?;
             let hits: u64 = caches.iter().map(VectorCache::hits).sum::<u64>() - before_hits;
             let accesses: u64 =
                 caches.iter().map(VectorCache::accesses).sum::<u64>() - before_accesses;
             let hit_rate = if accesses == 0 { 0.0 } else { hits as f64 / accesses as f64 };
-            outcomes.push((outcome, hit_rate));
+            results.push((result, hit_rate));
         }
-        Ok(outcomes)
+        Ok(results)
     }
 
     /// Compiles one batch against caller-owned caches (cold caches = the
-    /// plain [`LookupEngine::lookup`] behaviour), precomputing the DIMM
+    /// plain [`GatherEngine::lookup`] behaviour), precomputing the DIMM
     /// co-location analytics.
     fn plan_with_caches<S: EmbeddingSource>(
         &self,
@@ -162,47 +163,6 @@ impl RecNmpEngine {
         Ok(RecNmpPlan { mem, total_partials, ndp_elem_ops, max_group_chain, cache_hits })
     }
 
-    /// Analytic model applied to a gathered plan: NDP combine chains, the
-    /// host-side partial reduction, and the partials' link transfer.
-    fn outcome<S: EmbeddingSource>(
-        &self,
-        plan: &RecNmpPlan,
-        gathered: &GatherOutcome,
-        source: &S,
-    ) -> LookupOutcome {
-        let batch = &plan.mem.batch;
-        let vector_bytes = source.vector_dim() * 4;
-        let operator = self.op.operator();
-        let acc_dim = operator.acc_dim(source.vector_dim());
-        let dim = acc_dim as u64;
-        let reads = plan.mem.reads.len() as u64;
-
-        let memory_ns = gathered.idle_ns;
-        let ndp_tail_ns = plan.max_group_chain as f64 * self.pe_timing.reduce_latency_ns();
-        let core_ns = self.core.reduce_ns(plan.total_partials, batch.len() as u64, acc_dim);
-        let compute_ns = ndp_tail_ns + core_ns;
-        // The host-side merge folds the same accumulators the DIMM NDPs
-        // produce, so outputs come from the operator trait path.
-        let outputs = fafnir_core::engine::reference_lookup_with(batch, source, operator.as_ref());
-        let core_elem_ops = plan.total_partials.saturating_sub(batch.len() as u64) * dim;
-        let bytes_to_host = plan.total_partials * vector_bytes as u64;
-        let host_transfer_ns = self.core.transfer_ns(bytes_to_host);
-
-        LookupOutcome {
-            outputs,
-            total_ns: memory_ns + host_transfer_ns + compute_ns,
-            memory_ns,
-            compute_ns,
-            compute_throughput_ns: compute_ns,
-            host_transfer_ns,
-            memory: gathered.memory,
-            vectors_read: reads + plan.cache_hits,
-            bytes_to_host,
-            ndp_elem_ops: plan.ndp_elem_ops,
-            core_elem_ops,
-        }
-    }
-
     /// Fresh cold caches, one per rank.
     fn cold_caches(&self) -> Vec<VectorCache> {
         (0..self.mem_config.topology.total_ranks())
@@ -219,7 +179,7 @@ impl GatherEngine for RecNmpEngine {
     }
 
     /// Cache-filtered read planning with cold per-batch caches; the warm
-    /// cross-batch variant is [`RecNmpEngine::lookup_stream`].
+    /// cross-batch variant is [`RecNmpEngine::lookup_warm_stream`].
     fn preprocess<S: EmbeddingSource>(
         &self,
         batch: &Batch,
@@ -229,32 +189,53 @@ impl GatherEngine for RecNmpEngine {
         Ok(vec![self.plan_with_caches(batch, source, &mut caches)?])
     }
 
+    /// NDP combine chains, the host-side partial reduction, and the
+    /// partials' link transfer.
     fn reduce<S: EmbeddingSource>(
         &self,
         plan: &RecNmpPlan,
         gathered: GatherOutcome,
         source: &S,
     ) -> Result<LookupResult, FafnirError> {
-        let outcome = self.outcome(plan, &gathered, source);
-        Ok(outcome.into_lookup_result(plan.mem.batch.total_references() as u64))
-    }
-}
+        let batch = &plan.mem.batch;
+        let vector_bytes = source.vector_dim() * 4;
+        let operator = self.op.operator();
+        let acc_dim = operator.acc_dim(source.vector_dim());
+        let dim = acc_dim as u64;
+        let reads = plan.mem.reads.len() as u64;
 
-impl LookupEngine for RecNmpEngine {
-    fn name(&self) -> &'static str {
-        "recnmp"
-    }
+        let memory_ns = gathered.idle_ns;
+        let ndp_tail_ns = plan.max_group_chain as f64 * self.pe_timing.reduce_latency_ns();
+        let core_ns = self.core.reduce_ns(plan.total_partials, batch.len() as u64, acc_dim);
+        let compute_ns = ndp_tail_ns + core_ns;
+        // The host-side merge folds the same accumulators the DIMM NDPs
+        // produce, so outputs come from the operator trait path.
+        let outputs = fafnir_core::engine::reference_lookup_with(batch, source, operator.as_ref());
+        let core_elem_ops = plan.total_partials.saturating_sub(batch.len() as u64) * dim;
+        let bytes_to_host = plan.total_partials * vector_bytes as u64;
+        let host_link_ns = self.core.transfer_ns(bytes_to_host);
 
-    fn lookup<S: EmbeddingSource>(
-        &self,
-        batch: &Batch,
-        source: &S,
-    ) -> Result<LookupOutcome, FafnirError> {
-        // Cold per-lookup caches; see `lookup_stream` for warm ones.
-        let plans = self.preprocess(batch, source)?;
-        let plan = &plans[0];
-        let gathered = self.gather(plan);
-        Ok(self.outcome(plan, &gathered, source))
+        let latency = LatencyBreakdown {
+            total_ns: memory_ns + host_link_ns + compute_ns,
+            memory_ns,
+            compute_tail_ns: compute_ns,
+            compute_busy_ns: compute_ns,
+            host_link_ns,
+        };
+        let traffic = TrafficStats {
+            total_references: batch.total_references() as u64,
+            vectors_read: reads + plan.cache_hits,
+            bytes_from_dram: gathered.memory.bytes_transferred,
+            bytes_to_host,
+        };
+        Ok(analytic_result(
+            outputs,
+            latency,
+            gathered.memory,
+            traffic,
+            plan.ndp_elem_ops,
+            core_elem_ops,
+        ))
     }
 }
 
@@ -274,8 +255,8 @@ mod tests {
     fn outputs_match_reference() {
         let (engine, source) = setup();
         let batch = Batch::from_index_sets([indexset![1, 2, 5, 6], indexset![3, 4, 5]]);
-        let outcome = LookupEngine::lookup(&engine, &batch, &source).unwrap();
-        assert_outputs_match(&outcome, &batch, &source, ReduceOp::Sum);
+        let result = engine.lookup(&batch, &source).unwrap();
+        assert_outputs_match(&result, &batch, &source, ReduceOp::Sum);
     }
 
     #[test]
@@ -285,10 +266,10 @@ mod tests {
         let batch = Batch::from_index_sets([IndexSet::from_iter_dedup(
             (0..16).map(|i| VectorIndex(i * 2)), // even indices: distinct DIMMs
         )]);
-        let outcome = LookupEngine::lookup(&engine, &batch, &source).unwrap();
-        assert_eq!(outcome.ndp_elem_ops, 0, "no co-located operands");
-        assert_eq!(outcome.core_elem_ops, 15 * 128);
-        assert_eq!(outcome.bytes_to_host, 16 * 512);
+        let result = engine.lookup(&batch, &source).unwrap();
+        assert_eq!(result.ndp_elem_ops, 0, "no co-located operands");
+        assert_eq!(result.core_elem_ops, 15 * 128);
+        assert_eq!(result.traffic.bytes_to_host, 16 * 512);
     }
 
     #[test]
@@ -297,10 +278,10 @@ mod tests {
         // reduction, one partial to the host.
         let (engine, source) = setup();
         let batch = Batch::from_index_sets([indexset![0, 32, 64, 96]]);
-        let outcome = LookupEngine::lookup(&engine, &batch, &source).unwrap();
-        assert_eq!(outcome.ndp_elem_ops, 3 * 128);
-        assert_eq!(outcome.core_elem_ops, 0);
-        assert_eq!(outcome.bytes_to_host, 512);
+        let result = engine.lookup(&batch, &source).unwrap();
+        assert_eq!(result.ndp_elem_ops, 3 * 128);
+        assert_eq!(result.core_elem_ops, 0);
+        assert_eq!(result.traffic.bytes_to_host, 512);
     }
 
     #[test]
@@ -310,9 +291,9 @@ mod tests {
         // misses.
         let sets: Vec<IndexSet> = (0..8).map(|_| indexset![7, 9]).collect();
         let batch = Batch::from_index_sets(sets);
-        let outcome = LookupEngine::lookup(&engine, &batch, &source).unwrap();
-        assert_eq!(outcome.memory.requests_completed, 2, "only cold misses reach DRAM");
-        assert_eq!(outcome.vectors_read, 16, "all references counted");
+        let result = engine.lookup(&batch, &source).unwrap();
+        assert_eq!(result.memory.requests_completed, 2, "only cold misses reach DRAM");
+        assert_eq!(result.traffic.vectors_read, 16, "all references counted");
     }
 
     #[test]
@@ -321,9 +302,8 @@ mod tests {
         let engine = RecNmpEngine::paper_default(mem).without_cache();
         let source = StripedSource::new(mem.topology, 128);
         let sets: Vec<IndexSet> = (0..4).map(|_| indexset![7, 9]).collect();
-        let outcome =
-            LookupEngine::lookup(&engine, &Batch::from_index_sets(sets), &source).unwrap();
-        assert_eq!(outcome.memory.requests_completed, 8);
+        let result = engine.lookup(&Batch::from_index_sets(sets), &source).unwrap();
+        assert_eq!(result.memory.requests_completed, 8);
     }
 
     #[test]
@@ -333,14 +313,14 @@ mod tests {
         // on what the first loaded.
         let sets: Vec<IndexSet> = (0..4).map(|k| indexset![k, k + 1, k + 2, 40, 41]).collect();
         let batch = Batch::from_index_sets(sets);
-        let stream = engine.lookup_stream(&[batch.clone(), batch.clone()], &source).unwrap();
+        let stream = engine.lookup_warm_stream(&[batch.clone(), batch.clone()], &source).unwrap();
         assert_eq!(stream.len(), 2);
         let (first, first_hits) = &stream[0];
         let (second, second_hits) = &stream[1];
         assert!(second_hits > first_hits, "{second_hits} vs {first_hits}");
         assert!(second.memory.requests_completed < first.memory.requests_completed);
         // Cold single lookup equals the first stream element's reads.
-        let cold = LookupEngine::lookup(&engine, &batch, &source).unwrap();
+        let cold = engine.lookup(&batch, &source).unwrap();
         assert_eq!(cold.memory.requests_completed, first.memory.requests_completed);
     }
 
@@ -354,13 +334,8 @@ mod tests {
         let batch = Batch::from_index_sets([IndexSet::from_iter_dedup(
             (0..16).map(|i| VectorIndex(i * 37 + 5)),
         )]);
-        let recnmp_outcome = LookupEngine::lookup(&engine, &batch, &source).unwrap();
-        let tensordimm_outcome = LookupEngine::lookup(&tensordimm, &batch, &source).unwrap();
-        assert!(
-            tensordimm_outcome.memory_ns > 2.0 * recnmp_outcome.memory_ns,
-            "tensordimm {:.0} vs recnmp {:.0}",
-            tensordimm_outcome.memory_ns,
-            recnmp_outcome.memory_ns
-        );
+        let recnmp = engine.lookup(&batch, &source).unwrap().latency.memory_ns;
+        let tensordimm = tensordimm.lookup(&batch, &source).unwrap().latency.memory_ns;
+        assert!(tensordimm > 2.0 * recnmp, "tensordimm {tensordimm:.0} vs recnmp {recnmp:.0}");
     }
 }

@@ -18,13 +18,15 @@
 //! `stats_scale` projects the counters back to all ranks.
 
 use fafnir_core::batch::Batch;
-use fafnir_core::pipeline::{GatherEngine, GatherOutcome, MemoryPlan, PlannedRead};
+use fafnir_core::pipeline::{
+    analytic_result, GatherEngine, GatherOutcome, MemoryPlan, PlannedRead,
+};
 use fafnir_core::placement::EmbeddingSource;
 use fafnir_core::timing::PeTiming;
-use fafnir_core::{FafnirError, LookupResult, ReduceOp};
+use fafnir_core::{
+    FafnirError, LatencyBreakdown, LookupResult, ReduceOp, TrafficStats, HOST_LINK_BYTES_PER_NS,
+};
 use fafnir_mem::{Location, MemoryConfig, Topology};
-
-use crate::model::{LookupEngine, LookupOutcome};
 
 /// The TensorDIMM engine.
 #[derive(Debug, Clone, Copy)]
@@ -69,55 +71,6 @@ impl TensorDimmEngine {
             bank: 0,
             row: (slot / topology.columns) % topology.rows,
             column: slot % topology.columns,
-        }
-    }
-
-    /// Analytic model applied to a gathered plan: serial DIMM adder chains
-    /// after the (representative-rank) memory phase, then the `n × v`
-    /// output transfer.
-    fn outcome<S: EmbeddingSource>(
-        &self,
-        plan: &MemoryPlan,
-        gathered: &GatherOutcome,
-        source: &S,
-    ) -> LookupOutcome {
-        let batch = &plan.batch;
-        let vector_bytes = source.vector_dim() * 4;
-        // Every rank runs the identical chunk-read stream on its own NDP
-        // port, so the representative rank's time is the memory phase.
-        let memory_ns = gathered.idle_ns;
-
-        // Serial pipelined reduction at each DIMM: (q−1) chain stages for
-        // the first query, then one stage per further query (II = 1 stage).
-        let stage_ns = self.pe_timing.reduce_latency_ns();
-        let q = batch.max_query_len() as f64;
-        let n = batch.len() as f64;
-        let compute_ns = ((q - 1.0).max(0.0) + (n - 1.0).max(0.0)) * stage_ns;
-
-        // Functional outputs go through the operator trait (lift → combine →
-        // finalize), so the DIMM adders model any accumulator the tree can.
-        let operator = self.op.operator();
-        let outputs = fafnir_core::engine::reference_lookup_with(batch, source, operator.as_ref());
-        let dim = operator.acc_dim(source.vector_dim()) as u64;
-        let partials = batch.total_references() as u64;
-
-        let bytes_to_host = batch.len() as u64 * vector_bytes as u64;
-        let host_transfer_ns =
-            bytes_to_host as f64 / crate::model::CoreModel::server_cpu().link_bytes_per_ns;
-        LookupOutcome {
-            outputs,
-            total_ns: memory_ns + compute_ns + host_transfer_ns,
-            memory_ns,
-            compute_ns,
-            // The DIMM adder chain initiates one query per stage, so the
-            // compute stage is busy ~n stages per batch.
-            compute_throughput_ns: batch.len() as f64 * stage_ns,
-            host_transfer_ns,
-            memory: gathered.memory,
-            vectors_read: plan.reads.len() as u64,
-            bytes_to_host,
-            ndp_elem_ops: (partials - batch.len() as u64) * dim,
-            core_elem_ops: 0,
         }
     }
 }
@@ -169,31 +122,53 @@ impl GatherEngine for TensorDimmEngine {
         Ok(vec![plan])
     }
 
+    /// Serial DIMM adder chains after the (representative-rank) memory
+    /// phase, then the `n × v` output transfer.
     fn reduce<S: EmbeddingSource>(
         &self,
         plan: &MemoryPlan,
         gathered: GatherOutcome,
         source: &S,
     ) -> Result<LookupResult, FafnirError> {
-        let outcome = self.outcome(plan, &gathered, source);
-        Ok(outcome.into_lookup_result(plan.batch.total_references() as u64))
-    }
-}
+        let batch = &plan.batch;
+        let vector_bytes = source.vector_dim() * 4;
+        // Every rank runs the identical chunk-read stream on its own NDP
+        // port, so the representative rank's time is the memory phase.
+        let memory_ns = gathered.idle_ns;
 
-impl LookupEngine for TensorDimmEngine {
-    fn name(&self) -> &'static str {
-        "tensordimm"
-    }
+        // Serial pipelined reduction at each DIMM: (q−1) chain stages for
+        // the first query, then one stage per further query (II = 1 stage).
+        let stage_ns = self.pe_timing.reduce_latency_ns();
+        let q = batch.max_query_len() as f64;
+        let n = batch.len() as f64;
+        let compute_ns = ((q - 1.0).max(0.0) + (n - 1.0).max(0.0)) * stage_ns;
 
-    fn lookup<S: EmbeddingSource>(
-        &self,
-        batch: &Batch,
-        source: &S,
-    ) -> Result<LookupOutcome, FafnirError> {
-        let plans = self.preprocess(batch, source)?;
-        let plan = &plans[0];
-        let gathered = self.gather(plan);
-        Ok(self.outcome(plan, &gathered, source))
+        // Functional outputs go through the operator trait (lift → combine →
+        // finalize), so the DIMM adders model any accumulator the tree can.
+        let operator = self.op.operator();
+        let outputs = fafnir_core::engine::reference_lookup_with(batch, source, operator.as_ref());
+        let dim = operator.acc_dim(source.vector_dim()) as u64;
+        let partials = batch.total_references() as u64;
+
+        let bytes_to_host = batch.len() as u64 * vector_bytes as u64;
+        let host_link_ns = bytes_to_host as f64 / HOST_LINK_BYTES_PER_NS;
+        let latency = LatencyBreakdown {
+            total_ns: memory_ns + compute_ns + host_link_ns,
+            memory_ns,
+            compute_tail_ns: compute_ns,
+            // The DIMM adder chain initiates one query per stage, so the
+            // compute stage is busy ~n stages per batch.
+            compute_busy_ns: batch.len() as f64 * stage_ns,
+            host_link_ns,
+        };
+        let traffic = TrafficStats {
+            total_references: partials,
+            vectors_read: plan.reads.len() as u64,
+            bytes_from_dram: gathered.memory.bytes_transferred,
+            bytes_to_host,
+        };
+        let ndp_elem_ops = (partials - batch.len() as u64) * dim;
+        Ok(analytic_result(outputs, latency, gathered.memory, traffic, ndp_elem_ops, 0))
     }
 }
 
@@ -220,34 +195,34 @@ mod tests {
     fn outputs_match_reference() {
         let (engine, source) = setup();
         let batch = Batch::from_index_sets([indexset![1, 2, 5, 6], indexset![3, 4, 5]]);
-        let outcome = LookupEngine::lookup(&engine, &batch, &source).unwrap();
-        assert_outputs_match(&outcome, &batch, &source, ReduceOp::Sum);
+        let result = engine.lookup(&batch, &source).unwrap();
+        assert_outputs_match(&result, &batch, &source, ReduceOp::Sum);
     }
 
     #[test]
     fn all_reductions_happen_at_ndp() {
         let (engine, source) = setup();
-        let outcome = LookupEngine::lookup(&engine, &single_query_16(), &source).unwrap();
-        assert_eq!(outcome.core_elem_ops, 0);
-        assert_eq!(outcome.ndp_elem_ops, 15 * 128);
-        assert_eq!(outcome.ndp_fraction(), 1.0);
+        let result = engine.lookup(&single_query_16(), &source).unwrap();
+        assert_eq!(result.core_elem_ops, 0);
+        assert_eq!(result.ndp_elem_ops, 15 * 128);
+        assert_eq!(result.ndp_fraction(), 1.0);
     }
 
     #[test]
     fn data_to_host_is_n_times_v() {
         let (engine, source) = setup();
         let batch = Batch::from_index_sets([indexset![1, 2], indexset![3, 4]]);
-        let outcome = LookupEngine::lookup(&engine, &batch, &source).unwrap();
-        assert_eq!(outcome.bytes_to_host, 2 * 512);
+        let result = engine.lookup(&batch, &source).unwrap();
+        assert_eq!(result.traffic.bytes_to_host, 2 * 512);
     }
 
     #[test]
     fn memory_latency_is_activation_bound() {
         // 16 chunk reads hit 16 different rows: essentially no row hits.
         let (engine, source) = setup();
-        let outcome = LookupEngine::lookup(&engine, &single_query_16(), &source).unwrap();
-        assert_eq!(outcome.memory.row_hits, 0, "column-major split kills locality");
-        assert!(outcome.memory.activations >= 16 * 32);
+        let result = engine.lookup(&single_query_16(), &source).unwrap();
+        assert_eq!(result.memory.row_hits, 0, "column-major split kills locality");
+        assert!(result.memory.activations >= 16 * 32);
     }
 
     #[test]
@@ -258,35 +233,23 @@ mod tests {
         let mem = MemoryConfig::ddr4_2400_4ch();
         let rank_parallel = NoNdpEngine::paper_default(mem);
         let batch = single_query_16();
-        let tensordimm = LookupEngine::lookup(&engine, &batch, &source).unwrap();
-        let parallel = LookupEngine::lookup(&rank_parallel, &batch, &source).unwrap();
+        let tensordimm = engine.lookup(&batch, &source).unwrap().latency.memory_ns;
+        let parallel = rank_parallel.lookup(&batch, &source).unwrap().latency.memory_ns;
         assert!(
-            tensordimm.memory_ns > 2.0 * parallel.memory_ns,
-            "tensordimm {:.0} ns vs rank-parallel {:.0} ns",
-            tensordimm.memory_ns,
-            parallel.memory_ns
+            tensordimm > 2.0 * parallel,
+            "tensordimm {tensordimm:.0} ns vs rank-parallel {parallel:.0} ns"
         );
     }
 
     #[test]
     fn compute_pipeline_scales_with_batch() {
         let (engine, source) = setup();
-        let one = LookupEngine::lookup(&engine, &single_query_16(), &source).unwrap();
+        let one = engine.lookup(&single_query_16(), &source).unwrap();
         let mut sets = Vec::new();
         for b in 0..8u32 {
             sets.push(IndexSet::from_iter_dedup((0..16).map(|i| VectorIndex(b * 100 + i))));
         }
-        let eight = LookupEngine::lookup(&engine, &Batch::from_index_sets(sets), &source).unwrap();
-        assert!(eight.compute_ns > one.compute_ns);
-    }
-
-    #[test]
-    fn staged_stats_scale_matches_direct_lookup() {
-        let (engine, source) = setup();
-        let batch = single_query_16();
-        let outcome = LookupEngine::lookup(&engine, &batch, &source).unwrap();
-        let result = GatherEngine::lookup(&engine, &batch, &source).unwrap();
-        assert_eq!(result.memory, outcome.memory, "stats_scale applied identically");
-        assert_eq!(result.latency.memory_ns, outcome.memory_ns);
+        let eight = engine.lookup(&Batch::from_index_sets(sets), &source).unwrap();
+        assert!(eight.latency.compute_tail_ns > one.latency.compute_tail_ns);
     }
 }

@@ -6,9 +6,8 @@
 //!    approaches uniform),
 //! 4. hardware batch capacity (splitting software batches).
 
-use fafnir_baselines::LookupEngine;
 use fafnir_bench::{banner, ns, paper_memory, paper_traffic, print_table, times};
-use fafnir_core::{FafnirConfig, FafnirEngine, StripedSource};
+use fafnir_core::{FafnirConfig, FafnirEngine, GatherEngine, StripedSource};
 use fafnir_mem::PagePolicy;
 use fafnir_workloads::query::{BatchGenerator, Popularity};
 
@@ -45,12 +44,12 @@ fn table_placement() {
     ] {
         let tables = EmbeddingTableSet::new(mem.topology, 32, 4_096, 128).with_placement(placement);
         let engine = FafnirEngine::paper_default(mem).expect("engine");
-        let outcome = engine.lookup(&batch, &tables).expect("lookup");
+        let result = engine.lookup(&batch, &tables).expect("lookup");
         rows.push(vec![
             name.into(),
-            ns(outcome.memory_ns),
-            ns(outcome.total_ns),
-            format!("{:.0} %", outcome.memory.row_hit_rate() * 100.0),
+            ns(result.latency.memory_ns),
+            ns(result.latency.total_ns),
+            format!("{:.0} %", result.memory.row_hit_rate() * 100.0),
         ]);
     }
     print_table(&["placement", "memory phase", "total", "row-hit rate"], &rows);
@@ -72,12 +71,12 @@ fn scheduler_policy() {
         let mut mem = paper_memory();
         mem.scheduler = scheduler;
         let engine = FafnirEngine::paper_default(mem).expect("engine");
-        let outcome = engine.lookup(&batch, &source).expect("lookup");
+        let result = engine.lookup(&batch, &source).expect("lookup");
         rows.push(vec![
             name.into(),
-            ns(outcome.memory_ns),
-            format!("{:.0} %", outcome.memory.row_hit_rate() * 100.0),
-            outcome.memory.max_queue_depth.to_string(),
+            ns(result.latency.memory_ns),
+            format!("{:.0} %", result.memory.row_hit_rate() * 100.0),
+            result.memory.max_queue_depth.to_string(),
         ]);
     }
     print_table(&["scheduler", "memory phase", "row-hit rate", "max queue depth"], &rows);
@@ -104,15 +103,16 @@ fn host_arrangement() {
     let mut rows = Vec::new();
     for software_batch in [32usize, 64, 128] {
         let batch = generator.batch(software_batch);
-        let naive_outcome = naive.lookup(&batch, &source).expect("naive");
-        let arranged_outcome = arranged.lookup(&batch, &source).expect("arranged");
+        let naive_result = naive.lookup(&batch, &source).expect("naive");
+        let arranged_result = arranged.lookup(&batch, &source).expect("arranged");
         rows.push(vec![
             software_batch.to_string(),
-            naive_outcome.vectors_read.to_string(),
-            arranged_outcome.vectors_read.to_string(),
+            naive_result.traffic.vectors_read.to_string(),
+            arranged_result.traffic.vectors_read.to_string(),
             format!(
                 "{:.1} %",
-                (1.0 - arranged_outcome.vectors_read as f64 / naive_outcome.vectors_read as f64)
+                (1.0 - arranged_result.traffic.vectors_read as f64
+                    / naive_result.traffic.vectors_read as f64)
                     * 100.0
             ),
         ]);
@@ -173,12 +173,12 @@ fn leaf_ratio() {
     for ranks_per_leaf in [1usize, 2, 4] {
         let config = FafnirConfig { ranks_per_leaf, ..FafnirConfig::paper_default() };
         let engine = FafnirEngine::new(config, mem).expect("valid config");
-        let outcome = engine.lookup(&batch, &source).expect("lookup");
+        let result = engine.lookup(&batch, &source).expect("lookup");
         rows.push(vec![
             format!("1PE:{ranks_per_leaf}R"),
             config.pe_count(32).to_string(),
-            ns(outcome.total_ns),
-            ns(outcome.compute_ns),
+            ns(result.latency.total_ns),
+            ns(result.latency.compute_tail_ns),
         ]);
     }
     print_table(&["ratio", "PEs", "total", "compute tail"], &rows);
@@ -209,12 +209,12 @@ vector streams from one row visit, so smart auto-precharge costs nothing",
             let mut mem = paper_memory();
             mem.page_policy = policy;
             let engine = FafnirEngine::paper_default(mem).expect("engine");
-            let outcome = engine.lookup(batch, &source).expect("lookup");
+            let result = engine.lookup(batch, &source).expect("lookup");
             rows.push(vec![
                 name.into(),
-                ns(outcome.memory_ns),
-                format!("{:.0} %", outcome.memory.row_hit_rate() * 100.0),
-                outcome.memory.activations.to_string(),
+                ns(result.latency.memory_ns),
+                format!("{:.0} %", result.memory.row_hit_rate() * 100.0),
+                result.memory.activations.to_string(),
             ]);
         }
         print_table(&["policy", "memory", "row-hit rate", "activations"], &rows);
@@ -242,8 +242,8 @@ fn skew_sweep() {
             let batch = generator.batch(32);
             let with = dedup.lookup(&batch, &source).expect("dedup lookup");
             let without = raw.lookup(&batch, &source).expect("raw lookup");
-            savings += 1.0 - with.vectors_read as f64 / without.vectors_read as f64;
-            win += without.total_ns / with.total_ns;
+            savings += 1.0 - with.traffic.vectors_read as f64 / without.traffic.vectors_read as f64;
+            win += without.latency.total_ns / with.latency.total_ns;
         }
         rows.push(vec![
             format!("zipf {exponent:.2}"),
@@ -267,12 +267,12 @@ fn batch_capacity() {
     for capacity in [8usize, 16, 32] {
         let config = FafnirConfig { batch_capacity: capacity, ..FafnirConfig::paper_default() };
         let engine = FafnirEngine::new(config, mem).expect("engine");
-        let outcome = engine.lookup(&batch, &source).expect("lookup");
+        let result = engine.lookup(&batch, &source).expect("lookup");
         rows.push(vec![
             capacity.to_string(),
             (32usize.div_ceil(capacity)).to_string(),
-            ns(outcome.total_ns),
-            outcome.vectors_read.to_string(),
+            ns(result.latency.total_ns),
+            result.traffic.vectors_read.to_string(),
         ]);
     }
     print_table(&["B", "hardware batches", "total", "vector reads"], &rows);

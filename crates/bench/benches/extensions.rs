@@ -9,11 +9,11 @@
 //! 4. **Interactive vs batch processing** (Sec. IV-C's interactive mode).
 //! 5. The deployment report for the paper's floorplan (Fig. 4a).
 
-use fafnir_baselines::{LookupEngine, NoNdpEngine, RecNmpEngine};
+use fafnir_baselines::{NoNdpEngine, RecNmpEngine};
 use fafnir_bench::{banner, engines, ns, paper_memory, paper_traffic, print_table, times};
 use fafnir_core::model::energy::TreeEnergyModel;
 use fafnir_core::model::report::DeploymentSummary;
-use fafnir_core::{FafnirConfig, FafnirEngine, StripedSource};
+use fafnir_core::{FafnirConfig, FafnirEngine, GatherEngine, StripedSource};
 use fafnir_mem::{EnergyModel, MemoryConfig};
 
 fn main() {
@@ -40,15 +40,14 @@ long-running comparison",
     let fafnir = FafnirEngine::new(FafnirConfig::paper_default(), mem).expect("engine");
     let mut generator = paper_traffic(79);
     let batches: Vec<_> = (0..6).map(|_| generator.batch(32)).collect();
-    let warm = recnmp.lookup_stream(&batches, &source).expect("recnmp stream");
+    let warm = recnmp.lookup_warm_stream(&batches, &source).expect("recnmp stream");
     let mut rows = Vec::new();
-    for (position, (outcome, hit_rate)) in warm.iter().enumerate() {
-        let fafnir_result = fafnir_core::GatherEngine::lookup(&fafnir, &batches[position], &source)
-            .expect("fafnir");
+    for (position, (recnmp_result, hit_rate)) in warm.iter().enumerate() {
+        let fafnir_result = fafnir.lookup(&batches[position], &source).expect("fafnir");
         rows.push(vec![
             position.to_string(),
             format!("{:.0} %", hit_rate * 100.0),
-            outcome.memory.requests_completed.to_string(),
+            recnmp_result.memory.requests_completed.to_string(),
             fafnir_result.traffic.vectors_read.to_string(),
         ]);
     }
@@ -77,7 +76,7 @@ fn tail_latency_and_stragglers() {
         let mut mem = paper_memory();
         mem.straggler = straggler;
         let engine = FafnirEngine::new(FafnirConfig::paper_default(), mem).expect("engine");
-        let result = fafnir_core::GatherEngine::lookup(&engine, &batch, &source).expect("lookup");
+        let result = engine.lookup(&batch, &source).expect("lookup");
         rows.push(vec![
             name.into(),
             ns(result.completion_percentile_ns(0.25)),
@@ -145,10 +144,8 @@ fn measured_stream_throughput() {
     let mut rows = Vec::new();
     for batch_size in [8usize, 16, 32] {
         let batches: Vec<_> = (0..8).map(|_| generator.batch(batch_size)).collect();
-        let stream =
-            fafnir_core::GatherEngine::lookup_stream(&engine, &batches, &source).expect("stream");
-        let single =
-            fafnir_core::GatherEngine::lookup(&engine, &batches[0], &source).expect("single");
+        let stream = engine.lookup_stream(&batches, &source).expect("stream");
+        let single = engine.lookup(&batches[0], &source).expect("single");
         rows.push(vec![
             batch_size.to_string(),
             ns(single.latency.total_ns),
@@ -177,12 +174,12 @@ fn hbm_integration() {
     ] {
         let source = StripedSource::new(mem.topology, 128);
         let engine = FafnirEngine::paper_default(mem).expect("engine");
-        let outcome = engine.lookup(&batch, &source).expect("lookup");
+        let result = engine.lookup(&batch, &source).expect("lookup");
         rows.push(vec![
             name.into(),
-            ns(outcome.memory_ns),
-            ns(outcome.total_ns),
-            format!("{:.0} %", outcome.memory.row_hit_rate() * 100.0),
+            ns(result.latency.memory_ns),
+            ns(result.latency.total_ns),
+            format!("{:.0} %", result.memory.row_hit_rate() * 100.0),
         ]);
     }
     print_table(&["memory system", "memory phase", "total", "row-hit rate"], &rows);
@@ -201,26 +198,21 @@ fn energy_accounting() {
     let tree_model = TreeEnergyModel::asap7();
     let batch = paper_traffic(72).batch(32);
 
-    let fafnir_outcome = fafnir.lookup(&batch, &source).expect("fafnir");
-    let tree_nj = {
-        // Re-run through the core engine to get tree op counters.
-        let core = FafnirEngine::new(FafnirConfig::paper_default(), mem).expect("engine");
-        let result = fafnir_core::GatherEngine::lookup(&core, &batch, &source).expect("lookup");
-        tree_model.tree_energy_nj(&result.tree.ops)
-    };
+    let fafnir_result = fafnir.lookup(&batch, &source).expect("fafnir");
+    let tree_nj = tree_model.tree_energy_nj(&fafnir_result.tree.ops);
     let mut rows = vec![vec![
         "fafnir".to_string(),
-        format!("{:.0} nJ", dram_model.dynamic_nj(&fafnir_outcome.memory)),
+        format!("{:.0} nJ", dram_model.dynamic_nj(&fafnir_result.memory)),
         format!("{tree_nj:.1} nJ"),
-        format!("{:.0} nJ", dram_model.dynamic_nj(&fafnir_outcome.memory) + tree_nj),
+        format!("{:.0} nJ", dram_model.dynamic_nj(&fafnir_result.memory) + tree_nj),
     ]];
-    for (name, outcome) in [
+    for (name, result) in [
         ("fafnir (no dedup)", fafnir_raw.lookup(&batch, &source).expect("raw")),
         ("recnmp", recnmp.lookup(&batch, &source).expect("recnmp")),
         ("tensordimm", tensordimm.lookup(&batch, &source).expect("tensordimm")),
         ("no-ndp", no_ndp.lookup(&batch, &source).expect("no-ndp")),
     ] {
-        let dram = dram_model.dynamic_nj(&outcome.memory);
+        let dram = dram_model.dynamic_nj(&result.memory);
         rows.push(vec![name.into(), format!("{dram:.0} nJ"), "-".into(), format!("{dram:.0} nJ")]);
     }
     print_table(&["engine", "DRAM dynamic", "tree", "total"], &rows);
@@ -268,7 +260,7 @@ fn interactive_vs_batch() {
     let source = StripedSource::new(mem.topology, 128);
     let engine = FafnirEngine::new(FafnirConfig::paper_default(), mem).expect("engine");
     let batch = paper_traffic(74).batch(16);
-    let batched = fafnir_core::GatherEngine::lookup(&engine, &batch, &source).expect("batched");
+    let batched = engine.lookup(&batch, &source).expect("batched");
     let interactive = engine.lookup_interactive(&batch, &source).expect("interactive");
     let rows = vec![
         vec![

@@ -6,9 +6,8 @@
 //! * RecNMP's computation exceeds FAFNIR's (≈25 % forwarded to the CPU),
 //! * RecNMP and FAFNIR have identical memory latency.
 
-use fafnir_baselines::LookupEngine;
 use fafnir_bench::{banner, engines, ns, paper_memory, print_table, times};
-use fafnir_core::{Batch, IndexSet, StripedSource, VectorIndex};
+use fafnir_core::{Batch, GatherEngine, IndexSet, LookupResult, StripedSource, VectorIndex};
 
 fn main() {
     banner(
@@ -23,43 +22,39 @@ fn main() {
     )]);
     let (fafnir, recnmp, tensordimm, _) = engines(mem);
 
-    let fafnir_outcome = fafnir.lookup(&batch, &source).expect("fafnir lookup");
-    let recnmp_outcome = recnmp.lookup(&batch, &source).expect("recnmp lookup");
-    let tensordimm_outcome = tensordimm.lookup(&batch, &source).expect("tensordimm lookup");
+    let fafnir = fafnir.lookup(&batch, &source).expect("fafnir lookup");
+    let recnmp = recnmp.lookup(&batch, &source).expect("recnmp lookup");
+    let tensordimm = tensordimm.lookup(&batch, &source).expect("tensordimm lookup");
 
-    let rows = vec![
-        row("fafnir", &fafnir_outcome),
-        row("recnmp", &recnmp_outcome),
-        row("tensordimm", &tensordimm_outcome),
-    ];
+    let rows = vec![row("fafnir", &fafnir), row("recnmp", &recnmp), row("tensordimm", &tensordimm)];
     print_table(&["engine", "memory", "compute", "total", "NDP share"], &rows);
 
     println!();
     println!(
         "memory ratio tensordimm/recnmp : {}",
-        times(tensordimm_outcome.memory_ns / recnmp_outcome.memory_ns)
+        times(tensordimm.latency.memory_ns / recnmp.latency.memory_ns)
     );
     println!(
         "compute ratio tensordimm/fafnir: {}",
-        times(tensordimm_outcome.compute_ns / fafnir_outcome.compute_ns)
+        times(tensordimm.latency.compute_tail_ns / fafnir.latency.compute_tail_ns)
     );
     println!(
         "compute ratio recnmp/fafnir    : {}",
-        times(recnmp_outcome.compute_ns / fafnir_outcome.compute_ns)
+        times(recnmp.latency.compute_tail_ns / fafnir.latency.compute_tail_ns)
     );
     println!(
         "memory ratio recnmp/fafnir     : {}",
-        times(recnmp_outcome.memory_ns / fafnir_outcome.memory_ns)
+        times(recnmp.latency.memory_ns / fafnir.latency.memory_ns)
     );
     println!("\npaper: 4.45x, 2.5x, >1x, ~1x respectively");
 }
 
-fn row(name: &str, outcome: &fafnir_baselines::LookupOutcome) -> Vec<String> {
+fn row(name: &str, result: &LookupResult) -> Vec<String> {
     vec![
         name.into(),
-        ns(outcome.memory_ns),
-        ns(outcome.compute_ns),
-        ns(outcome.total_ns),
-        format!("{:.0} %", outcome.ndp_fraction() * 100.0),
+        ns(result.latency.memory_ns),
+        ns(result.latency.compute_tail_ns),
+        ns(result.latency.total_ns),
+        format!("{:.0} %", result.ndp_fraction() * 100.0),
     ]
 }

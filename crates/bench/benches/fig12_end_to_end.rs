@@ -7,9 +7,9 @@
 //! FAFNIR keeps following it to 32 ranks thanks to the channel node
 //! performing *all* reductions at NDP.
 
-use fafnir_baselines::{LookupEngine, RecNmpEngine};
+use fafnir_baselines::RecNmpEngine;
 use fafnir_bench::{banner, print_table, times};
-use fafnir_core::{Batch, FafnirConfig, FafnirEngine};
+use fafnir_core::{Batch, FafnirConfig, FafnirEngine, GatherEngine};
 use fafnir_mem::MemoryConfig;
 use fafnir_workloads::query::{BatchGenerator, Popularity};
 use fafnir_workloads::recsys::{InferenceBreakdown, RecSysModel};

@@ -7,11 +7,10 @@
 //! Throughput here is latency-based (one batch in flight per host round
 //! trip), the service model recommendation inference uses.
 
-use fafnir_baselines::LookupEngine;
 use fafnir_bench::{
     banner, engines, fafnir_without_dedup, paper_memory, paper_traffic, print_table, times,
 };
-use fafnir_core::{FafnirConfig, FafnirEngine, StripedSource};
+use fafnir_core::{FafnirConfig, FafnirEngine, GatherEngine, StripedSource};
 
 fn main() {
     banner(
@@ -71,8 +70,7 @@ fn main() {
     let mut rows = Vec::new();
     for batch_size in [8usize, 16, 32] {
         let batches: Vec<_> = (0..trials).map(|_| generator.batch(batch_size)).collect();
-        let stream = fafnir_core::GatherEngine::lookup_stream(&core_engine, &batches, &source)
-            .expect("stream");
+        let stream = core_engine.lookup_stream(&batches, &source).expect("stream");
         let mut recnmp_qps = 0.0;
         for batch in &batches {
             recnmp_qps +=

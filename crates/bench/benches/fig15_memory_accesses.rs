@@ -4,11 +4,10 @@
 //! sizes 8/16/32, and the unique accesses per leaf input stay below the
 //! batch size.
 
-use fafnir_baselines::LookupEngine;
 use fafnir_bench::{
     banner, engines, fafnir_without_dedup, paper_memory, paper_traffic, print_table,
 };
-use fafnir_core::StripedSource;
+use fafnir_core::{GatherEngine, StripedSource};
 use fafnir_mem::EnergyModel;
 
 fn main() {
@@ -34,8 +33,8 @@ fn main() {
             let batch = generator.batch(batch_size);
             let raw = fafnir_raw.lookup(&batch, &source).expect("raw lookup");
             let dedup = fafnir.lookup(&batch, &source).expect("dedup lookup");
-            raw_reads += raw.vectors_read;
-            dedup_reads += dedup.vectors_read;
+            raw_reads += raw.traffic.vectors_read;
+            dedup_reads += dedup.traffic.vectors_read;
             raw_energy += energy.dynamic_nj(&raw.memory);
             dedup_energy += energy.dynamic_nj(&dedup.memory);
         }

@@ -214,7 +214,7 @@ mod tests {
     #[test]
     fn engine_constructors_work() {
         let (fafnir, recnmp, tensordimm, no_ndp) = engines(paper_memory());
-        use fafnir_baselines::LookupEngine;
+        use fafnir_core::GatherEngine;
         assert_eq!(fafnir.name(), "fafnir");
         assert_eq!(recnmp.name(), "recnmp");
         assert_eq!(tensordimm.name(), "tensordimm");

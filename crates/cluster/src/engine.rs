@@ -319,25 +319,6 @@ fn merge_shard(into: &mut Option<LookupResult>, sub: LookupResult) {
         *into = Some(sub);
         return;
     };
-    aggregate.latency.total_ns = aggregate.latency.total_ns.max(sub.latency.total_ns);
-    aggregate.latency.memory_ns = aggregate.latency.memory_ns.max(sub.latency.memory_ns);
-    aggregate.latency.compute_tail_ns =
-        (aggregate.latency.total_ns - aggregate.latency.memory_ns).max(0.0);
-    aggregate.memory.merge(&sub.memory);
-    aggregate.tree.ops.merge(&sub.tree.ops);
-    aggregate.tree.levels = aggregate.tree.levels.max(sub.tree.levels);
-    aggregate.tree.pes += sub.tree.pes;
-    aggregate.tree.max_buffer_items =
-        aggregate.tree.max_buffer_items.max(sub.tree.max_buffer_items);
-    aggregate.tree.incomplete_outputs += sub.tree.incomplete_outputs;
-    if aggregate.tree.per_level_outputs.len() < sub.tree.per_level_outputs.len() {
-        aggregate.tree.per_level_outputs.resize(sub.tree.per_level_outputs.len(), 0);
-    }
-    for (level, count) in sub.tree.per_level_outputs.iter().enumerate() {
-        aggregate.tree.per_level_outputs[level] += count;
-    }
-    aggregate.traffic.total_references += sub.traffic.total_references;
-    aggregate.traffic.vectors_read += sub.traffic.vectors_read;
-    aggregate.traffic.bytes_from_dram += sub.traffic.bytes_from_dram;
-    aggregate.traffic.bytes_to_host += sub.traffic.bytes_to_host;
+    aggregate.latency.overlay(&sub.latency);
+    aggregate.add_counters(&sub);
 }

@@ -35,6 +35,12 @@ use crate::placement::EmbeddingSource;
 use crate::reduce::{ReduceOp, ReduceOperator};
 use crate::tree::{ReductionTree, TreeRun, TreeStats};
 
+/// Aggregate bandwidth of the memory-to-host link, in bytes per nanosecond
+/// (≈ GB/s): half of four DDR4-2400 channels' 76.8 GB/s, since results
+/// forwarded to the host contend with the ongoing gather traffic at the
+/// host memory interface.
+pub const HOST_LINK_BYTES_PER_NS: f64 = 38.4;
+
 /// Latency decomposition of a lookup, in nanoseconds.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct LatencyBreakdown {
@@ -42,9 +48,33 @@ pub struct LatencyBreakdown {
     pub total_ns: f64,
     /// Memory phase: last DRAM read completed.
     pub memory_ns: f64,
-    /// Non-overlapped tree tail: `total − memory` (the tree works while
-    /// reads stream in, so this is the *exposed* computation latency).
+    /// Exposed (non-overlapped) computation latency. FAFNIR's tree works
+    /// while reads stream in, so its tail is `total − memory`; the
+    /// baselines' analytic models price it directly.
     pub compute_tail_ns: f64,
+    /// How long the compute stage is busy per batch when batches run back
+    /// to back (throughput view). For a serial pipeline or a core-side
+    /// combine it equals `compute_tail_ns`; for FAFNIR's fully pipelined
+    /// tree it is the root's output serialization, far below its latency.
+    pub compute_busy_ns: f64,
+    /// Time the batch's results (outputs or partials) occupy the
+    /// memory-to-host link. Zero when the reads themselves deliver the data
+    /// to the cores (no-NDP baseline).
+    pub host_link_ns: f64,
+}
+
+impl LatencyBreakdown {
+    /// Overlays the times of a result that ran concurrently with this one
+    /// (hardware batches on separate instances, cluster shards): every
+    /// stage takes the slower of the two, and the exposed compute tail is
+    /// what remains after the memory phase.
+    pub fn overlay(&mut self, other: &LatencyBreakdown) {
+        self.total_ns = self.total_ns.max(other.total_ns);
+        self.memory_ns = self.memory_ns.max(other.memory_ns);
+        self.compute_tail_ns = (self.total_ns - self.memory_ns).max(0.0);
+        self.compute_busy_ns = self.compute_busy_ns.max(other.compute_busy_ns);
+        self.host_link_ns = self.host_link_ns.max(other.host_link_ns);
+    }
 }
 
 /// Data-movement accounting of a lookup.
@@ -77,10 +107,15 @@ pub struct LookupResult {
     pub tree: TreeStats,
     /// Data-movement accounting.
     pub traffic: TrafficStats,
+    /// Element-wise reduction operations executed at NDP.
+    pub ndp_elem_ops: u64,
+    /// Element-wise reduction operations executed at the cores.
+    pub core_elem_ops: u64,
 }
 
 impl LookupResult {
-    /// Lookup throughput in queries per second.
+    /// Lookup throughput in queries per second, latency-based (one batch at
+    /// a time).
     #[must_use]
     pub fn queries_per_second(&self) -> f64 {
         if self.latency.total_ns <= 0.0 {
@@ -88,6 +123,60 @@ impl LookupResult {
         } else {
             self.outputs.len() as f64 / (self.latency.total_ns * 1e-9)
         }
+    }
+
+    /// Sustained time per batch when batches run back to back: the gather,
+    /// host-link and compute stages pipeline across batches, so the
+    /// slowest stage sets the rate.
+    #[must_use]
+    pub fn sustained_ns(&self) -> f64 {
+        let latency = &self.latency;
+        latency.memory_ns.max(latency.compute_busy_ns).max(latency.host_link_ns)
+    }
+
+    /// Sustained throughput in queries per second (pipelined batches).
+    #[must_use]
+    pub fn sustained_queries_per_second(&self) -> f64 {
+        let sustained = self.sustained_ns();
+        if sustained <= 0.0 {
+            0.0
+        } else {
+            self.outputs.len() as f64 / (sustained * 1e-9)
+        }
+    }
+
+    /// Fraction of reduction work done at NDP (1.0 for FAFNIR/TensorDIMM,
+    /// and for a result without reduction work).
+    #[must_use]
+    pub fn ndp_fraction(&self) -> f64 {
+        let total = self.ndp_elem_ops + self.core_elem_ops;
+        if total == 0 {
+            1.0
+        } else {
+            self.ndp_elem_ops as f64 / total as f64
+        }
+    }
+
+    /// Adds `other`'s counters into this result: DRAM, tree, traffic and
+    /// op counters sum, the buffer peak and tree depth take the maximum.
+    /// Every merge of partial results — serial hardware batches,
+    /// concurrent instances, cluster shards — calls this and applies its
+    /// own rule to the times and outputs.
+    pub fn add_counters(&mut self, other: &LookupResult) {
+        self.memory.merge(&other.memory);
+        let tree = &mut self.tree;
+        tree.ops.merge(&other.tree.ops);
+        tree.levels = tree.levels.max(other.tree.levels);
+        tree.pes += other.tree.pes;
+        tree.max_buffer_items = tree.max_buffer_items.max(other.tree.max_buffer_items);
+        tree.incomplete_outputs += other.tree.incomplete_outputs;
+        let traffic = &mut self.traffic;
+        traffic.total_references += other.traffic.total_references;
+        traffic.vectors_read += other.traffic.vectors_read;
+        traffic.bytes_from_dram += other.traffic.bytes_from_dram;
+        traffic.bytes_to_host += other.traffic.bytes_to_host;
+        self.ndp_elem_ops += other.ndp_elem_ops;
+        self.core_elem_ops += other.core_elem_ops;
     }
 
     /// The `p`-th percentile of per-query completion times (nearest-rank),
@@ -125,6 +214,8 @@ impl LookupResult {
         self.latency.total_ns *= factor;
         self.latency.memory_ns *= factor;
         self.latency.compute_tail_ns *= factor;
+        self.latency.compute_busy_ns *= factor;
+        self.latency.host_link_ns *= factor;
         for (_, completion) in &mut self.per_query_ns {
             *completion *= factor;
         }
@@ -525,6 +616,17 @@ impl GatherEngine for FafnirEngine {
             .map(|&(query, t)| (query, t + self.config.link_transfer_ns()))
             .collect();
         let total_ns = per_query_ns.iter().map(|&(_, t)| t).fold(0.0, f64::max);
+        // The tree is fully pipelined: per batch it is busy only for the
+        // root's output serialization (one output per initiation interval
+        // per query), not the tree's depth.
+        let timing = &self.config.pe_timing;
+        let compute_busy_ns =
+            outputs.len() as f64 * timing.output_interval_cycles as f64 * timing.cycle_ns();
+        let bytes_to_host = (batch.len() * self.config.vector_bytes()) as u64;
+        // Every reduce the tree performed happened at NDP; count merged
+        // (deduplicated) reduces as element ops.
+        let reduces = tree_stats.ops.reduces;
+        let ndp_elem_ops = (reduces / 2).max(reduces.min(1)) * self.config.vector_dim as u64;
 
         Ok(LookupResult {
             outputs,
@@ -533,15 +635,19 @@ impl GatherEngine for FafnirEngine {
                 total_ns,
                 memory_ns,
                 compute_tail_ns: (total_ns - memory_ns).max(0.0),
+                compute_busy_ns,
+                host_link_ns: bytes_to_host as f64 / HOST_LINK_BYTES_PER_NS,
             },
             memory: gathered.memory,
             traffic: TrafficStats {
                 total_references: batch.total_references() as u64,
                 vectors_read: plan.reads.len() as u64,
                 bytes_from_dram: gathered.memory.bytes_transferred,
-                bytes_to_host: (batch.len() * self.config.vector_bytes()) as u64,
+                bytes_to_host,
             },
             tree: tree_stats,
+            ndp_elem_ops,
+            core_elem_ops: 0,
         })
     }
 }
@@ -944,6 +1050,46 @@ mod tests {
         // The paper's guarantee: only n output vectors cross to the host.
         assert_eq!(result.traffic.bytes_to_host, 2 * 512);
         assert!(result.traffic.bytes_from_dram >= result.traffic.bytes_to_host);
+    }
+
+    #[test]
+    fn every_reduction_happens_at_ndp() {
+        let engine = engine();
+        let source = source();
+        let batch = Batch::from_index_sets([indexset![1, 2, 5, 6], indexset![3, 4, 5]]);
+        let result = engine.lookup(&batch, &source).unwrap();
+        assert!(result.ndp_elem_ops > 0);
+        assert_eq!(result.core_elem_ops, 0);
+        assert_eq!(result.ndp_fraction(), 1.0);
+        // Two outputs leave the pipelined root, one cycle apart.
+        assert_eq!(result.latency.compute_busy_ns, 2.0 * engine.config.pe_timing.cycle_ns());
+        assert_eq!(result.latency.host_link_ns, 2.0 * 512.0 / HOST_LINK_BYTES_PER_NS);
+    }
+
+    /// A result with no outputs and the given times.
+    fn timed(latency: LatencyBreakdown) -> LookupResult {
+        let traffic = TrafficStats::default();
+        crate::pipeline::analytic_result(Vec::new(), latency, Default::default(), traffic, 0, 0)
+    }
+
+    #[test]
+    fn ndp_fraction_and_rates_handle_an_empty_result() {
+        let result = timed(LatencyBreakdown::default());
+        assert_eq!(result.ndp_fraction(), 1.0);
+        assert_eq!(result.queries_per_second(), 0.0);
+        assert_eq!(result.sustained_queries_per_second(), 0.0);
+    }
+
+    #[test]
+    fn sustained_is_the_slowest_stage() {
+        let result = timed(LatencyBreakdown {
+            total_ns: 10.0,
+            memory_ns: 4.0,
+            compute_tail_ns: 7.0,
+            compute_busy_ns: 7.0,
+            host_link_ns: 9.0,
+        });
+        assert_eq!(result.sustained_ns(), 9.0);
     }
 
     #[test]

@@ -90,6 +90,7 @@ pub use config::FafnirConfig;
 pub use engine::{
     nearest_rank_percentile_ns, reference_lookup, reference_lookup_with, FafnirEngine,
     LatencyBreakdown, LookupResult, StreamResult, TrafficStats, TreeBackend,
+    HOST_LINK_BYTES_PER_NS,
 };
 pub use error::FafnirError;
 pub use index::{IndexSet, QueryId, VectorIndex};

@@ -199,22 +199,15 @@ impl SequentialMerge {
             self.result = Some(sub);
             return;
         };
+        result.add_counters(&sub);
+        let latency = &mut result.latency;
+        latency.total_ns += sub.latency.total_ns;
+        latency.memory_ns += sub.latency.memory_ns;
+        latency.compute_tail_ns += sub.latency.compute_tail_ns;
+        latency.compute_busy_ns += sub.latency.compute_busy_ns;
+        latency.host_link_ns += sub.latency.host_link_ns;
         result.outputs.extend(sub.outputs);
         result.per_query_ns.extend(sub.per_query_ns.iter().map(|&(q, t)| (q, offset + t)));
-        result.latency.total_ns += sub.latency.total_ns;
-        result.latency.memory_ns += sub.latency.memory_ns;
-        result.latency.compute_tail_ns += sub.latency.compute_tail_ns;
-        result.memory.merge(&sub.memory);
-        result.tree.ops.merge(&sub.tree.ops);
-        result.tree.levels = sub.tree.levels;
-        result.tree.pes += sub.tree.pes;
-        result.tree.completion_ns = result.latency.total_ns;
-        result.tree.max_buffer_items = result.tree.max_buffer_items.max(sub.tree.max_buffer_items);
-        result.tree.incomplete_outputs += sub.tree.incomplete_outputs;
-        result.traffic.total_references += sub.traffic.total_references;
-        result.traffic.vectors_read += sub.traffic.vectors_read;
-        result.traffic.bytes_from_dram += sub.traffic.bytes_from_dram;
-        result.traffic.bytes_to_host += sub.traffic.bytes_to_host;
     }
 
     pub(crate) fn finish(self) -> Option<LookupResult> {
@@ -234,22 +227,10 @@ fn merge_concurrent(into: &mut Option<LookupResult>, sub: LookupResult) {
         *into = Some(sub);
         return;
     };
+    result.add_counters(&sub);
+    result.latency.overlay(&sub.latency);
     result.outputs.extend(sub.outputs);
     result.per_query_ns.extend(sub.per_query_ns);
-    result.latency.total_ns = result.latency.total_ns.max(sub.latency.total_ns);
-    result.latency.memory_ns = result.latency.memory_ns.max(sub.latency.memory_ns);
-    result.latency.compute_tail_ns = (result.latency.total_ns - result.latency.memory_ns).max(0.0);
-    result.memory.merge(&sub.memory);
-    result.tree.ops.merge(&sub.tree.ops);
-    result.tree.levels = sub.tree.levels;
-    result.tree.pes += sub.tree.pes;
-    result.tree.completion_ns = result.latency.total_ns;
-    result.tree.max_buffer_items = result.tree.max_buffer_items.max(sub.tree.max_buffer_items);
-    result.tree.incomplete_outputs += sub.tree.incomplete_outputs;
-    result.traffic.total_references += sub.traffic.total_references;
-    result.traffic.vectors_read += sub.traffic.vectors_read;
-    result.traffic.bytes_from_dram += sub.traffic.bytes_from_dram;
-    result.traffic.bytes_to_host += sub.traffic.bytes_to_host;
 }
 
 /// The narrow interface serving layers need from an engine: a name and a
@@ -589,29 +570,28 @@ fn merge_stream<P>(
     })
 }
 
-/// Shared reduce-stage helper for engines whose reduction is modelled
+/// Shared reduce-stage constructor for engines whose reduction is modelled
 /// analytically (the baselines): every query completes when the whole batch
 /// does, and no tree statistics exist.
 #[must_use]
 pub fn analytic_result(
     outputs: Vec<(crate::index::QueryId, Vec<f32>)>,
-    total_ns: f64,
-    memory_ns: f64,
+    latency: LatencyBreakdown,
     memory: MemoryStats,
     traffic: TrafficStats,
+    ndp_elem_ops: u64,
+    core_elem_ops: u64,
 ) -> LookupResult {
-    let per_query_ns = outputs.iter().map(|&(query, _)| (query, total_ns)).collect();
+    let per_query_ns = outputs.iter().map(|&(query, _)| (query, latency.total_ns)).collect();
     LookupResult {
         outputs,
         per_query_ns,
-        latency: LatencyBreakdown {
-            total_ns,
-            memory_ns,
-            compute_tail_ns: (total_ns - memory_ns).max(0.0),
-        },
+        latency,
         memory,
         tree: TreeStats::default(),
         traffic,
+        ndp_elem_ops,
+        core_elem_ops,
     }
 }
 

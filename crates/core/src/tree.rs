@@ -30,8 +30,6 @@ pub struct TreeStats {
     pub levels: usize,
     /// Total PEs that fired.
     pub pes: usize,
-    /// Output-item count per level, leaves first.
-    pub per_level_outputs: Vec<usize>,
     /// Timestamp of the last root output in nanoseconds.
     pub completion_ns: f64,
     /// Largest input-side occupancy over all PEs (buffer sizing, Table I).
@@ -196,7 +194,6 @@ impl ReductionTree {
                 ranks_iter.by_ref().take(self.config.ranks_per_leaf - half).flatten().collect();
             level.push(self.fire_pe(&pe, &a, &b, &mut stats, 0, index, trace.as_deref_mut()));
         }
-        stats.per_level_outputs.push(level.iter().map(Vec::len).sum());
 
         // Internal levels: pair up child outputs.
         let mut depth = 1;
@@ -218,7 +215,6 @@ impl ReductionTree {
                 ));
                 index += 1;
             }
-            stats.per_level_outputs.push(next.iter().map(Vec::len).sum());
             level = next;
             depth += 1;
         }

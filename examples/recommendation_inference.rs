@@ -6,8 +6,8 @@
 //! cargo run --example recommendation_inference
 //! ```
 
-use fafnir_baselines::{LookupEngine, NoNdpEngine, RecNmpEngine, TensorDimmEngine};
-use fafnir_core::FafnirEngine;
+use fafnir_baselines::{NoNdpEngine, RecNmpEngine, TensorDimmEngine};
+use fafnir_core::{FafnirEngine, GatherEngine};
 use fafnir_mem::MemoryConfig;
 use fafnir_workloads::query::{BatchGenerator, Popularity};
 use fafnir_workloads::recsys::RecSysModel;
@@ -44,21 +44,21 @@ fn main() -> Result<(), fafnir_core::FafnirError> {
         "{:<12} {:>12} {:>12} {:>14} {:>10}",
         "engine", "latency", "DRAM reads", "bytes to host", "NDP share"
     );
-    let outcomes = vec![
+    let results = vec![
         (fafnir.name(), fafnir.lookup(&batch, &tables)?),
         (recnmp.name(), recnmp.lookup(&batch, &tables)?),
         (tensordimm.name(), tensordimm.lookup(&batch, &tables)?),
         (no_ndp.name(), no_ndp.lookup(&batch, &tables)?),
     ];
-    let fafnir_latency = outcomes[0].1.total_ns;
-    for (name, outcome) in &outcomes {
+    let fafnir_latency = results[0].1.latency.total_ns;
+    for (name, result) in &results {
         println!(
             "{:<12} {:>9.1} us {:>12} {:>14} {:>9.0} %",
             name,
-            outcome.total_ns / 1e3,
-            outcome.vectors_read,
-            outcome.bytes_to_host,
-            outcome.ndp_fraction() * 100.0
+            result.latency.total_ns / 1e3,
+            result.traffic.vectors_read,
+            result.traffic.bytes_to_host,
+            result.ndp_fraction() * 100.0
         );
     }
 

@@ -2,8 +2,7 @@
 //! correct on every memory preset (DDR4-2400, DDR5-4800, HBM2), every page
 //! policy, and both table placements, with realistic table-wise traffic.
 
-use fafnir_baselines::LookupEngine;
-use fafnir_core::{Batch, FafnirConfig, FafnirEngine, ReduceOp};
+use fafnir_core::{Batch, FafnirConfig, FafnirEngine, GatherEngine, ReduceOp};
 use fafnir_mem::{MemoryConfig, PagePolicy};
 use fafnir_workloads::tablewise::TablewiseGenerator;
 use fafnir_workloads::{EmbeddingTableSet, TablePlacement};
@@ -17,17 +16,17 @@ fn check(mem: MemoryConfig, placement: TablePlacement, seed: u64) {
     let tables = EmbeddingTableSet::new(mem.topology, 32, 4_096, 128).with_placement(placement);
     let batch = tablewise_batch(&tables, seed);
     let engine = FafnirEngine::paper_default(mem).expect("engine");
-    let outcome = engine.lookup(&batch, &tables).expect("lookup");
+    let result = engine.lookup(&batch, &tables).expect("lookup");
     let reference = fafnir_core::engine::reference_lookup(&batch, &tables, ReduceOp::Sum);
-    assert_eq!(outcome.outputs.len(), reference.len());
-    for ((qa, got), (qb, want)) in outcome.outputs.iter().zip(&reference) {
+    assert_eq!(result.outputs.len(), reference.len());
+    for ((qa, got), (qb, want)) in result.outputs.iter().zip(&reference) {
         assert_eq!(qa, qb);
         for (x, y) in got.iter().zip(want) {
             assert!((x - y).abs() <= 1e-3_f32.max(y.abs() * 1e-4), "{qa}: {x} vs {y}");
         }
     }
-    assert!(outcome.total_ns > 0.0);
-    assert_eq!(outcome.bytes_to_host, 16 * 512);
+    assert!(result.latency.total_ns > 0.0);
+    assert_eq!(result.traffic.bytes_to_host, 16 * 512);
 }
 
 #[test]
@@ -64,8 +63,8 @@ fn straggler_system_is_still_functionally_exact() {
     let batch = tablewise_batch(&tables, 305);
     let healthy = FafnirEngine::paper_default(MemoryConfig::ddr4_2400_4ch()).unwrap();
     let degraded = FafnirEngine::paper_default(mem).unwrap();
-    let healthy_ns = healthy.lookup(&batch, &tables).unwrap().total_ns;
-    let degraded_ns = degraded.lookup(&batch, &tables).unwrap().total_ns;
+    let healthy_ns = healthy.lookup(&batch, &tables).unwrap().latency.total_ns;
+    let degraded_ns = degraded.lookup(&batch, &tables).unwrap().latency.total_ns;
     assert!(degraded_ns > healthy_ns, "{degraded_ns} vs {healthy_ns}");
 }
 

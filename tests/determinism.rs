@@ -2,8 +2,8 @@
 //! bit-identical results across runs — the property that makes every figure
 //! in this repository reproducible on any machine.
 
-use fafnir_baselines::{LookupEngine, RecNmpEngine, TensorDimmEngine};
-use fafnir_core::{FafnirConfig, FafnirEngine, StripedSource};
+use fafnir_baselines::{RecNmpEngine, TensorDimmEngine};
+use fafnir_core::{FafnirConfig, FafnirEngine, GatherEngine, StripedSource};
 use fafnir_mem::MemoryConfig;
 use fafnir_workloads::query::{BatchGenerator, Popularity};
 use fafnir_workloads::tablewise::TablewiseGenerator;
@@ -59,7 +59,7 @@ fn baseline_outcomes_are_deterministic() {
 /// order.
 #[test]
 fn parallel_driver_is_thread_count_invariant() {
-    use fafnir_core::{GatherEngine, ParallelBatchDriver};
+    use fafnir_core::ParallelBatchDriver;
     let mem = MemoryConfig::ddr4_2400_4ch();
     let source = StripedSource::new(mem.topology, 128);
     let engine = FafnirEngine::paper_default(mem).unwrap();

@@ -2,8 +2,8 @@
 //! generated traffic must agree functionally and respect the paper's
 //! data-movement invariants.
 
-use fafnir_baselines::{LookupEngine, NoNdpEngine, RecNmpEngine, TensorDimmEngine};
-use fafnir_core::{Batch, FafnirEngine, ReduceOp};
+use fafnir_baselines::{NoNdpEngine, RecNmpEngine, TensorDimmEngine};
+use fafnir_core::{Batch, FafnirEngine, GatherEngine, ReduceOp};
 use fafnir_mem::MemoryConfig;
 use fafnir_workloads::query::{BatchGenerator, Popularity};
 use fafnir_workloads::EmbeddingTableSet;
@@ -28,14 +28,14 @@ fn all_engines_agree_on_zipf_batches() {
     for _ in 0..3 {
         let batch = generator.batch(16);
         let reference = fafnir_core::engine::reference_lookup(&batch, &tables, ReduceOp::Sum);
-        for outcome in [
+        for result in [
             fafnir.lookup(&batch, &tables).unwrap(),
             recnmp.lookup(&batch, &tables).unwrap(),
             tensordimm.lookup(&batch, &tables).unwrap(),
             no_ndp.lookup(&batch, &tables).unwrap(),
         ] {
-            assert_eq!(outcome.outputs.len(), reference.len());
-            for ((qa, got), (qb, want)) in outcome.outputs.iter().zip(&reference) {
+            assert_eq!(result.outputs.len(), reference.len());
+            for ((qa, got), (qb, want)) in result.outputs.iter().zip(&reference) {
                 assert_eq!(qa, qb);
                 for (x, y) in got.iter().zip(want) {
                     assert!((x - y).abs() <= 1e-3_f32.max(y.abs() * 1e-4), "{qa}: {x} vs {y}");
@@ -52,13 +52,13 @@ fn fafnir_moves_least_data_to_host() {
     let recnmp = RecNmpEngine::paper_default(mem);
     let no_ndp = NoNdpEngine::paper_default(mem);
     let batch = traffic(102).batch(32);
-    let fafnir_outcome = fafnir.lookup(&batch, &tables).unwrap();
-    let recnmp_outcome = recnmp.lookup(&batch, &tables).unwrap();
-    let no_ndp_outcome = no_ndp.lookup(&batch, &tables).unwrap();
+    let fafnir_bytes = fafnir.lookup(&batch, &tables).unwrap().traffic.bytes_to_host;
+    let recnmp_bytes = recnmp.lookup(&batch, &tables).unwrap().traffic.bytes_to_host;
+    let no_ndp_bytes = no_ndp.lookup(&batch, &tables).unwrap().traffic.bytes_to_host;
     // FAFNIR's guarantee: exactly n × v bytes to the host.
-    assert_eq!(fafnir_outcome.bytes_to_host, 32 * 512);
-    assert!(fafnir_outcome.bytes_to_host <= recnmp_outcome.bytes_to_host);
-    assert!(recnmp_outcome.bytes_to_host <= no_ndp_outcome.bytes_to_host);
+    assert_eq!(fafnir_bytes, 32 * 512);
+    assert!(fafnir_bytes <= recnmp_bytes);
+    assert!(recnmp_bytes <= no_ndp_bytes);
 }
 
 #[test]
@@ -68,9 +68,9 @@ fn dedup_never_reads_more_than_references() {
     let mut generator = traffic(103);
     for batch_size in [4usize, 8, 16, 32] {
         let batch = generator.batch(batch_size);
-        let outcome = fafnir.lookup(&batch, &tables).unwrap();
-        assert_eq!(outcome.vectors_read, batch.unique_indices().len() as u64);
-        assert!(outcome.vectors_read <= batch.total_references() as u64);
+        let reads = fafnir.lookup(&batch, &tables).unwrap().traffic.vectors_read;
+        assert_eq!(reads, batch.unique_indices().len() as u64);
+        assert!(reads <= batch.total_references() as u64);
     }
 }
 
@@ -88,9 +88,9 @@ fn fafnir_and_recnmp_share_the_memory_phase_profile() {
     };
     let recnmp = RecNmpEngine::paper_default(mem).without_cache();
     let batch = traffic(104).batch(8);
-    let fafnir_outcome = fafnir.lookup(&batch, &tables).unwrap();
-    let recnmp_outcome = recnmp.lookup(&batch, &tables).unwrap();
-    let ratio = recnmp_outcome.memory_ns / fafnir_outcome.memory_ns;
+    let fafnir_memory_ns = fafnir.lookup(&batch, &tables).unwrap().latency.memory_ns;
+    let recnmp_memory_ns = recnmp.lookup(&batch, &tables).unwrap().latency.memory_ns;
+    let ratio = recnmp_memory_ns / fafnir_memory_ns;
     assert!((0.8..1.25).contains(&ratio), "memory phases diverged: {ratio}");
 }
 
@@ -99,10 +99,10 @@ fn oversized_software_batches_round_trip() {
     let (mem, tables) = tables();
     let fafnir = FafnirEngine::paper_default(mem).unwrap();
     let batch: Batch = traffic(105).batch(100); // > hardware capacity 32
-    let outcome = fafnir.lookup(&batch, &tables).unwrap();
-    assert_eq!(outcome.outputs.len(), 100);
+    let result = fafnir.lookup(&batch, &tables).unwrap();
+    assert_eq!(result.outputs.len(), 100);
     let reference = fafnir_core::engine::reference_lookup(&batch, &tables, ReduceOp::Sum);
-    assert_eq!(outcome.outputs.len(), reference.len());
+    assert_eq!(result.outputs.len(), reference.len());
 }
 
 #[test]

@@ -1,11 +1,15 @@
 //! Cross-engine parity: every [`GatherEngine`] implementation — FAFNIR on
 //! both tree backends and all three baselines — must produce the *same
-//! functional answer* for the same batch, and the full-NDP engines must
-//! move exactly `n × v` bytes to the host. The engines disagree on timing
-//! (that is the paper's whole point); they may never disagree on the sums.
+//! functional answer* for the same batch and operator, and the full-NDP
+//! engines must move exactly `n × v` bytes to the host. The engines
+//! disagree on timing (that is the paper's whole point); they may never
+//! disagree on the outputs.
 
-use fafnir_baselines::{NoNdpEngine, RecNmpEngine, TensorDimmEngine};
-use fafnir_core::{Batch, FafnirEngine, GatherEngine, LookupResult, StripedSource, TreeBackend};
+use fafnir_baselines::{CoreModel, NoNdpEngine, RecNmpEngine, TensorDimmEngine};
+use fafnir_core::{
+    Batch, FafnirConfig, FafnirEngine, GatherEngine, LookupResult, PeTiming, ReduceOp,
+    StripedSource, TreeBackend,
+};
 use fafnir_mem::MemoryConfig;
 use fafnir_workloads::query::{BatchGenerator, Popularity};
 
@@ -30,28 +34,46 @@ fn assert_same_outputs(name: &str, got: &LookupResult, want: &LookupResult) {
     }
 }
 
-#[test]
-fn all_engines_agree_on_the_sums() {
+/// Every engine, configured for `op`, answers each batch like FAFNIR.
+fn assert_all_engines_agree(op: ReduceOp) {
     let mem = MemoryConfig::ddr4_2400_4ch();
     let source = StripedSource::new(mem.topology, DIM);
-    let fafnir = FafnirEngine::paper_default(mem).unwrap();
-    let fafnir_cycle = FafnirEngine::paper_default(mem)
-        .unwrap()
-        .with_backend(TreeBackend::CycleStepped { fifo_capacity: 64 });
-    let tensordimm = TensorDimmEngine::paper_default(mem);
-    let recnmp = RecNmpEngine::paper_default(mem);
-    let no_ndp = NoNdpEngine::paper_default(mem);
+    let fafnir =
+        FafnirEngine::new(FafnirConfig { op, ..FafnirConfig::paper_default() }, mem).unwrap();
+    let fafnir_cycle = fafnir.clone().with_backend(TreeBackend::CycleStepped { fifo_capacity: 64 });
+    let (core, pe) = (CoreModel::server_cpu(), PeTiming::fpga_200mhz());
+    let tensordimm = TensorDimmEngine::new(mem, pe, op);
+    let recnmp = RecNmpEngine::new(mem, core, pe, op);
+    let no_ndp = NoNdpEngine::new(mem, core, op);
 
     for batch in batches() {
         let reference = fafnir.lookup(&batch, &source).unwrap();
         assert_same_outputs(
-            "fafnir/cycle",
+            &format!("fafnir/cycle {op}"),
             &fafnir_cycle.lookup(&batch, &source).unwrap(),
             &reference,
         );
-        assert_same_outputs("tensordimm", &tensordimm.lookup(&batch, &source).unwrap(), &reference);
-        assert_same_outputs("recnmp", &recnmp.lookup(&batch, &source).unwrap(), &reference);
-        assert_same_outputs("no-ndp", &no_ndp.lookup(&batch, &source).unwrap(), &reference);
+        for (name, result) in [
+            ("tensordimm", tensordimm.lookup(&batch, &source).unwrap()),
+            ("recnmp", recnmp.lookup(&batch, &source).unwrap()),
+            ("no-ndp", no_ndp.lookup(&batch, &source).unwrap()),
+        ] {
+            assert_same_outputs(&format!("{name} {op}"), &result, &reference);
+        }
+    }
+}
+
+#[test]
+fn all_engines_agree_on_the_sums() {
+    assert_all_engines_agree(ReduceOp::Sum);
+}
+
+#[test]
+fn all_engines_agree_for_lifted_operators() {
+    // Operators whose accumulators carry more than the vector: Mean's
+    // count, ArgMax's indices, TopK's (score, index) pairs.
+    for op in [ReduceOp::Mean, ReduceOp::ArgMax, ReduceOp::TopK { k: 2 }] {
+        assert_all_engines_agree(op);
     }
 }
 

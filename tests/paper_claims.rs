@@ -2,11 +2,13 @@
 //! Each test names the figure/table it guards; the benchmarks print the
 //! full series, these keep the *shape* from regressing.
 
-use fafnir_baselines::{LookupEngine, RecNmpEngine, TensorDimmEngine};
+use fafnir_baselines::{RecNmpEngine, TensorDimmEngine};
 use fafnir_core::model::area_power::AsicModel;
 use fafnir_core::model::connections::ConnectionModel;
 use fafnir_core::model::fpga::{FpgaDeployment, FpgaDevice};
-use fafnir_core::{Batch, FafnirConfig, FafnirEngine, IndexSet, StripedSource, VectorIndex};
+use fafnir_core::{
+    Batch, FafnirConfig, FafnirEngine, GatherEngine, IndexSet, StripedSource, VectorIndex,
+};
 use fafnir_mem::MemoryConfig;
 use fafnir_workloads::query::{BatchGenerator, Popularity};
 use fafnir_workloads::stats::sharing_sweep;
@@ -25,9 +27,9 @@ fn fig11_tensordimm_memory_is_several_times_slower() {
     let mem = MemoryConfig::ddr4_2400_4ch();
     let source = StripedSource::new(mem.topology, 128);
     let batch = single_query();
-    let fafnir = FafnirEngine::paper_default(mem).unwrap().lookup(&batch, &source).unwrap();
-    let recnmp = RecNmpEngine::paper_default(mem).lookup(&batch, &source).unwrap();
-    let tensordimm = TensorDimmEngine::paper_default(mem).lookup(&batch, &source).unwrap();
+    let fafnir = FafnirEngine::paper_default(mem).unwrap().lookup(&batch, &source).unwrap().latency;
+    let recnmp = RecNmpEngine::paper_default(mem).lookup(&batch, &source).unwrap().latency;
+    let tensordimm = TensorDimmEngine::paper_default(mem).lookup(&batch, &source).unwrap().latency;
     // Paper: 4.45x (up to 16x with no row-buffer hit); we measure ~10x.
     assert!(tensordimm.memory_ns > 3.0 * recnmp.memory_ns);
     assert!(tensordimm.memory_ns < 16.5 * recnmp.memory_ns);
@@ -45,10 +47,10 @@ fn fig11_compute_ordering_holds() {
     let recnmp = RecNmpEngine::paper_default(mem).lookup(&batch, &source).unwrap();
     let tensordimm = TensorDimmEngine::paper_default(mem).lookup(&batch, &source).unwrap();
     // TensorDIMM's serial pipeline ≈ 2.5× FAFNIR's tree.
-    let pipeline_ratio = tensordimm.compute_ns / fafnir.compute_ns;
+    let pipeline_ratio = tensordimm.latency.compute_tail_ns / fafnir.latency.compute_tail_ns;
     assert!((1.5..3.5).contains(&pipeline_ratio), "got {pipeline_ratio}");
     // RecNMP forwards work to the CPU: computation exceeds FAFNIR's.
-    assert!(recnmp.compute_ns > fafnir.compute_ns);
+    assert!(recnmp.latency.compute_tail_ns > fafnir.latency.compute_tail_ns);
     // And FAFNIR keeps every reduction at NDP.
     assert_eq!(fafnir.core_elem_ops, 0);
     assert!(recnmp.core_elem_ops > 0);
@@ -91,8 +93,8 @@ fn fig13_dedup_multiplier_grows_with_batch() {
         let batch = generator.batch(batch_size);
         let on = with_dedup.lookup(&batch, &source).unwrap();
         let off = without.lookup(&batch, &source).unwrap();
-        extras.push(off.total_ns / on.total_ns);
-        assert!(on.vectors_read < off.vectors_read);
+        extras.push(off.latency.total_ns / on.latency.total_ns);
+        assert!(on.traffic.vectors_read < off.traffic.vectors_read);
     }
     assert!(extras[1] > extras[0], "dedup gain should grow with batch: {extras:?}");
 }
