@@ -215,32 +215,10 @@ impl Batch {
         groups
     }
 
-    /// Reference (software) reduction: fetches every index through `fetch`
-    /// and reduces per query. Used to validate tree outputs.
-    #[must_use]
-    pub fn reference_outputs<F>(
-        &self,
-        op: crate::reduce::ReduceOp,
-        mut fetch: F,
-    ) -> Vec<(QueryId, Option<Vec<f32>>)>
-    where
-        F: FnMut(VectorIndex) -> Vec<f32>,
-    {
-        self.queries
-            .iter()
-            .map(|query| {
-                let vectors: Vec<Vec<f32>> = query.indices.iter().map(&mut fetch).collect();
-                let slices: Vec<&[f32]> = vectors.iter().map(Vec::as_slice).collect();
-                (query.id, op.reduce_all(slices.iter().copied()))
-            })
-            .collect()
-    }
-
-    /// Operator-generic variant of [`Batch::reference_outputs`]: every
-    /// fetched vector is lifted with its index, folded in query order and
-    /// finalized — the software reference for index-aware operators
-    /// (`ArgMax`, `TopK`) that [`crate::reduce::ReduceOp::reduce_all`]
-    /// cannot express.
+    /// Reference (software) reduction used to validate engine outputs:
+    /// every index is fetched through `fetch`, lifted with its index,
+    /// folded in query order and finalized. A query without indices has no
+    /// output.
     #[must_use]
     pub fn reference_outputs_with<F>(
         &self,
@@ -373,8 +351,9 @@ mod tests {
     #[test]
     fn reference_outputs_reduce_per_query() {
         let batch = Batch::from_index_sets([indexset![1, 2], indexset![2]]);
-        let outputs = batch
-            .reference_outputs(crate::reduce::ReduceOp::Sum, |index| vec![index.value() as f32; 2]);
+        let outputs = batch.reference_outputs_with(&crate::reduce::SumOperator, |index| {
+            vec![index.value() as f32; 2]
+        });
         assert_eq!(outputs[0].1, Some(vec![3.0, 3.0]));
         assert_eq!(outputs[1].1, Some(vec![2.0, 2.0]));
     }

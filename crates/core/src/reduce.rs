@@ -547,21 +547,23 @@ impl ReduceOperator for TopKOperator {
     }
 }
 
-/// An element-wise reduction operator.
+/// A reduction operator, by name.
 ///
-/// This is the serde-visible *specification*; [`ReduceOp::operator`]
-/// instantiates the matching [`ReduceOperator`]. The legacy element-wise
-/// helpers ([`ReduceOp::combine_into`] and friends) are kept as thin
-/// adapters so existing callers, configs and byte-stable reports are
-/// untouched.
+/// This is the serde-visible *specification* that configs and the CLI
+/// carry; [`ReduceOp::operator`] instantiates the matching
+/// [`ReduceOperator`], which does the arithmetic.
 ///
 /// # Examples
 ///
 /// ```
 /// use fafnir_core::ReduceOp;
 ///
-/// assert_eq!(ReduceOp::Sum.combine(&[1.0, 2.0], &[3.0, 4.0]), vec![4.0, 6.0]);
-/// assert_eq!(ReduceOp::Max.combine(&[1.0, 5.0], &[3.0, 4.0]), vec![3.0, 5.0]);
+/// let mut acc = vec![1.0, 2.0];
+/// ReduceOp::Sum.operator().combine_into(&mut acc, &[3.0, 4.0]);
+/// assert_eq!(acc, vec![4.0, 6.0]);
+/// let mut acc = vec![1.0, 5.0];
+/// ReduceOp::Max.operator().combine_into(&mut acc, &[3.0, 4.0]);
+/// assert_eq!(acc, vec![3.0, 5.0]);
 /// assert_eq!("topk:4".parse::<ReduceOp>(), Ok(ReduceOp::TopK { k: 4 }));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
@@ -599,66 +601,6 @@ impl ReduceOp {
             ReduceOp::Min => Arc::new(MinOperator),
             ReduceOp::ArgMax => Arc::new(ArgMaxOperator),
             ReduceOp::TopK { k } => Arc::new(TopKOperator::new(k)),
-        }
-    }
-
-    /// Combines `b` into `a` element-wise (accumulator semantics for
-    /// `ArgMax`/`TopK`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices have different lengths.
-    pub fn combine_into(self, a: &mut [f32], b: &[f32]) {
-        match self {
-            ReduceOp::Sum | ReduceOp::Mean => add_assign_unrolled(a, b),
-            ReduceOp::Max => MaxOperator.combine_into(a, b),
-            ReduceOp::Min => MinOperator.combine_into(a, b),
-            ReduceOp::ArgMax => ArgMaxOperator.combine_into(a, b),
-            ReduceOp::TopK { .. } => self.operator().combine_into(a, b),
-        }
-    }
-
-    /// Returns the combination of two operands as a new vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices have different lengths.
-    #[must_use]
-    pub fn combine(self, a: &[f32], b: &[f32]) -> Vec<f32> {
-        let mut out = a.to_vec();
-        self.combine_into(&mut out, b);
-        out
-    }
-
-    /// Reference reduction of many vectors (used to validate tree outputs).
-    ///
-    /// For the element-wise operators the inputs are raw vectors; for
-    /// `ArgMax`/`TopK` they must already be **lifted accumulators** (this
-    /// path cannot lift — it has no indices; see
-    /// [`crate::Batch::reference_outputs_with`] for the index-aware
-    /// reference).
-    ///
-    /// Returns `None` for an empty input.
-    #[must_use]
-    pub fn reduce_all<'a, I>(self, vectors: I) -> Option<Vec<f32>>
-    where
-        I: IntoIterator<Item = &'a [f32]>,
-    {
-        let mut iter = vectors.into_iter();
-        let first = iter.next()?;
-        let mut acc = first.to_vec();
-        let mut count = 1;
-        for v in iter {
-            self.combine_into(&mut acc, v);
-            count += 1;
-        }
-        match self {
-            ReduceOp::ArgMax | ReduceOp::TopK { .. } => Some(self.operator().finalize(&acc)),
-            ReduceOp::Mean => {
-                let scale = 1.0 / count as f32;
-                Some(acc.into_iter().map(|x| x * scale).collect())
-            }
-            _ => Some(acc),
         }
     }
 }
@@ -705,37 +647,41 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// `b` combined into a copy of `a` by the operator `op` names.
+    fn combine(op: ReduceOp, a: &[f32], b: &[f32]) -> Vec<f32> {
+        let mut out = a.to_vec();
+        op.operator().combine_into(&mut out, b);
+        out
+    }
+
     #[test]
     fn sum_combines_elementwise() {
-        assert_eq!(ReduceOp::Sum.combine(&[1.0, 2.0], &[3.0, 4.0]), vec![4.0, 6.0]);
+        assert_eq!(combine(ReduceOp::Sum, &[1.0, 2.0], &[3.0, 4.0]), vec![4.0, 6.0]);
     }
 
     #[test]
     fn max_and_min_select_extremes() {
-        assert_eq!(ReduceOp::Max.combine(&[1.0, 5.0], &[3.0, 4.0]), vec![3.0, 5.0]);
-        assert_eq!(ReduceOp::Min.combine(&[1.0, 5.0], &[3.0, 4.0]), vec![1.0, 4.0]);
+        assert_eq!(combine(ReduceOp::Max, &[1.0, 5.0], &[3.0, 4.0]), vec![3.0, 5.0]);
+        assert_eq!(combine(ReduceOp::Min, &[1.0, 5.0], &[3.0, 4.0]), vec![1.0, 4.0]);
     }
 
     #[test]
     fn mean_divides_once_at_the_end() {
-        let vectors = [[2.0f32], [4.0]];
-        assert_eq!(
-            ReduceOp::Mean.reduce_all(vectors.iter().map(|v| v.as_slice())),
-            Some(vec![3.0])
-        );
+        let op = ReduceOp::Mean.operator();
+        let acc = fold(&*op, &[(0, vec![2.0]), (1, vec![4.0])]);
+        assert_eq!(op.finalize(&acc), vec![3.0]);
     }
 
     #[test]
-    fn reduce_all_handles_empty_and_single() {
-        assert_eq!(ReduceOp::Sum.reduce_all(std::iter::empty()), None);
-        let single = [1.5f32, 2.5];
-        assert_eq!(ReduceOp::Sum.reduce_all([single.as_slice()]), Some(vec![1.5, 2.5]));
+    fn a_single_input_finalizes_to_itself() {
+        let op = ReduceOp::Sum.operator();
+        assert_eq!(op.finalize(&fold(&*op, &[(0, vec![1.5, 2.5])])), vec![1.5, 2.5]);
     }
 
     #[test]
     #[should_panic(expected = "equal dimension")]
     fn mismatched_dimensions_panic() {
-        let _ = ReduceOp::Sum.combine(&[1.0], &[1.0, 2.0]);
+        let _ = combine(ReduceOp::Sum, &[1.0], &[1.0, 2.0]);
     }
 
     #[test]
@@ -983,15 +929,15 @@ mod tests {
                 proptest::collection::vec(-100.0f32..100.0, 4), 2..6)
         ) {
             // Left fold == balanced fold for Sum up to float tolerance.
-            let slices: Vec<&[f32]> = values.iter().map(Vec::as_slice).collect();
-            let linear = ReduceOp::Sum.reduce_all(slices.iter().copied()).unwrap();
+            let pairs: Vec<(u32, Vec<f32>)> = (0..).zip(values.iter().cloned()).collect();
+            let linear = fold(&SumOperator, &pairs);
             // Balanced: reduce pairs, then reduce results.
             let mut layer: Vec<Vec<f32>> = values.clone();
             while layer.len() > 1 {
                 let mut next = Vec::new();
                 for chunk in layer.chunks(2) {
                     if chunk.len() == 2 {
-                        next.push(ReduceOp::Sum.combine(&chunk[0], &chunk[1]));
+                        next.push(combine(ReduceOp::Sum, &chunk[0], &chunk[1]));
                     } else {
                         next.push(chunk[0].clone());
                     }
@@ -1008,10 +954,10 @@ mod tests {
             a in proptest::collection::vec(-100.0f32..100.0, 8),
             b in proptest::collection::vec(-100.0f32..100.0, 8),
         ) {
-            let ab = ReduceOp::Max.combine(&a, &b);
-            let ba = ReduceOp::Max.combine(&b, &a);
+            let ab = combine(ReduceOp::Max, &a, &b);
+            let ba = combine(ReduceOp::Max, &b, &a);
             prop_assert_eq!(&ab, &ba);
-            let aa = ReduceOp::Max.combine(&a, &a);
+            let aa = combine(ReduceOp::Max, &a, &a);
             prop_assert_eq!(aa, a);
         }
 
@@ -1065,24 +1011,6 @@ mod tests {
                     left.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                     right.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                     "operator {} not associative", op.name()
-                );
-            }
-        }
-
-        #[test]
-        fn legacy_enum_and_trait_fold_agree_bitwise(pairs in lift_inputs(6, 1..6)) {
-            // The thin-adapter guarantee for the element-wise family: the
-            // legacy enum fold and the trait fold produce byte-identical
-            // outputs.
-            for op in [ReduceOp::Sum, ReduceOp::Max, ReduceOp::Min, ReduceOp::Mean] {
-                let operator = op.operator();
-                let trait_out = operator.finalize(&fold(&*operator, &pairs));
-                let slices: Vec<&[f32]> = pairs.iter().map(|(_, v)| v.as_slice()).collect();
-                let legacy_out = op.reduce_all(slices.iter().copied()).unwrap();
-                prop_assert_eq!(
-                    trait_out.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    legacy_out.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "operator {} diverged from legacy path", op
                 );
             }
         }
