@@ -25,6 +25,16 @@ test:
 bench-build:
     cargo bench --workspace --no-run
 
+# Regenerate every table and figure of the paper. The twelve targets print
+# to stdout only and write no file, unlike `cargo bench --workspace`, which
+# also re-records the BENCH_*.json trajectories.
+figures:
+    cargo bench -p fafnir-bench --bench fig03_unique_indices --bench table01_buffers \
+        --bench table04_latency --bench fig09_spmv_iterations --bench fig11_single_query \
+        --bench fig12_end_to_end --bench fig13_batch_scalability --bench fig14_spmv_speedup \
+        --bench fig15_memory_accesses --bench fig16_power_area --bench ablations \
+        --bench extensions
+
 # Fast-vs-cycle calibration gate: the smoke matrix must stay inside the
 # recorded tolerance envelope (see crates/serve/src/calibrate.rs).
 calibration-gate:
@@ -39,7 +49,7 @@ ledger-check:
     cargo test --release --offline --manifest-path ledger/Cargo.toml -q
 
 # Everything CI runs.
-ci: fmt clippy tier1 docs test ledger-check bench-build calibration-gate
+ci: fmt clippy tier1 docs test ledger-check bench-build figures calibration-gate
 
 # Regenerate the parallel-driver measurement (BENCH_parallel_driver.json).
 bench-driver:
