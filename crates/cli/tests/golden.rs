@@ -28,7 +28,22 @@ const EXPECTED: &[(&str, u64)] = &[
          --memory-model fast --duration-queries 48",
         0x0a4d_7c6d_b324_61eb,
     ),
+    // Long runs hold many batches in the dispatcher at once: 437 batches
+    // through crashes, retries, timeouts, hedges and failures together,
+    // then 437 hedges on a healthy pool with one straggler.
+    (
+        "serve --json --rate 2e6 --policy deadline --max-wait-ns 4000 --workers 2 \
+         --faults crash:20000:10000 --retries 3 --timeout-ns 1500 --hedge-ns 1000 \
+         --memory-model fast --duration-queries 4000",
+        0xd0f1_bb6c_3d6e_243d,
+    ),
+    (
+        "serve --json --rate 2e6 --policy deadline --max-wait-ns 4000 --workers 3 \
+         --faults slow:8:1 --hedge-ns 1000 --memory-model fast --duration-queries 4000",
+        0x3e4b_aa82_008f_e949,
+    ),
     ("cluster --json --memory-model fast --duration-queries 48", 0xeddd_dc1e_f3a8_931a),
+    ("cluster --json --memory-model fast --duration-queries 4000", 0x0214_d029_cb59_3621),
     (
         "cluster --json --strategy rowhash --replicate-hot 0.02 --duration-queries 48",
         0x6f0a_a3fc_251a_3ff2,
