@@ -92,6 +92,14 @@ pub enum ServeError {
     InvalidConfig(String),
     /// The underlying gather engine rejected a formed batch.
     Engine(fafnir_core::FafnirError),
+    /// A finished run broke its conservation law: a query was neither
+    /// served, shed nor failed, or a batch was left in the dispatcher. This
+    /// is a simulator bug, never a property of the configuration.
+    Unaccounted {
+        /// Submission id of the first unaccounted query (for a stranded
+        /// batch, its first member).
+        query: usize,
+    },
 }
 
 impl std::fmt::Display for ServeError {
@@ -99,6 +107,9 @@ impl std::fmt::Display for ServeError {
         match self {
             Self::InvalidConfig(message) => write!(f, "invalid serving configuration: {message}"),
             Self::Engine(error) => write!(f, "engine error: {error}"),
+            Self::Unaccounted { query } => {
+                write!(f, "serving run left query {query} neither served, shed nor failed")
+            }
         }
     }
 }
@@ -106,7 +117,7 @@ impl std::fmt::Display for ServeError {
 impl std::error::Error for ServeError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            Self::InvalidConfig(_) => None,
+            Self::InvalidConfig(_) | Self::Unaccounted { .. } => None,
             Self::Engine(error) => Some(error),
         }
     }
