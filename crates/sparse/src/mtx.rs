@@ -137,7 +137,11 @@ pub fn parse(text: &str) -> Result<CooMatrix, MtxError> {
         ));
     }
 
-    let mut triplets: Vec<(usize, usize, f64)> = Vec::with_capacity(nnz);
+    // The declared count comes from the file: reserve no more than the
+    // input could hold (an entry line takes at least four bytes), so a
+    // hostile size line reaches the count check below instead of aborting
+    // the allocation.
+    let mut triplets: Vec<(usize, usize, f64)> = Vec::with_capacity(nnz.min(text.len() / 4));
     let mut seen = 0usize;
     for (number, line) in lines {
         let line = line.trim();
@@ -318,6 +322,17 @@ mod tests {
 1 1 1.0
 ";
         assert!(parse(short).unwrap_err().message.contains("declared 2"));
+    }
+
+    #[test]
+    fn huge_declared_counts_are_count_errors_not_aborts() {
+        // The first overflowed the reservation's size computation; the
+        // second asked the allocator for terabytes.
+        for nnz in ["1000000000000000000", "100000000000"] {
+            let text = format!("%%MatrixMarket matrix coordinate real general\n1 1 {nnz}\n");
+            let error = parse(&text).unwrap_err();
+            assert_eq!(error.message, format!("size line declared {nnz} entries, found 0"));
+        }
     }
 
     #[test]
