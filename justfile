@@ -99,6 +99,14 @@ bench-cluster *ARGS:
 bench-spmv *ARGS:
     cargo bench -p fafnir-bench --bench spmv_partition -- {{ARGS}}
 
+# Compare the ledger benchmark between BASE and the working tree: PAIRS
+# alternating pairs per workload at equal SECONDS with a fresh seed per pair,
+# then both medians and quartiles, wins, ties and a verdict per end-to-end
+# metric (ledger/README.md, "Comparing two commits"). `WORKLOADS=serve_fast
+# just ledger-pairs HEAD~1` narrows the run to one workload.
+ledger-pairs BASE PAIRS="10" SECONDS="3":
+    scripts/ledger-pairs.sh {{BASE}} {{PAIRS}} {{SECONDS}}
+
 # Run the full (24-scenario) cross-mode calibration matrix and check it
 # against the recorded envelope; exits non-zero on a violation.
 calibrate:
