@@ -191,35 +191,6 @@ impl LookupResult {
         let times: Vec<f64> = self.per_query_ns.iter().map(|&(_, t)| t).collect();
         nearest_rank_percentile_ns(&times, p)
     }
-
-    /// Scales every service-time figure (latency decomposition and
-    /// per-query completions) by `factor`, leaving outputs and data-movement
-    /// counters untouched.
-    ///
-    /// This is the hook serving layers use to model a *degraded* worker
-    /// replica — thermal throttling, a straggler DIMM, a noisy neighbour —
-    /// without re-simulating the lookup: the same work takes `factor`
-    /// times longer but reads exactly the same data. A factor of 1.0 is an
-    /// exact no-op (bit-identical result), which the fault-free serving
-    /// path relies on for byte-stable reports.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is not finite and positive.
-    pub fn scale_service_time(&mut self, factor: f64) {
-        assert!(factor.is_finite() && factor > 0.0, "factor must be positive and finite");
-        if factor == 1.0 {
-            return;
-        }
-        self.latency.total_ns *= factor;
-        self.latency.memory_ns *= factor;
-        self.latency.compute_tail_ns *= factor;
-        self.latency.compute_busy_ns *= factor;
-        self.latency.host_link_ns *= factor;
-        for (_, completion) in &mut self.per_query_ns {
-            *completion *= factor;
-        }
-    }
 }
 
 /// The `p`-th nearest-rank percentile of a latency sample in nanoseconds.
@@ -800,36 +771,6 @@ mod tests {
         result.per_query_ns.reverse();
         let max = result.per_query_ns.iter().map(|&(_, t)| t).fold(0.0, f64::max);
         assert_eq!(result.completion_percentile_ns(1.0), max);
-    }
-
-    #[test]
-    fn scale_service_time_stretches_latency_but_not_traffic() {
-        let engine = engine();
-        let source = source();
-        let batch = Batch::from_index_sets([indexset![1, 2, 3], indexset![2, 4]]);
-        let base = engine.lookup(&batch, &source).unwrap();
-        let mut scaled = base.clone();
-        scaled.scale_service_time(1.0);
-        assert_eq!(scaled, base, "factor 1.0 must be an exact no-op");
-        scaled.scale_service_time(4.0);
-        assert_eq!(scaled.latency.total_ns, base.latency.total_ns * 4.0);
-        assert_eq!(scaled.latency.memory_ns, base.latency.memory_ns * 4.0);
-        for ((qa, a), (qb, b)) in scaled.per_query_ns.iter().zip(&base.per_query_ns) {
-            assert_eq!(qa, qb);
-            assert_eq!(*a, b * 4.0);
-        }
-        assert_eq!(scaled.traffic, base.traffic, "data movement is unaffected");
-        assert_eq!(scaled.outputs, base.outputs, "outputs are unaffected");
-    }
-
-    #[test]
-    #[should_panic(expected = "factor must be positive and finite")]
-    fn scale_service_time_rejects_nonpositive_factors() {
-        let engine = engine();
-        let source = source();
-        let batch = Batch::from_index_sets([indexset![1]]);
-        let mut result = engine.lookup(&batch, &source).unwrap();
-        result.scale_service_time(0.0);
     }
 
     #[test]
