@@ -1003,6 +1003,15 @@ mod tests {
         assert!(out.contains("2 x 2") && out.contains("speedup"), "{out}");
         std::fs::remove_file(&mtx).ok();
 
+        // A declared shape too large to hold is a flag error, not an abort.
+        let huge = "%%MatrixMarket matrix coordinate real general\n\
+                    1000000000000 1000000000000 1\n1 1 1.0\n";
+        let path = std::env::temp_dir().join("fafnir-cli-test-huge.mtx");
+        std::fs::write(&path, huge).unwrap();
+        let error = run_line(&format!("spmv --mtx {}", path.display())).unwrap_err();
+        std::fs::remove_file(&path).ok();
+        assert!(error.0.contains("--mtx") && error.0.contains("1000000000000 x 1000000000000"));
+
         let trace = run_line("trace --record 30 --query-len 8 --seed 5").unwrap();
         let path = std::env::temp_dir().join("fafnir-cli-test-trace.txt");
         std::fs::write(&path, &trace).unwrap();

@@ -15,6 +15,16 @@
 
 use crate::coo::CooMatrix;
 
+/// The largest row or column count [`parse`] accepts.
+///
+/// Every consumer of a parsed matrix keeps dense per-row or per-column
+/// state (CSR row pointers, LIL column lists, the degree counts of
+/// [`crate::MatrixProfile`], the SpMV operand and result vectors), so a
+/// few bytes declaring a shape of 10^12 would otherwise abort the process
+/// on allocation. 2^28 is above the row and column counts of every
+/// SuiteSparse matrix.
+pub const MAX_DIMENSION: usize = 1 << 28;
+
 /// Error reading a Matrix Market file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MtxError {
@@ -71,8 +81,8 @@ enum Field {
 /// # Errors
 ///
 /// Returns [`MtxError`] naming the offending line for malformed headers,
-/// counts, indices out of range, or unsupported flavours (`array`,
-/// `complex`, `hermitian`).
+/// counts, a shape above [`MAX_DIMENSION`], indices out of range, or
+/// unsupported flavours (`array`, `complex`, `hermitian`).
 pub fn parse(text: &str) -> Result<CooMatrix, MtxError> {
     let mut lines = text.lines().enumerate();
 
@@ -125,6 +135,15 @@ pub fn parse(text: &str) -> Result<CooMatrix, MtxError> {
     let (rows, cols, nnz) = size.ok_or_else(|| MtxError::new(0, "missing size line"))?;
     if rows == 0 || cols == 0 {
         return Err(MtxError::new(size_line, "matrix dimensions must be non-zero"));
+    }
+    if rows > MAX_DIMENSION || cols > MAX_DIMENSION {
+        return Err(MtxError::new(
+            size_line,
+            format!(
+                "declared shape {rows} x {cols} exceeds {MAX_DIMENSION} rows or columns, \
+                 the most a matrix can have"
+            ),
+        ));
     }
     // Mirrored (col, row) entries are only meaningful on square matrices;
     // on a non-square size line they would land out of bounds and panic in

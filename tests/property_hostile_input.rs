@@ -32,10 +32,13 @@ fn numeric_text(picks: &[usize]) -> String {
 }
 
 /// A parse either yields a matrix whose entries lie inside its declared
-/// shape, or an error that names a line of the input (0 for the whole).
+/// shape, a shape small enough to hold, or an error that names a line of
+/// the input (0 for the whole).
 fn check_mtx(text: &str) -> Result<(), TestCaseError> {
     match mtx::parse(text) {
         Ok(matrix) => {
+            prop_assert!(matrix.rows() <= mtx::MAX_DIMENSION);
+            prop_assert!(matrix.cols() <= mtx::MAX_DIMENSION);
             for &(row, col, _) in matrix.entries() {
                 prop_assert!(row < matrix.rows() && col < matrix.cols());
             }
@@ -65,6 +68,17 @@ fn check_codec(codec: HeaderCodec, bytes: &[u8]) -> Result<(), TestCaseError> {
         Err(error) => prop_assert_eq!(error, CodecError::Truncated),
     }
     Ok(())
+}
+
+/// A few bytes declaring a 10^12 x 10^12 shape used to parse, then abort
+/// the process allocating 8 TB of per-row degree counts.
+#[test]
+fn mtx_parse_rejects_a_shape_too_large_to_hold() {
+    let text = "%%MatrixMarket matrix coordinate real general\n\
+                1000000000000 1000000000000 1\n1 1 1.0\n";
+    let error = mtx::parse(text).expect_err("a 10^12 x 10^12 shape must be refused");
+    assert_eq!(error.line, 2, "{error}");
+    assert!(error.message.contains("1000000000000 x 1000000000000"), "{error}");
 }
 
 proptest! {
