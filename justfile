@@ -103,7 +103,9 @@ bench-spmv *ARGS:
 # alternating pairs per workload at equal SECONDS with a fresh seed per pair,
 # then both medians and quartiles, wins, ties and a verdict per end-to-end
 # metric (ledger/README.md, "Comparing two commits"). `WORKLOADS=serve_fast
-# just ledger-pairs HEAD~1` narrows the run to one workload.
+# just ledger-pairs HEAD~1` narrows the run to one workload. `TRACE=1` adds
+# as many `--trace 1` pairs and a per-layer table of both sides' median
+# ns_per_call, to show which layer moved.
 ledger-pairs BASE PAIRS="10" SECONDS="3":
     scripts/ledger-pairs.sh {{BASE}} {{PAIRS}} {{SECONDS}}
 

@@ -26,10 +26,17 @@
 # registered in the repository and an interrupted run leaves no worktree
 # behind.
 #
+# With TRACE=1 it then runs PAIRS more alternating pairs per workload with
+# `--trace 1` (the same seeds) and prints, per layer, both sides' median
+# `ns_per_call`, their ratio and the change's wins (step 7 of the README's
+# "Comparing two commits": which layer's time moved). Traced runs pay the
+# tracer's overhead, so their end-to-end metrics are not compared.
+#
 # Environment:
 #   WORKLOADS         space-separated workloads (default: every workload in
 #                     BENCHMARK.json)
 #   SEED              the first pair's seed (default 1); pair i uses SEED + i
+#   TRACE             1 adds the traced pairs and the per-layer table
 #   LEDGER_PAIRS_DIR  builds and raw result lines
 #                     (default: ${TMPDIR:-/tmp}/ledger-pairs)
 set -euo pipefail
@@ -57,6 +64,9 @@ fi
 # One "name better bound" line per end-to-end metric.
 metrics=$(sed -n '/"end_to_end"/,/\]/p' "$benchmark" |
     sed -n 's/.*"name": "\([^"]*\)".*"better": "\([a-z]*\)", "bound": \([0-9.]*\).*/\1 \2 \3/p')
+# Every layer with a per-call time, in BENCHMARK.json order.
+layers=$(sed -n '/"per_layer"/,/\]/p' "$benchmark" |
+    sed -n 's/.*"name": "\([^"]*\)\.ns_per_call".*/\1/p')
 
 # The base tree and its target directory are keyed by commit, so a
 # different BASE never reuses a binary built from other sources.
@@ -75,18 +85,45 @@ CARGO_TARGET_DIR=$base_target cargo build --release -q --offline \
 CARGO_TARGET_DIR=$change_target cargo build --release -q --offline \
     --manifest-path "$repo/ledger/Cargo.toml"
 
-# run SIDE WORKLOAD SEED PAIR: one ledger run; keeps its JSON result line.
+# run SIDE WORKLOAD SEED PAIR KIND: one ledger run, traced when KIND is
+# "trace"; keeps its JSON result line.
 run() {
-    local side=$1 workload=$2 seed=$3 pair=$4 target
+    local side=$1 workload=$2 seed=$3 pair=$4 kind=$5 target
     if [[ $side == base ]]; then target=$base_target; else target=$change_target; fi
-    local out=$work/results/$workload.$side.$pair.json
+    local out=$work/results/$workload.$side.$kind.$pair.json trace=()
+    if [[ $kind == trace ]]; then trace=(--trace 1); fi
     if ! CARGO_TARGET_DIR=$target "$target/release/ledger" --workload "$workload" \
-        --seed "$seed" --seconds "$seconds" 2>/dev/null | tail -n 1 >"$out"; then
+        --seed "$seed" --seconds "$seconds" "${trace[@]}" 2>/dev/null | tail -n 1 >"$out"; then
         echo "warning: $side $workload seed $seed exited non-zero" >&2
     fi
     if ! grep -q '^{"correct": true, "attempted": [0-9]*, "failed": 0,' "$out"; then
         echo "warning: $side $workload seed $seed reported failed checks" >&2
     fi
+}
+
+# run_pairs WORKLOAD KIND: PAIRS alternating pairs, one fresh seed each.
+run_pairs() {
+    local workload=$1 kind=$2 pair seed
+    for ((pair = 0; pair < pairs; pair++)); do
+        seed=$((first_seed + pair))
+        echo "$workload $kind pair $((pair + 1))/$pairs (seed $seed)" >&2
+        if ((pair % 2 == 0)); then
+            run base "$workload" "$seed" "$pair" "$kind"
+            run change "$workload" "$seed" "$pair" "$kind"
+        else
+            run change "$workload" "$seed" "$pair" "$kind"
+            run base "$workload" "$seed" "$pair" "$kind"
+        fi
+    done
+}
+
+# values SIDE WORKLOAD KIND METRIC: the metric's value in each pair's line.
+values() {
+    local pair out=()
+    for ((pair = 0; pair < pairs; pair++)); do
+        out+=("$(value "$work/results/$2.$1.$3.$pair.json" "$4")")
+    done
+    echo "${out[*]}"
 }
 
 # value FILE METRIC: the metric's value in a result line.
@@ -97,25 +134,11 @@ value() {
 printf '%-14s %-19s %35s %35s %7s %5s  %s\n' workload metric \
     "base median [q1, q3]" "change median [q1, q3]" wins ties verdict
 for workload in $WORKLOADS; do
-    for ((pair = 0; pair < pairs; pair++)); do
-        seed=$((first_seed + pair))
-        echo "$workload pair $((pair + 1))/$pairs (seed $seed)" >&2
-        if ((pair % 2 == 0)); then
-            run base "$workload" "$seed" "$pair"
-            run change "$workload" "$seed" "$pair"
-        else
-            run change "$workload" "$seed" "$pair"
-            run base "$workload" "$seed" "$pair"
-        fi
-    done
+    run_pairs "$workload" plain
     while read -r metric better bound; do
-        base_values=() change_values=()
-        for ((pair = 0; pair < pairs; pair++)); do
-            base_values+=("$(value "$work/results/$workload.base.$pair.json" "$metric")")
-            change_values+=("$(value "$work/results/$workload.change.$pair.json" "$metric")")
-        done
-        awk -v workload="$workload" -v metric="$metric" -v better="$better" \
-            -v bound="$bound" -v base="${base_values[*]}" -v change="${change_values[*]}" '
+        awk -v workload="$workload" -v metric="$metric" -v better="$better" -v bound="$bound" \
+            -v base="$(values base "$workload" plain "$metric")" \
+            -v change="$(values change "$workload" plain "$metric")" '
             # Median and quartiles as the ledger computes them (Python
             # statistics.quantiles, exclusive method).
             function summarize(values, n, out,    sorted, i, j, k, t, m, q, d) {
@@ -162,4 +185,39 @@ for workload in $WORKLOADS; do
                     cs["median"], cs["q1"], cs["q3"], wins, n, ties, verdict
             }'
     done <<<"$metrics"
+done
+
+[[ ${TRACE:-} == 1 ]] || exit 0
+printf '\n%-14s %-19s %15s %15s %12s %6s\n' workload "layer ns_per_call" \
+    "base median" "change median" change/base wins
+for workload in $WORKLOADS; do
+    run_pairs "$workload" trace
+    for layer in $layers; do
+        awk -v workload="$workload" -v layer="$layer" \
+            -v base="$(values base "$workload" trace "$layer.ns_per_call")" \
+            -v change="$(values change "$workload" trace "$layer.ns_per_call")" '
+            function median(values, n,    sorted, i, j, t) {
+                for (i = 1; i <= n; i++) sorted[i] = values[i]
+                for (i = 2; i <= n; i++)
+                    for (j = i; j > 1 && sorted[j - 1] > sorted[j]; j--) {
+                        t = sorted[j]; sorted[j] = sorted[j - 1]; sorted[j - 1] = t
+                    }
+                return n % 2 ? sorted[(n + 1) / 2] : (sorted[n / 2] + sorted[n / 2 + 1]) / 2
+            }
+            BEGIN {
+                n = split(base, b, " ")
+                if (split(change, c, " ") != n || n == 0) {
+                    printf "%-14s %-19s missing values\n", workload, layer
+                    exit
+                }
+                bm = median(b, n)
+                cm = median(c, n)
+                if (bm == 0 && cm == 0) exit  # the workload never enters this layer
+                wins = 0
+                for (i = 1; i <= n; i++) if (c[i] < b[i]) wins++
+                ratio = bm > 0 ? sprintf("%.3f", cm / bm) : "-"
+                printf "%-14s %-19s %15.6g %15.6g %12s %3d/%-3d\n", workload, layer, bm, cm,
+                    ratio, wins, n
+            }'
+    done
 done
