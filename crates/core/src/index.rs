@@ -294,13 +294,6 @@ impl IndexSet {
             Repr::Heap(items) => items,
         }
     }
-
-    /// Bits needed to encode one index for `universe` distinct vectors (the
-    /// paper uses 5-bit fields for 32 embedding tables, Sec. IV-B).
-    #[must_use]
-    pub fn bits_per_index(universe: usize) -> u32 {
-        usize::BITS - universe.next_power_of_two().leading_zeros() - 1
-    }
 }
 
 impl Default for IndexSet {
@@ -412,14 +405,6 @@ mod tests {
         assert_eq!(a.union(&b), indexset![1, 2, 5, 6]);
         assert_eq!(a.difference(&b), indexset![1, 5]);
         assert_eq!(b.difference(&a), indexset![6]);
-    }
-
-    #[test]
-    fn bits_per_index_matches_paper_sizing() {
-        // 32 tables → 5-bit index fields (Sec. IV-B).
-        assert_eq!(IndexSet::bits_per_index(32), 5);
-        assert_eq!(IndexSet::bits_per_index(33), 6);
-        assert_eq!(IndexSet::bits_per_index(2), 1);
     }
 
     #[test]

@@ -40,8 +40,7 @@
 //!
 //! ## Module map
 //!
-//! * [`index`], [`item`], [`codec`] — indices, index sets, headers, and the
-//!   Table I bit-packed header wire format.
+//! * [`index`], [`item`] — indices, index sets and the headers items carry.
 //! * [`batch`] — queries, batches, unique-index extraction (Sec. IV-C).
 //! * [`reduce`] — reduction operators: the [`ReduceOperator`] trait with
 //!   per-query accumulator state (Sum/Mean/Max/Min/ArgMax/TopK) and the
@@ -66,7 +65,6 @@
 #![warn(missing_docs)]
 
 pub mod batch;
-pub mod codec;
 pub mod config;
 pub mod cycle_sim;
 pub mod engine;

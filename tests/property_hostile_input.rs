@@ -1,5 +1,5 @@
 //! Never-panic properties for the decoders of outside input: Matrix Market
-//! text (`fafnir spmv --mtx`), query-trace text and encoded tree headers.
+//! text (`fafnir spmv --mtx`) and query-trace text.
 //! Arbitrary bytes, and arbitrary text decoded through
 //! `String::from_utf8_lossy`, must come back as a value or the decoder's
 //! typed error, never as a panic or an aborted allocation. Besides raw
@@ -7,7 +7,6 @@
 //! size line of arbitrary counts), so the noise reaches the size and entry
 //! parsers instead of stopping at the first line.
 
-use fafnir_core::codec::{CodecError, HeaderCodec};
 use fafnir_sparse::mtx;
 use fafnir_workloads::QueryTrace;
 use proptest::collection::vec;
@@ -53,19 +52,6 @@ fn check_trace(text: &str) -> Result<(), TestCaseError> {
     match QueryTrace::from_text(text) {
         Ok(trace) => prop_assert_eq!(QueryTrace::from_text(&trace.to_text()), Ok(trace)),
         Err(error) => prop_assert!(error.line >= 1 && error.line <= text.lines().count()),
-    }
-    Ok(())
-}
-
-/// A decoded header re-encodes to bytes that decode to it again; anything
-/// else is `Truncated`, the decoder's only error.
-fn check_codec(codec: HeaderCodec, bytes: &[u8]) -> Result<(), TestCaseError> {
-    match codec.decode(bytes) {
-        Ok(header) => {
-            let again = codec.encode(&header).map(|encoded| codec.decode(&encoded));
-            prop_assert_eq!(again, Ok(Ok(header)));
-        }
-        Err(error) => prop_assert_eq!(error, CodecError::Truncated),
     }
     Ok(())
 }
@@ -118,17 +104,5 @@ proptest! {
     ) {
         check_trace(&lossy(&bytes))?;
         check_trace(&numeric_text(&picks))?;
-    }
-
-    #[test]
-    fn header_decode_never_panics(
-        bytes in vec(any::<u8>(), 0..64),
-        // Small bytes are plausible counts, so these often decode.
-        small in vec(prop_oneof![0u8..20, any::<u8>()], 0..64),
-    ) {
-        for codec in [HeaderCodec::paper(), HeaderCodec { bits_per_index: 32, max_fields: 255 }] {
-            check_codec(codec, &bytes)?;
-            check_codec(codec, &small)?;
-        }
     }
 }
