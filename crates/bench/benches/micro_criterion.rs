@@ -109,16 +109,6 @@ fn bench_engine_lookup(c: &mut Criterion) {
     });
 }
 
-fn bench_spmm(c: &mut Criterion) {
-    use fafnir_sparse::{gen, spmm, LilMatrix, SpmvTiming};
-    let matrix = LilMatrix::from(&gen::uniform(512, 512, 0.02, 99));
-    let x_columns: Vec<Vec<f64>> = (0..4).map(|k| vec![1.0 + k as f64; 512]).collect();
-    let timing = SpmvTiming::paper();
-    c.bench_function("spmm_512x512_4rhs", |b| {
-        b.iter(|| black_box(spmm::execute(&matrix, &x_columns, 2048, &timing)));
-    });
-}
-
 fn bench_cycle_sim(c: &mut Criterion) {
     use fafnir_core::cycle_sim::CycleTree;
     use fafnir_core::ReductionTree;
@@ -151,6 +141,6 @@ fn bench_cycle_sim(c: &mut Criterion) {
 criterion_group!(
     name = micro;
     config = Criterion::default().sample_size(20);
-    targets = bench_pe_process, bench_tree_run, bench_memsim_vector_reads, bench_zipf_sampling, bench_stream_merge, bench_engine_lookup, bench_spmm, bench_cycle_sim
+    targets = bench_pe_process, bench_tree_run, bench_memsim_vector_reads, bench_zipf_sampling, bench_stream_merge, bench_engine_lookup, bench_cycle_sim
 );
 criterion_main!(micro);

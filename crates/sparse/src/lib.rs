@@ -13,15 +13,12 @@
 //! * [`iteration`] — the iterations/rounds plan of Figs. 8–9;
 //! * [`fafnir_spmv`] — the FAFNIR SpMV engine (functional + timed);
 //! * [`two_step`] — the state-of-the-art Two-Step NDP baseline;
-//! * [`dram_stream`] — physical grounding of the timing constants against
-//!   measured DRAM streaming and tree-ingestion bounds;
 //! * [`analysis`] — structural matrix profiles (degree skew, bandwidth,
 //!   symmetry) behind Fig. 14's suitability commentary;
 //! * [`partition`] — load-balanced 1D/2D SpMV partitioning across ranks
 //!   (row-block, nnz-balanced, column-block, grid) with an explicit
 //!   synchronization stage, real-PIM style;
 //! * [`report`] — the partitioned-SpMV report (imbalance, sync, speedup);
-//! * [`spmm`] — sparse × dense-matrix products (matrix algebra);
 //! * [`apps`] — Jacobi/conjugate-gradient solvers and PageRank built on the
 //!   engines.
 //!
@@ -42,7 +39,6 @@ pub mod analysis;
 pub mod apps;
 pub mod coo;
 pub mod csr;
-pub mod dram_stream;
 pub mod fafnir_spmv;
 pub mod gen;
 pub mod iteration;
@@ -50,7 +46,6 @@ pub mod lil;
 pub mod mtx;
 pub mod partition;
 pub mod report;
-pub mod spmm;
 pub mod stream;
 pub mod two_step;
 

@@ -23,7 +23,6 @@
 //!   shortlisting, exact top-k ground truth, and recall@k for the Top-K
 //!   near-memory re-ranking scenario;
 //! * [`tablewise`] — DLRM-style one-row-per-table query generation;
-//! * [`roofline`] — the memory-bound positioning argument of Sec. II;
 //! * [`dlrm`] — a parametric DLRM cost model deriving the paper's fixed FC
 //!   latency from MLP shapes.
 //!
@@ -45,7 +44,6 @@ pub mod embedding;
 pub mod faults;
 pub mod query;
 pub mod recsys;
-pub mod roofline;
 pub mod similarity;
 pub mod stats;
 pub mod tablewise;

@@ -1,6 +1,9 @@
 //! Cross-crate integration of the SpMV side: formats, generators, the
-//! FAFNIR engine, the Two-Step baseline, and applications.
+//! FAFNIR engine, the Two-Step baseline, applications, and the physical
+//! bounds the SpMV timing constants must respect.
 
+use fafnir_core::PeTiming;
+use fafnir_mem::{Location, MemoryConfig, MemorySystem};
 use fafnir_sparse::{
     fafnir_spmv, gen, two_step, CooMatrix, CsrMatrix, LilMatrix, SpmvPlan, SpmvTiming,
 };
@@ -103,4 +106,67 @@ fn transpose_spmv_consistency() {
     let x: Vec<f64> = (0..coo.rows()).map(|i| (i as f64).sin()).collect();
     let run = fafnir_spmv::execute(&lil_t, &x, 64);
     assert_close(&run.y, &csr.multiply(&x));
+}
+
+/// Bytes per streamed LIL entry: an f64 value plus a u32 row index.
+const ENTRY_BYTES: usize = 12;
+
+/// The DRAM streaming bound in ns per LIL entry, measured on the
+/// cycle-accurate memory system: every rank reads `blocks_per_rank` 512 B
+/// blocks over its own NDP port, banks round-robin and rows in order (the
+/// layout a chunked LIL occupies).
+fn dram_stream_ns_per_entry(mem_config: MemoryConfig, blocks_per_rank: usize) -> f64 {
+    let mut config = mem_config;
+    config.ndp_data_path = true;
+    let topology = config.topology;
+    let banks = topology.banks_per_rank();
+    let blocks_per_row = (topology.row_bytes() / 512).max(1);
+    let mut memory = MemorySystem::new(config);
+    for channel in 0..topology.channels {
+        for rank in 0..topology.ranks_per_channel() {
+            for block in 0..blocks_per_rank {
+                let (flat_bank, slot) = (block % banks, block / banks);
+                let location = Location {
+                    channel,
+                    rank,
+                    bank_group: flat_bank / topology.banks_per_group,
+                    bank: flat_bank % topology.banks_per_group,
+                    row: (slot / blocks_per_row) % topology.rows,
+                    column: (slot % blocks_per_row) * (512 / topology.burst_bytes),
+                };
+                memory.submit_read_at(location, 512, 0);
+            }
+        }
+    }
+    let total_ns = config.timing.cycles_to_ns(memory.run_until_idle());
+    total_ns / (topology.total_ranks() * blocks_per_rank * 512 / ENTRY_BYTES) as f64
+}
+
+/// The tree-ingestion bound in ns per entry: `leaves` leaf PEs each take
+/// `lanes` entries per NDP cycle (Fig. 7c's vectorization).
+fn tree_ingest_ns_per_entry(leaves: usize, lanes: usize) -> f64 {
+    PeTiming::fpga_200mhz().cycle_ns() / (leaves * lanes) as f64
+}
+
+/// `SpmvTiming`'s multiply constant is calibrated to Fig. 14's ratios. It
+/// must also be physically realizable: no faster than the DRAM stream or
+/// the leaves' ingestion rate, and within 20x of the binding one.
+#[test]
+fn spmv_multiply_constant_is_physically_realizable() {
+    // 32 ranks streaming on their own ports, bounded by the shared
+    // per-channel command bus: about 0.14 ns per 12 B entry.
+    let wide = dram_stream_ns_per_entry(MemoryConfig::ddr4_2400_4ch(), 32);
+    assert!(wide > 0.05 && wide < 0.2, "bound {wide} ns/entry");
+    let narrow = dram_stream_ns_per_entry(MemoryConfig::with_total_ranks(2), 32);
+    assert!(narrow > 4.0 * wide, "2 ranks {narrow} vs 32 ranks {wide}");
+    let lanes_ratio = tree_ingest_ns_per_entry(4, 1) / tree_ingest_ns_per_entry(16, 16);
+    assert!((lanes_ratio - 64.0).abs() < 1e-9);
+
+    // The paper system: 16 leaf PEs at 1PE:2R, 16-lane entry ingestion.
+    let dram = dram_stream_ns_per_entry(MemoryConfig::ddr4_2400_4ch(), 64);
+    let tree = tree_ingest_ns_per_entry(16, 16);
+    let binding = dram.max(tree);
+    let calibrated = SpmvTiming::paper().fafnir_multiply_ns;
+    assert!(calibrated >= binding * 0.99, "calibrated {calibrated} vs dram {dram} / tree {tree}");
+    assert!(calibrated < 20.0 * binding, "calibrated {calibrated} vs binding {binding}");
 }
