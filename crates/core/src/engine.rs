@@ -401,15 +401,6 @@ impl FafnirEngine {
         }
         merge.finish().ok_or_else(|| FafnirError::InvalidBatch("batch has no queries".into()))
     }
-
-    /// Number of point-to-point connections in a FAFNIR deployment over `m`
-    /// ranks feeding `c` cores: `(2m − 2) + c` (Sec. IV-A), versus the
-    /// baseline's all-to-all `c × m`.
-    #[must_use]
-    pub fn connection_count(&self, cores: usize) -> usize {
-        let m = self.mem_config.topology.total_ranks();
-        (2 * m).saturating_sub(2) + cores
-    }
 }
 
 impl GatherEngine for FafnirEngine {
@@ -1031,13 +1022,6 @@ mod tests {
             host_link_ns: 9.0,
         });
         assert_eq!(result.sustained_ns(), 9.0);
-    }
-
-    #[test]
-    fn connection_count_matches_paper_formula() {
-        let engine = engine();
-        // 32 ranks, 4 cores: (2×32 − 2) + 4 = 66, versus 128 all-to-all.
-        assert_eq!(engine.connection_count(4), 66);
     }
 
     #[test]
