@@ -26,7 +26,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use fafnir_mem::{AnyMemory, Location, MemoryConfig, MemoryModel, MemoryStats, RequestId};
+use fafnir_mem::{AnyMemory, Location, MemoryConfig, MemoryStats, RequestId};
 
 use crate::batch::Batch;
 use crate::engine::{LatencyBreakdown, LookupResult, StreamResult, TrafficStats};
@@ -128,13 +128,13 @@ impl GatherOutcome {
 
 /// Submits every read of `plan` to `memory`, returning the request ids in
 /// plan order.
-fn submit_plan(memory: &mut impl MemoryModel, plan: &MemoryPlan) -> Vec<RequestId> {
+fn submit_plan(memory: &mut AnyMemory, plan: &MemoryPlan) -> Vec<RequestId> {
     plan.reads.iter().map(|read| memory.submit_read_at(read.location, read.bytes, 0)).collect()
 }
 
 /// Reads back the completion times for `ids` (plan order) from `memory`.
 fn collect_completions(
-    memory: &impl MemoryModel,
+    memory: &AnyMemory,
     plan: &MemoryPlan,
     ids: &[RequestId],
     config: &MemoryConfig,

@@ -46,8 +46,8 @@
 //! * [`bank`], [`rank`], [`channel`] — the device state machines.
 //! * [`controller`] — the per-channel FR-FCFS scheduler.
 //! * [`system`] — the user-facing [`MemorySystem`].
-//! * [`model`] — the [`MemoryModel`] trait and the fast-functional
-//!   analytic model ([`FastFunctionalMemory`]).
+//! * [`model`] — the fast-functional analytic model
+//!   ([`FastFunctionalMemory`]) and [`AnyMemory`], which holds either model.
 //! * [`stats`], [`energy`] — counters and the DRAM energy model.
 //! * [`verify`] — independent JEDEC timing verification of command logs.
 
@@ -70,7 +70,7 @@ pub mod verify;
 pub use address::{AddressMapping, Location, PhysAddr};
 pub use config::{MemoryConfig, PagePolicy, SchedulerPolicy, Timing, Topology};
 pub use energy::EnergyModel;
-pub use model::{AnyMemory, FastFunctionalMemory, MemoryModel, MemoryModelKind};
+pub use model::{AnyMemory, FastFunctionalMemory, MemoryModelKind};
 pub use request::{AccessKind, Completion, Request, RequestId};
 pub use stats::MemoryStats;
 pub use system::MemorySystem;

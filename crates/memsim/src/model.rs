@@ -1,8 +1,8 @@
 //! Pluggable memory timing models: the cycle-accurate reference and a
 //! fast-functional analytic model.
 //!
-//! [`MemoryModel`] abstracts the submit/drain/completion surface that the
-//! gather pipeline drives, with two implementations:
+//! [`AnyMemory`] is the submit/drain/completion surface that the gather
+//! pipeline drives, over two implementations:
 //!
 //! * [`crate::MemorySystem`] — the cycle-accurate, command-level simulator
 //!   (unchanged; still the calibrated reference), and
@@ -63,88 +63,6 @@ impl FromStr for MemoryModelKind {
     }
 }
 
-/// The submit/drain/completion surface shared by every memory timing model.
-///
-/// The gather pipeline in `fafnir-core` is written against this trait, so a
-/// plan can run on the cycle-accurate [`MemorySystem`] or on
-/// [`FastFunctionalMemory`] without structural changes; only completion
-/// *times* (and timing-derived stats) may differ between implementations.
-pub trait MemoryModel {
-    /// The configuration this model was built with.
-    fn config(&self) -> &MemoryConfig;
-
-    /// Current simulation cycle (for the fast model: the latest priced
-    /// completion).
-    fn now(&self) -> Cycle;
-
-    /// Submits a request, returning the id to look up its [`Completion`].
-    fn submit(&mut self, request: Request) -> RequestId;
-
-    /// Submits a read of `bytes` at a device location.
-    fn submit_read_at(&mut self, location: Location, bytes: usize, arrival: Cycle) -> RequestId;
-
-    /// Drains all outstanding work; returns the cycle the system went idle.
-    fn run_until_idle(&mut self) -> Cycle;
-
-    /// Completion record for a finished request.
-    fn completion(&self, id: RequestId) -> Option<&Completion>;
-
-    /// Drains and returns all recorded completions, ordered by
-    /// `(finish_cycle, id)`.
-    fn take_completions(&mut self) -> Vec<Completion>;
-
-    /// Whether no work is outstanding.
-    fn is_idle(&self) -> bool;
-
-    /// Zeroes accumulated counters at an experiment-phase boundary.
-    fn reset_stats(&mut self);
-
-    /// Accumulated counters.
-    fn stats(&self) -> MemoryStats;
-}
-
-impl MemoryModel for MemorySystem {
-    fn config(&self) -> &MemoryConfig {
-        MemorySystem::config(self)
-    }
-
-    fn now(&self) -> Cycle {
-        MemorySystem::now(self)
-    }
-
-    fn submit(&mut self, request: Request) -> RequestId {
-        MemorySystem::submit(self, request)
-    }
-
-    fn submit_read_at(&mut self, location: Location, bytes: usize, arrival: Cycle) -> RequestId {
-        MemorySystem::submit_read_at(self, location, bytes, arrival)
-    }
-
-    fn run_until_idle(&mut self) -> Cycle {
-        MemorySystem::run_until_idle(self)
-    }
-
-    fn completion(&self, id: RequestId) -> Option<&Completion> {
-        MemorySystem::completion(self, id)
-    }
-
-    fn take_completions(&mut self) -> Vec<Completion> {
-        MemorySystem::take_completions(self)
-    }
-
-    fn is_idle(&self) -> bool {
-        MemorySystem::is_idle(self)
-    }
-
-    fn reset_stats(&mut self) {
-        MemorySystem::reset_stats(self);
-    }
-
-    fn stats(&self) -> MemoryStats {
-        MemorySystem::stats(self)
-    }
-}
-
 /// Per-bank analytic state: the open row and pacing clocks.
 #[derive(Debug, Clone, Copy)]
 struct FastBank {
@@ -197,10 +115,8 @@ pub struct FastFunctionalMemory {
     /// One pacing clock per data path (rank or channel).
     buses: Vec<Cycle>,
     backlogs: Vec<FastBacklog>,
+    /// `completions[i]` holds the request with id `i`.
     completions: Vec<Completion>,
-    /// `completions[i]` holds the request with id `id_base + i`.
-    id_base: u64,
-    next_id: u64,
     now: Cycle,
     stats: MemoryStats,
 }
@@ -224,8 +140,6 @@ impl FastFunctionalMemory {
             buses: vec![0; buses],
             backlogs: vec![FastBacklog::default(); buses],
             completions: Vec::new(),
-            id_base: 0,
-            next_id: 0,
             now: 0,
             stats: MemoryStats::new(),
         }
@@ -339,20 +253,11 @@ impl FastFunctionalMemory {
 
         (issue, finish)
     }
-}
 
-impl MemoryModel for FastFunctionalMemory {
-    fn config(&self) -> &MemoryConfig {
-        &self.config
-    }
-
-    fn now(&self) -> Cycle {
-        self.now
-    }
-
+    /// Prices a request's bursts and records its completion, returning its
+    /// id.
     fn submit(&mut self, request: Request) -> RequestId {
-        let id = RequestId(self.next_id);
-        self.next_id += 1;
+        let id = RequestId(self.completions.len() as u64);
         let bursts = request.bursts(self.config.topology.burst_bytes);
         let mut start = Cycle::MAX;
         let mut finish = 0;
@@ -382,39 +287,32 @@ impl MemoryModel for FastFunctionalMemory {
         id
     }
 
-    fn submit_read_at(&mut self, location: Location, bytes: usize, arrival: Cycle) -> RequestId {
+    /// Submits a read of `bytes` at a device location.
+    pub fn submit_read_at(
+        &mut self,
+        location: Location,
+        bytes: usize,
+        arrival: Cycle,
+    ) -> RequestId {
         let addr = self.config.mapping.encode(location, &self.config.topology);
         self.submit(Request::read(addr.0, bytes).at(arrival))
     }
 
     /// Eager pricing means every submitted request is already complete;
     /// this just reports the latest completion.
-    fn run_until_idle(&mut self) -> Cycle {
+    pub fn run_until_idle(&mut self) -> Cycle {
         self.now
     }
 
-    fn completion(&self, id: RequestId) -> Option<&Completion> {
-        let slot = id.0.checked_sub(self.id_base)?;
-        self.completions.get(slot as usize)
+    /// Completion record for a submitted request.
+    #[must_use]
+    pub fn completion(&self, id: RequestId) -> Option<&Completion> {
+        self.completions.get(usize::try_from(id.0).ok()?)
     }
 
-    fn take_completions(&mut self) -> Vec<Completion> {
-        let mut all = std::mem::take(&mut self.completions);
-        all.sort_by_key(|c| (c.finish_cycle, c.id));
-        self.id_base = self.next_id;
-        all
-    }
-
-    fn is_idle(&self) -> bool {
-        true
-    }
-
-    fn reset_stats(&mut self) {
-        let detail = || "0 pending requests (eager pricing completes at submit)".to_string();
-        self.stats.reset_phase(true, detail);
-    }
-
-    fn stats(&self) -> MemoryStats {
+    /// Accumulated counters.
+    #[must_use]
+    pub fn stats(&self) -> MemoryStats {
         let mut stats = self.stats;
         if self.config.refresh && self.now > 0 {
             // One REF per rank per tREFI of (derated) elapsed time.
@@ -459,44 +357,31 @@ macro_rules! delegate {
     };
 }
 
-impl MemoryModel for AnyMemory {
-    fn config(&self) -> &MemoryConfig {
-        delegate!(self, config,)
-    }
-
-    fn now(&self) -> Cycle {
-        delegate!(self, now,)
-    }
-
-    fn submit(&mut self, request: Request) -> RequestId {
-        delegate!(self, submit, request)
-    }
-
-    fn submit_read_at(&mut self, location: Location, bytes: usize, arrival: Cycle) -> RequestId {
+impl AnyMemory {
+    /// Submits a read of `bytes` at a device location.
+    pub fn submit_read_at(
+        &mut self,
+        location: Location,
+        bytes: usize,
+        arrival: Cycle,
+    ) -> RequestId {
         delegate!(self, submit_read_at, location, bytes, arrival)
     }
 
-    fn run_until_idle(&mut self) -> Cycle {
+    /// Drains all outstanding work; returns the cycle the system went idle.
+    pub fn run_until_idle(&mut self) -> Cycle {
         delegate!(self, run_until_idle,)
     }
 
-    fn completion(&self, id: RequestId) -> Option<&Completion> {
+    /// Completion record for a finished request.
+    #[must_use]
+    pub fn completion(&self, id: RequestId) -> Option<&Completion> {
         delegate!(self, completion, id)
     }
 
-    fn take_completions(&mut self) -> Vec<Completion> {
-        delegate!(self, take_completions,)
-    }
-
-    fn is_idle(&self) -> bool {
-        delegate!(self, is_idle,)
-    }
-
-    fn reset_stats(&mut self) {
-        delegate!(self, reset_stats,)
-    }
-
-    fn stats(&self) -> MemoryStats {
+    /// Accumulated counters.
+    #[must_use]
+    pub fn stats(&self) -> MemoryStats {
         delegate!(self, stats,)
     }
 }
@@ -664,7 +549,7 @@ mod tests {
         }
         cycle.run_until_idle();
         fast.run_until_idle();
-        let c = MemoryModel::stats(&cycle);
+        let c = cycle.stats();
         let f = fast.stats();
         assert_eq!(f.reads, c.reads);
         assert_eq!(f.bytes_transferred, c.bytes_transferred);
@@ -677,41 +562,18 @@ mod tests {
     }
 
     #[test]
-    fn take_completions_drains_in_finish_order_and_rebases_ids() {
-        let mut memory = FastFunctionalMemory::new(config());
-        let a = read_at(&mut memory, 0, 0, 0, 64);
-        let b = read_at(&mut memory, 1, 0, 0, 64);
-        let drained = memory.take_completions();
-        assert_eq!(drained.len(), 2);
-        assert!(drained.windows(2).all(|w| w[0].finish_cycle <= w[1].finish_cycle));
-        assert!(memory.completion(a).is_none());
-        assert!(memory.completion(b).is_none());
-        let c = read_at(&mut memory, 0, 0, 0, 64);
-        assert!(memory.completion(c).is_some(), "ids rebase after draining");
-    }
-
-    #[test]
-    fn reset_stats_zeroes_via_the_shared_path() {
-        let mut memory = FastFunctionalMemory::new(config());
-        let _ = read_at(&mut memory, 0, 0, 0, 512);
-        assert!(memory.stats().reads > 0);
-        memory.reset_stats();
-        assert_eq!(MemoryModel::stats(&memory), MemoryStats::default());
-        assert!(memory.is_idle());
-    }
-
-    #[test]
     fn any_memory_dispatches_on_the_config_field() {
         let mut fast_config = MemoryConfig::ddr4_2400_4ch();
         fast_config.model = MemoryModelKind::Fast;
         assert!(matches!(AnyMemory::new(fast_config), AnyMemory::Fast(_)));
         assert!(matches!(AnyMemory::new(MemoryConfig::ddr4_2400_4ch()), AnyMemory::Cycle(_)));
-        // The trait surface works through the enum.
+        // The gather surface works through the enum.
         let mut memory = AnyMemory::new(fast_config);
-        let id = memory.submit(Request::read(0, 512));
+        let location = Location { channel: 0, rank: 0, bank_group: 0, bank: 0, row: 0, column: 0 };
+        let id = memory.submit_read_at(location, 512, 0);
         memory.run_until_idle();
         assert!(memory.completion(id).is_some());
-        assert_eq!(MemoryModel::stats(&memory).reads, 8);
+        assert_eq!(memory.stats().reads, 8);
     }
 
     #[test]

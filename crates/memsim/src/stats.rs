@@ -51,23 +51,6 @@ impl MemoryStats {
         *self = Self::default();
     }
 
-    /// The shared phase-boundary reset used by every memory model: checks
-    /// the system is idle (debug builds), then zeroes every counter.
-    ///
-    /// Centralizing this keeps the "what does a phase reset mean" contract
-    /// identical across backends — a model that zeroed a different subset
-    /// of counters would silently skew per-phase comparisons. `detail` is
-    /// only evaluated when the check fails.
-    ///
-    /// # Panics
-    ///
-    /// In debug builds, panics when `idle` is false (a mid-flight reset
-    /// would split one request's counters across two phases).
-    pub fn reset_phase(&mut self, idle: bool, detail: impl FnOnce() -> String) {
-        debug_assert!(idle, "reset_stats on a busy memory system: {}", detail());
-        self.reset();
-    }
-
     /// Row-buffer hit rate over all bursts (0.0 when nothing completed).
     #[must_use]
     pub fn row_hit_rate(&self) -> f64 {

@@ -354,19 +354,18 @@ impl MemorySystem {
     /// is the checked entry point: it debug-asserts the system is idle.
     /// Drain with [`MemorySystem::run_until_idle`] first.
     ///
-    /// The idle check and zeroing both go through
-    /// [`MemoryStats::reset_phase`], the same path the fast-functional
-    /// model uses, so the phase-reset contract cannot drift between
-    /// backends.
+    /// # Panics
+    ///
+    /// In debug builds, panics when the system is not idle.
     pub fn reset_stats(&mut self) {
-        let idle = self.is_idle();
-        let (pending, queued) = (self.in_flight, self.total_queued());
-        self.request_stats.reset_phase(idle, || {
-            format!(
-                "{pending} pending requests, {queued} queued bursts — counters of in-flight \
-                 work would be split across phases"
-            )
-        });
+        debug_assert!(
+            self.is_idle(),
+            "reset_stats on a busy memory system: {} pending requests, {} queued bursts — \
+             counters of in-flight work would be split across phases",
+            self.in_flight,
+            self.total_queued()
+        );
+        self.request_stats.reset();
         for controller in &mut self.controllers {
             controller.reset_stats();
         }
