@@ -8,7 +8,7 @@ use fafnir_baselines::{CoreModel, NoNdpEngine, RecNmpEngine, TensorDimmEngine};
 use fafnir_core::model::report::DeploymentSummary;
 use fafnir_core::{Batch, FafnirConfig, FafnirEngine, GatherEngine, PeTiming, StripedSource};
 use fafnir_mem::{MemoryConfig, MemoryModelKind};
-use fafnir_sparse::{fafnir_spmv, gen, two_step, LilMatrix, SpmvTiming};
+use fafnir_sparse::{fafnir_spmv, gen, mtx, two_step, LilMatrix, SpmvTiming};
 use fafnir_workloads::faults::FaultPlan;
 use fafnir_workloads::query::{BatchGenerator, Popularity};
 use fafnir_workloads::trace::QueryTrace;
@@ -93,7 +93,7 @@ const CLUSTER: &[Flag] = &[
 
 const SPMV: &[Flag] = &[
     flag("gen", Choice(&["uniform", "rmat", "banded", "spd"]), Some("rmat"), "matrix generator"),
-    flag("rows", NONZERO, Some("4096"), "matrix rows"),
+    flag("rows", Count(1, mtx::MAX_DIMENSION as u64), Some("4096"), "matrix rows"),
     flag("density", NONZERO_FRACTION, Some("0.01"), "uniform: share of non-zeros"),
     flag("nnz", ANY, None, "rmat: edges (rows*8)"),
     flag("bandwidth", ANY, Some("4"), "banded/spd: band width"),
@@ -141,7 +141,7 @@ pub const COMMANDS: &[Command] = &[
     Command {
         name: "report",
         summary: "print the deployment summary",
-        flags: &[&[RANKS, RATIO, flag("cores", ANY, Some("4"), "host cores")]],
+        flags: &[&[RANKS, RATIO, flag("cores", Count(0, U32_MAX), Some("4"), "host cores")]],
         run: report,
     },
     Command {
@@ -503,8 +503,8 @@ fn spmv(args: &Args) -> Result<String, ArgError> {
     let seed: u64 = args.parse_as("seed")?;
     let generator = args.value("gen")?;
     let (matrix, label) = if let Some(path) = args.get("mtx") {
-        let matrix = fafnir_sparse::mtx::read_file(std::path::Path::new(path))
-            .map_err(|e| ArgError::flag("mtx", e))?;
+        let matrix =
+            mtx::read_file(std::path::Path::new(path)).map_err(|e| ArgError::flag("mtx", e))?;
         (matrix, "mtx file")
     } else {
         let matrix = match generator {
@@ -897,6 +897,10 @@ mod tests {
         ("spmv --stream --stream", "stream"),
         ("spmv --gen banded --rows 64 --vector-size 1", "vector-size"),
         ("spmv --mtx /does/not/exist.mtx", "mtx"),
+        ("spmv --rows 1000000000000", "rows"),
+        ("spmv --gen rmat --rows 18446744073709551615", "rows"),
+        ("spmv --gen uniform --rows 3000000000 --density 0.000000000001", "rows"),
+        ("report --cores 18446744073709551615", "cores"),
         // Inputs that used to panic the binary or be ignored.
         ("lookup --universe 0", "universe"),
         ("serve --universe 0", "universe"),
