@@ -45,8 +45,15 @@ docs:
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # The ledger benchmark is its own Cargo workspace: build and test it.
+# `--locked` fails instead of rewriting ledger/Cargo.lock when a path
+# dependency's manifest changes.
 ledger-check:
-    cargo test --release --offline --manifest-path ledger/Cargo.toml -q
+    cargo test --release --offline --locked --manifest-path ledger/Cargo.toml -q
+
+# Lines of Rust per crate, for `crates src tests examples` together, and for
+# `ledger/` on its own. Prints only; not a gate.
+loc:
+    scripts/loc.sh
 
 # Everything CI runs.
 ci: fmt clippy tier1 docs test ledger-check bench-build figures calibration-gate
