@@ -65,7 +65,7 @@ fn drive_memory(
 /// An idle-heavy tree batch: leaf items whose memory-completion times are
 /// spread far apart, so the simulated clock spans millions of mostly-empty
 /// cycles.
-fn tree_inputs(batch: &Batch, ranks: usize) -> Vec<Vec<fafnir_core::Item>> {
+fn tree_inputs(batch: &Batch, ranks: usize) -> fafnir_core::RankInputs {
     let gathered: Vec<GatheredVector> = batch
         .unique_indices()
         .iter()

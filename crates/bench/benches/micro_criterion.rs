@@ -6,9 +6,7 @@ use std::hint::black_box;
 
 use fafnir_core::batch::Batch;
 use fafnir_core::inject::{build_rank_inputs, GatheredVector};
-use fafnir_core::{
-    FafnirConfig, IndexSet, PeTiming, ProcessingElement, ReductionTree, VectorIndex,
-};
+use fafnir_core::{FafnirConfig, IndexSet, PeTiming, ReductionTree, VectorIndex};
 use fafnir_mem::{MemoryConfig, MemorySystem, Request};
 use fafnir_sparse::stream::{merge_tree, PartialStream, StreamOps};
 use fafnir_workloads::Zipf;
@@ -16,7 +14,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn bench_pe_process(c: &mut Criterion) {
-    let pe = ProcessingElement::default();
+    // Two ranks feed one leaf PE, which is the whole tree.
+    let config = FafnirConfig { vector_dim: 128, ..FafnirConfig::paper_default() };
+    let tree = ReductionTree::new(config, 2).expect("tree");
     let batch = Batch::from_index_sets(
         (0..8u32).map(|i| IndexSet::from_iter_dedup((0..8).map(move |j| VectorIndex(i * 8 + j)))),
     );
@@ -32,7 +32,7 @@ fn bench_pe_process(c: &mut Criterion) {
         .collect();
     let inputs = build_rank_inputs(&batch, &gathered, 2, 2, &PeTiming::default());
     c.bench_function("pe_process_32_items", |b| {
-        b.iter(|| black_box(pe.process(&inputs[0], &inputs[1])));
+        b.iter_batched(|| inputs.clone(), |i| black_box(tree.run(i)), BatchSize::SmallInput);
     });
 }
 

@@ -1,16 +1,15 @@
-//! Host-side batch preprocessing: unique-index extraction and header
-//! construction.
+//! Host-side batch preprocessing: unique-index extraction.
 //!
 //! FAFNIR's redundancy elimination (Sec. IV-C) happens *before* memory is
 //! touched: the host rearranges a batch of queries into a set of unique
-//! indices, reads each unique index once, and attaches to each read a header
-//! listing every query that needs it. The tree then reuses the value as many
-//! times as required — no caches.
+//! indices and reads each unique index once; the injector
+//! ([`crate::inject`]) attaches to each read a header listing every query
+//! that needs it. The tree then reuses the value as many times as required
+//! — no caches.
 
 use serde::{Deserialize, Serialize};
 
 use crate::index::{IndexSet, QueryId, VectorIndex};
-use crate::item::PendingQuery;
 
 /// One embedding-lookup query: a set of indices to gather and reduce.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -127,29 +126,6 @@ impl Batch {
     #[must_use]
     pub fn access_savings(&self) -> f64 {
         1.0 - self.unique_fraction()
-    }
-
-    /// Builds the per-unique-index leaf headers (Fig. 6b): for each unique
-    /// index, one pending entry per query containing it, holding that
-    /// query's other indices.
-    #[must_use]
-    pub fn leaf_headers(&self) -> Vec<(VectorIndex, Vec<PendingQuery>)> {
-        let unique = self.unique_indices();
-        let mut headers: Vec<(VectorIndex, Vec<PendingQuery>)> =
-            unique.iter().map(|index| (index, Vec::new())).collect();
-        // One pass over the references: each (query, index) lands in the
-        // index's slot with queries in batch order, exactly as a per-index
-        // filter over the query list would produce.
-        for query in &self.queries {
-            for index in query.indices.iter() {
-                let pos = unique.as_slice().binary_search(&index).expect("reference in unique set");
-                headers[pos].1.push(PendingQuery::new(
-                    query.id,
-                    query.indices.difference(&IndexSet::singleton(index)),
-                ));
-            }
-        }
-        headers
     }
 
     /// Splits the batch into hardware-sized sub-batches of at most
@@ -276,23 +252,6 @@ mod tests {
     }
 
     #[test]
-    fn leaf_headers_match_fig6_for_index_11() {
-        let batch = fig6_batch();
-        let headers = batch.leaf_headers();
-        let (_, pending) = headers
-            .iter()
-            .find(|(index, _)| *index == crate::index::VectorIndex(11))
-            .expect("index 11 present");
-        // Index 11 appears in queries a (id 0) and c (id 2); remaining sets
-        // exclude 11 itself (Fig. 6b).
-        assert_eq!(pending.len(), 2);
-        assert_eq!(pending[0].query, QueryId(0));
-        assert_eq!(pending[0].remaining, indexset![44, 32, 83, 77]);
-        assert_eq!(pending[1].query, QueryId(2));
-        assert_eq!(pending[1].remaining, indexset![50, 44, 94, 26]);
-    }
-
-    #[test]
     fn push_assigns_sequential_ids() {
         let mut batch = Batch::new();
         assert!(batch.is_empty());
@@ -364,7 +323,6 @@ mod tests {
         assert_eq!(batch.unique_fraction(), 1.0);
         assert_eq!(batch.access_savings(), 0.0);
         assert_eq!(batch.max_query_len(), 0);
-        assert!(batch.leaf_headers().is_empty());
     }
 
     proptest! {
@@ -379,37 +337,6 @@ mod tests {
                 .collect();
             let fraction = batch.unique_fraction();
             prop_assert!(fraction > 0.0 && fraction <= 1.0);
-            prop_assert_eq!(batch.unique_indices().len(), batch.leaf_headers().len());
-        }
-
-        #[test]
-        fn every_reference_appears_in_exactly_one_leaf_header_entry(
-            sets in proptest::collection::vec(
-                proptest::collection::vec(0u32..24, 1..6), 1..8)
-        ) {
-            let batch: Batch = sets
-                .iter()
-                .map(|s| IndexSet::from_iter_dedup(s.iter().copied().map(crate::index::VectorIndex)))
-                .collect();
-            // For every query and index in it, the leaf header of that index
-            // has exactly one entry for the query, whose remaining set is the
-            // query minus the index.
-            let headers = batch.leaf_headers();
-            for query in batch.queries() {
-                for index in query.indices.iter() {
-                    let (_, pending) = headers
-                        .iter()
-                        .find(|(i, _)| *i == index)
-                        .expect("unique index covered");
-                    let entries: Vec<_> =
-                        pending.iter().filter(|p| p.query == query.id).collect();
-                    prop_assert_eq!(entries.len(), 1);
-                    prop_assert_eq!(
-                        &entries[0].remaining,
-                        &query.indices.difference(&IndexSet::singleton(index))
-                    );
-                }
-            }
         }
     }
 }

@@ -40,8 +40,8 @@ use std::collections::{BTreeSet, BinaryHeap};
 use serde::{Deserialize, Serialize};
 
 use crate::config::FafnirConfig;
-use crate::item::Item;
-use crate::pe::ProcessingElement;
+use crate::item::{Arena, Item, Node, RankInputs};
+use crate::pe::{PeScratch, ProcessingElement};
 use crate::tree::ReductionTree;
 
 /// Why a cycle-stepped traversal could not complete (or start).
@@ -101,13 +101,13 @@ pub struct CycleRun {
 #[derive(Debug, Clone)]
 struct PeState {
     /// Items queued on each input with their arrival cycles.
-    arrivals: Vec<(u64, Item, bool)>, // (cycle, item, is_side_b)
+    arrivals: Vec<(u64, Node, bool)>, // (cycle, item, is_side_b)
     /// Expected input count (known once producers finish).
     expected: Option<usize>,
     /// Received so far.
     received: usize,
     /// Outputs awaiting transfer to the parent, with earliest-emit cycles.
-    pending_out: Vec<(u64, Item)>,
+    pending_out: Vec<(u64, Node)>,
     /// Current occupancy of this PE's input FIFOs.
     occupancy: usize,
     fired: bool,
@@ -117,6 +117,8 @@ struct PeState {
 /// topology lookup tables and derived timing constants.
 struct SimSetup {
     states: Vec<PeState>,
+    /// The batch's query lists, entries and masks.
+    arena: Arena,
     /// (start index, count) per level, leaves first.
     levels: Vec<(usize, usize)>,
     /// Parent PE id (None for the root).
@@ -187,7 +189,8 @@ impl CycleTree {
 
     /// Injects leaf items and builds the per-run lookup tables shared by
     /// both engines.
-    fn prepare(&self, rank_inputs: Vec<Vec<Item>>) -> SimSetup {
+    fn prepare(&self, rank_inputs: RankInputs) -> SimSetup {
+        let RankInputs { arena, ranks: rank_inputs } = rank_inputs;
         assert_eq!(
             rank_inputs.len(),
             self.leaf_count * self.config.ranks_per_leaf,
@@ -213,9 +216,9 @@ impl CycleTree {
             let half = ranks.len().div_ceil(2);
             for (side_index, rank_items) in ranks.iter().enumerate() {
                 let is_b = side_index >= half;
-                for item in rank_items {
+                for &item in rank_items {
                     let cycle = (item.ready_ns / cycle_ns).ceil() as u64;
-                    states[leaf].arrivals.push((cycle, item.clone(), is_b));
+                    states[leaf].arrivals.push((cycle, item, is_b));
                     states[leaf].received += 1;
                 }
             }
@@ -256,6 +259,7 @@ impl CycleTree {
 
         SimSetup {
             states,
+            arena,
             levels,
             parent,
             children,
@@ -271,7 +275,8 @@ impl CycleTree {
     /// Packages root emissions into a [`CycleRun`].
     fn finish(
         &self,
-        root_outputs: Vec<(u64, Item)>,
+        arena: &Arena,
+        root_outputs: Vec<(u64, Node)>,
         final_cycle: u64,
         stall_cycles: u64,
         max_occupancy: usize,
@@ -280,10 +285,7 @@ impl CycleTree {
         let completion_cycle = root_outputs.iter().map(|&(c, _)| c).max().unwrap_or(final_cycle);
         let outputs = root_outputs
             .into_iter()
-            .map(|(c, mut item)| {
-                item.ready_ns = c as f64 * cycle_ns;
-                item
-            })
+            .map(|(c, node)| arena.item(&Node { ready_ns: c as f64 * cycle_ns, ..node }))
             .collect();
         CycleRun {
             outputs,
@@ -316,9 +318,10 @@ impl CycleTree {
     /// # Panics
     ///
     /// Panics if the input list length does not match the topology.
-    pub fn run(&self, rank_inputs: Vec<Vec<Item>>) -> Result<CycleRun, CycleSimError> {
+    pub fn run(&self, rank_inputs: RankInputs) -> Result<CycleRun, CycleSimError> {
         let SimSetup {
             mut states,
+            mut arena,
             levels: _,
             parent,
             children,
@@ -329,6 +332,7 @@ impl CycleTree {
             cycle_ns,
         } = self.prepare(rank_inputs);
         let pe = ProcessingElement { timing: self.config.pe_timing };
+        let mut scratch = PeScratch::new(arena.query_count());
         let total_pes = states.len();
 
         // Ready-queue of (cycle, pe) wake-ups. Every future arrival and
@@ -351,7 +355,7 @@ impl CycleTree {
         let mut pending_total = 0usize;
         let mut stall_cycles = 0u64;
         let mut max_occupancy = 0usize;
-        let mut root_outputs: Vec<(u64, Item)> = Vec::new();
+        let mut root_outputs: Vec<(u64, Node)> = Vec::new();
         let mut cycle: u64 = 0;
         loop {
             // Agenda for this cycle: overdue emitters plus everything the
@@ -382,9 +386,9 @@ impl CycleTree {
                         state.fired = true;
                         let (a, b): (Vec<_>, Vec<_>) =
                             state.arrivals.drain(..).partition(|&(_, _, is_b)| !is_b);
-                        let a: Vec<Item> = a.into_iter().map(|(_, item, _)| item).collect();
-                        let b: Vec<Item> = b.into_iter().map(|(_, item, _)| item).collect();
-                        let (outputs, _) = pe.process(&a, &b);
+                        let a: Vec<Node> = a.into_iter().map(|(_, item, _)| item).collect();
+                        let b: Vec<Node> = b.into_iter().map(|(_, item, _)| item).collect();
+                        let (outputs, _) = pe.fire(&mut arena, &mut scratch, &a, &b);
                         state.occupancy = 0;
                         pending_total += outputs.len();
                         for (position, item) in outputs.into_iter().enumerate() {
@@ -500,7 +504,7 @@ impl CycleTree {
             }
         }
 
-        Ok(self.finish(root_outputs, cycle, stall_cycles, max_occupancy, cycle_ns))
+        Ok(self.finish(&arena, root_outputs, cycle, stall_cycles, max_occupancy, cycle_ns))
     }
 
     /// Runs one batch with the **unit-stepped reference engine**: every PE
@@ -516,9 +520,10 @@ impl CycleTree {
     /// # Panics
     ///
     /// Panics if the input list length does not match the topology.
-    pub fn run_stepped(&self, rank_inputs: Vec<Vec<Item>>) -> Result<CycleRun, CycleSimError> {
+    pub fn run_stepped(&self, rank_inputs: RankInputs) -> Result<CycleRun, CycleSimError> {
         let SimSetup {
             mut states,
+            mut arena,
             levels,
             parent: _,
             children: _,
@@ -529,10 +534,11 @@ impl CycleTree {
             cycle_ns,
         } = self.prepare(rank_inputs);
         let pe = ProcessingElement { timing: self.config.pe_timing };
+        let mut scratch = PeScratch::new(arena.query_count());
 
         let mut stall_cycles = 0u64;
         let mut max_occupancy = 0usize;
-        let mut root_outputs: Vec<(u64, Item)> = Vec::new();
+        let mut root_outputs: Vec<(u64, Node)> = Vec::new();
         let mut cycle: u64 = 0;
         loop {
             let mut all_drained = true;
@@ -552,9 +558,9 @@ impl CycleTree {
                             state.fired = true;
                             let (a, b): (Vec<_>, Vec<_>) =
                                 state.arrivals.drain(..).partition(|&(_, _, is_b)| !is_b);
-                            let a: Vec<Item> = a.into_iter().map(|(_, item, _)| item).collect();
-                            let b: Vec<Item> = b.into_iter().map(|(_, item, _)| item).collect();
-                            let (outputs, _) = pe.process(&a, &b);
+                            let a: Vec<Node> = a.into_iter().map(|(_, item, _)| item).collect();
+                            let b: Vec<Node> = b.into_iter().map(|(_, item, _)| item).collect();
+                            let (outputs, _) = pe.fire(&mut arena, &mut scratch, &a, &b);
                             state.occupancy = 0;
                             for (position, item) in outputs.into_iter().enumerate() {
                                 let emit = cycle + reduce_cycles + position as u64 * interval;
@@ -652,7 +658,7 @@ impl CycleTree {
             }
         }
 
-        Ok(self.finish(root_outputs, cycle, stall_cycles, max_occupancy, cycle_ns))
+        Ok(self.finish(&arena, root_outputs, cycle, stall_cycles, max_occupancy, cycle_ns))
     }
 }
 
@@ -665,7 +671,7 @@ mod tests {
     use crate::inject::{build_rank_inputs, GatheredVector};
     use crate::timing::PeTiming;
 
-    fn inputs_for(batch: &Batch, ranks: usize) -> Vec<Vec<Item>> {
+    fn inputs_for(batch: &Batch, ranks: usize) -> RankInputs {
         let gathered: Vec<GatheredVector> = batch
             .unique_indices()
             .iter()

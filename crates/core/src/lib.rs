@@ -92,7 +92,7 @@ pub use engine::{
 };
 pub use error::FafnirError;
 pub use index::{IndexSet, QueryId, VectorIndex};
-pub use item::{Header, Item, PendingQuery};
+pub use item::{Header, Item, PendingQuery, RankInputs};
 pub use pe::{PeOpCounts, ProcessingElement};
 pub use pipeline::{
     GatherEngine, GatherOutcome, LookupService, MemoryPlan, ParallelBatchDriver,

@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use fafnir_core::cycle_sim::CycleTree;
 use fafnir_core::inject::{build_rank_inputs, GatheredVector};
 use fafnir_core::{
-    Batch, FafnirConfig, IndexSet, Item, PeTiming, QueryId, ReductionTree, VectorIndex,
+    Batch, FafnirConfig, IndexSet, Item, PeTiming, QueryId, RankInputs, ReductionTree, VectorIndex,
 };
 
 fn batch_strategy() -> impl Strategy<Value = Batch> {
@@ -37,7 +37,7 @@ fn completed(items: &[Item]) -> Vec<(QueryId, IndexSet)> {
     done
 }
 
-fn inputs_for(batch: &Batch, ranks: usize) -> Vec<Vec<Item>> {
+fn inputs_for(batch: &Batch, ranks: usize) -> RankInputs {
     let gathered: Vec<GatheredVector> = batch
         .unique_indices()
         .iter()

@@ -75,7 +75,7 @@ fn batch_strategy() -> impl Strategy<Value = Batch> {
     })
 }
 
-fn inputs_for(batch: &Batch, ranks: usize) -> Vec<Vec<fafnir_core::Item>> {
+fn inputs_for(batch: &Batch, ranks: usize) -> fafnir_core::RankInputs {
     let gathered: Vec<GatheredVector> = batch
         .unique_indices()
         .iter()
