@@ -11,8 +11,10 @@
 //! the recorded tolerance envelope ([`fafnir_serve::ToleranceEnvelope`]).
 //!
 //! Regression guard: if an existing `BENCH_fast_memory.json` shows
-//! materially better fast-mode throughput or speedup, this bench refuses
-//! to overwrite it unless `--force` is passed (`just bench-fastmem --force`).
+//! materially better throughput in either mode, this bench refuses to
+//! overwrite it unless `--force` is passed (`just bench-fastmem --force`).
+//! The speedup of fast over cycle mode is recorded but not guarded: a
+//! faster cycle mode lowers it without any regression.
 
 use std::time::Instant;
 
@@ -133,7 +135,7 @@ fn main() {
     record(
         "fast_memory",
         &json,
-        &[("fast_sim_queries_per_sec", fast_qps), ("speedup_vs_cycle", speedup)],
+        &[("fast_sim_queries_per_sec", fast_qps), ("cycle_sim_queries_per_sec", cycle_qps)],
         REGRESSION_TOLERANCE,
     );
 }
