@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::iteration::SpmvPlan;
 use crate::lil::LilMatrix;
-use crate::stream::{merge_tree, PartialStream, StreamOps};
+use crate::stream::{MergeTree, PartialStream, StreamOps, Streams};
 
 /// Per-entry timing constants of the SpMV engines, in nanoseconds.
 ///
@@ -160,41 +160,37 @@ pub fn execute_to_stream(matrix: &LilMatrix, x: &[f64], vector_size: usize) -> S
     let plan = SpmvPlan::new(matrix.cols(), vector_size);
     let mut ops = StreamOps::default();
     let mut volumes = vec![matrix.nnz() as u64];
+    let mut tree = MergeTree::default();
 
     // Iteration 0: one round per column chunk; leaf PEs multiply, the tree
     // merges the chunk's column streams into one partial stream.
-    let mut streams: Vec<PartialStream> = matrix
-        .column_chunks(vector_size)
-        .map(|chunk| {
-            let leaf_streams: Vec<PartialStream> = chunk
-                .columns()
-                .map(|(col, list)| {
-                    ops.multiplies += list.len() as u64;
-                    PartialStream::from_sorted(
-                        list.iter().map(|&(row, value)| (row, value * x[col])).collect(),
-                    )
-                })
-                .collect();
-            merge_tree(leaf_streams, &mut ops)
-        })
-        .collect();
-
-    // Merge iterations: group up to `vector_size` streams per round; leaf
-    // PEs skip the multiply (Table II).
-    while streams.len() > 1 {
-        volumes.push(streams.iter().map(|s| s.len() as u64).sum());
-        let mut next = Vec::with_capacity(streams.len().div_ceil(vector_size));
-        let mut iter = streams.into_iter().peekable();
-        while iter.peek().is_some() {
-            let group: Vec<PartialStream> = iter.by_ref().take(vector_size).collect();
-            next.push(merge_tree(group, &mut ops));
+    let mut leaves = Streams::default();
+    let mut streams = Streams::default();
+    for chunk in matrix.column_chunks(vector_size) {
+        leaves.clear();
+        for (col, list) in chunk.columns() {
+            ops.multiplies += list.len() as u64;
+            leaves.push_scaled(list, x[col]);
         }
-        streams = next;
+        tree.reduce(leaves.len(), |k| leaves.get(k), &mut streams, &mut ops);
     }
 
-    let stream = streams.pop().unwrap_or_default();
+    // Merge iterations: group up to `vector_size` streams per round; leaf
+    // PEs skip the multiply (Table II). The leaf buffer is free now and
+    // holds each iteration's outputs in turn.
+    let mut next = leaves;
+    while streams.len() > 1 {
+        volumes.push(streams.total() as u64);
+        next.clear();
+        for first in (0..streams.len()).step_by(vector_size) {
+            let count = vector_size.min(streams.len() - first);
+            tree.reduce(count, |k| streams.get(first + k), &mut next, &mut ops);
+        }
+        std::mem::swap(&mut streams, &mut next);
+    }
+
     debug_assert_eq!(volumes.len(), plan.iterations());
-    SpmvStreamRun { stream, plan, volumes, ops }
+    SpmvStreamRun { stream: streams.into_single(), plan, volumes, ops }
 }
 
 #[cfg(test)]
