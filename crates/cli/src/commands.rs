@@ -27,13 +27,15 @@ const NONZERO_FRACTION: Kind = Number((Excluded(0.0), Included(1.0)));
 
 /// Upper bounds of the count flags that size a run's memory or length.
 /// Each lies far above any figure's or test's use, and no allocation a
-/// run sizes by one of them can overflow a capacity.
+/// run sizes by one of them can overflow a capacity; spmv's grid
+/// factorization of `--ranks` takes at most 256 steps.
 const MAX_BATCH: u64 = 1 << 16;
 const MAX_BATCHES: u64 = 1 << 16;
 const MAX_QUERIES: u64 = 1 << 22;
 const MAX_WORKERS: u64 = 1 << 12;
 const MAX_SHARDS: u64 = 1 << 10;
 const MAX_NNZ: u64 = 1 << 26;
+const MAX_SPMV_RANKS: u64 = 1 << 16;
 
 const SEED: Flag = flag("seed", ANY, Some("7"), "random seed");
 const SKEW: Flag = flag("skew", NON_NEGATIVE, Some("1.15"), "Zipf exponent; 0 draws uniformly");
@@ -111,7 +113,7 @@ const SPMV: &[Flag] = &[
     flag("mtx", Text("FILE"), None, "load Matrix Market input"),
     SEED,
     flag("partition", Choice(&["row", "nnz", "col", "grid"]), None, "split over ranks (off)"),
-    flag("ranks", NONZERO, Some("8"), "ranks for --partition"),
+    flag("ranks", Count(1, MAX_SPMV_RANKS), Some("8"), "ranks for --partition"),
     flag("stream", Switch, None, "chunk-at-a-time partitioned driver"),
     JSON,
 ];
@@ -951,6 +953,8 @@ mod tests {
         ("cluster --shards 18446744073709551615", "shards"),
         ("trace --record 18446744073709551615", "record"),
         ("spmv --nnz 18446744073709551615", "nnz"),
+        ("spmv --rows 1024 --partition grid --ranks 18446744073709551615", "ranks"),
+        ("spmv --rows 1024 --partition grid --ranks 1000000000000000000", "ranks"),
     ];
 
     #[test]
