@@ -127,12 +127,13 @@ calibrate:
 bench-kernels *ARGS:
     cargo bench -p fafnir-bench --bench reduce_kernels -- {{ARGS}}
 
-# Profile the serving data plane with gprofng (binutils). Samples the
-# ledger benchmark running one serving workload and prints the hottest
-# functions. Relative percentages are trustworthy even where the absolute
-# totals undersample; compare profiles at the same SECONDS. Requires
-# `gprofng` on PATH. `workload` is `serve_cycle` or `serve_fast` (the fast
-# memory model); `ledger --trace 1` gives the per-layer split instead.
+# Profile the simulator with gprofng (binutils). Samples the ledger
+# benchmark running one workload and prints the hottest functions.
+# Relative percentages are trustworthy even where the absolute totals
+# undersample; compare profiles at the same SECONDS. Requires `gprofng` on
+# PATH. `workload` is any ledger workload: `serve_cycle`, `serve_fast` (the
+# fast memory model) or `spmv_rmat` (the partitioned SpMV tree) among
+# them; `ledger --trace 1` gives the per-layer split instead.
 profile workload="serve_cycle" seconds="10":
     cargo build --release --offline --manifest-path ledger/Cargo.toml
     rm -rf /tmp/fafnir-profile.er
