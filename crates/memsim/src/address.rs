@@ -4,6 +4,13 @@
 //! vector read streams from a single open row (Fig. 4b of the paper), while
 //! TensorDIMM stripes a vector across all ranks. Both layouts are expressed
 //! here as [`AddressMapping`] schemes plus direct [`Location`] construction.
+//!
+//! Both memory models turn a request into bursts through one walk,
+//! `AddressMapping::for_each_row_run`: it splits the request's consecutive
+//! bursts into *row runs*, bursts that stay in one row of one bank
+//! ([`AddressMapping::row_run`]), and decodes only the address where a run
+//! starts. A read submitted at a [`Location`] starts from it, so a read
+//! that fits in its row is never encoded or decoded.
 
 use serde::{Deserialize, Serialize};
 
@@ -183,6 +190,70 @@ impl AddressMapping {
         }
         PhysAddr(bits << log2(topology.burst_bytes))
     }
+
+    /// How many consecutive bursts, starting at `location`, stay in its row
+    /// of its bank: the rest of the row under
+    /// [`AddressMapping::RowRankBankColumn`], whose column field is the
+    /// lowest, and 1 under [`AddressMapping::ChannelInterleaved`], which is
+    /// walked burst by burst.
+    #[must_use]
+    pub fn row_run(self, location: Location, topology: &Topology) -> usize {
+        match self {
+            AddressMapping::RowRankBankColumn => topology.columns - location.column,
+            AddressMapping::ChannelInterleaved => 1,
+        }
+    }
+
+    /// Walks `bursts` consecutive bursts from `first` as row runs, calling
+    /// `run(location of the run's first burst, bursts in the run)` in
+    /// address order. Burst `i` lies at the first burst's address plus `i`
+    /// bursts, exactly as if each burst were decoded on its own, but only a
+    /// run's first burst is decoded; a start given as a [`Location`] is
+    /// encoded only if the request leaves its first row.
+    ///
+    /// # Panics
+    ///
+    /// Panics (in debug builds) if a [`FirstBurst::At`] location is out of
+    /// bounds for `topology`.
+    #[inline]
+    pub(crate) fn for_each_row_run(
+        self,
+        first: FirstBurst,
+        bursts: usize,
+        topology: &Topology,
+        mut run: impl FnMut(Location, usize),
+    ) {
+        let (start, addr) = match first {
+            FirstBurst::Addr(addr) => (self.decode(addr, topology), Some(addr)),
+            FirstBurst::At(location) => {
+                debug_assert!(location.in_bounds(topology), "location out of bounds: {location:?}");
+                (location, None)
+            }
+        };
+        let mut done = self.row_run(start, topology).min(bursts);
+        run(start, done);
+        if done == bursts {
+            return;
+        }
+        let base = addr.unwrap_or_else(|| self.encode(start, topology)).0;
+        while done < bursts {
+            let location =
+                self.decode(PhysAddr(base + (done * topology.burst_bytes) as u64), topology);
+            let len = self.row_run(location, topology).min(bursts - done);
+            run(location, len);
+            done += len;
+        }
+    }
+}
+
+/// Where a request's first burst lies: at an address to decode, or at a
+/// location the caller already holds.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum FirstBurst {
+    /// A physical address, decoded through the mapping.
+    Addr(PhysAddr),
+    /// A device location, used as is.
+    At(Location),
 }
 
 /// log2 of a power of two.
@@ -222,6 +293,49 @@ mod tests {
         let channels: Vec<usize> =
             (0..4).map(|burst| mapping.decode(PhysAddr(burst * 64), &topology).channel).collect();
         assert_eq!(channels, vec![0, 1, 2, 3]);
+    }
+
+    /// Every burst of every run, in address order.
+    fn walked(mapping: AddressMapping, first: FirstBurst, bursts: usize) -> Vec<Location> {
+        let topology = topo();
+        let mut out = Vec::new();
+        mapping.for_each_row_run(first, bursts, &topology, |location, len| {
+            assert!(len >= 1 && location.column + len <= topology.columns);
+            out.extend((0..len).map(|i| Location { column: location.column + i, ..location }));
+        });
+        out
+    }
+
+    #[test]
+    fn row_runs_decode_like_every_burst_on_its_own() {
+        let topology = topo();
+        let last_column =
+            Location { channel: 3, rank: 7, bank_group: 3, bank: 3, row: 9, column: 125 };
+        for mapping in [AddressMapping::RowRankBankColumn, AddressMapping::ChannelInterleaved] {
+            for (addr, bursts) in
+                [(0x10000, 8), (0x10000 + 121 * 64, 8), (0x1234_5677, 200), (0x10_0000_0040, 3)]
+            {
+                let each: Vec<Location> = (0..bursts)
+                    .map(|i| mapping.decode(PhysAddr(addr + i as u64 * 64), &topology))
+                    .collect();
+                assert_eq!(walked(mapping, FirstBurst::Addr(PhysAddr(addr)), bursts), each);
+            }
+            // From a location: the read crosses into the next bank and, from
+            // the system's last bank, wraps to row 10 of the first.
+            let addr = mapping.encode(last_column, &topology).value();
+            let each: Vec<Location> =
+                (0..300).map(|i| mapping.decode(PhysAddr(addr + i * 64), &topology)).collect();
+            assert_eq!(walked(mapping, FirstBurst::At(last_column), 300), each);
+        }
+        let runs = |mapping: AddressMapping| {
+            let mut lens = Vec::new();
+            mapping.for_each_row_run(FirstBurst::At(last_column), 8, &topology, |_, len| {
+                lens.push(len)
+            });
+            lens
+        };
+        assert_eq!(runs(AddressMapping::RowRankBankColumn), [3, 5]);
+        assert_eq!(runs(AddressMapping::ChannelInterleaved), [1; 8]);
     }
 
     #[test]

@@ -19,14 +19,21 @@
 //! the `fafnir-serve` calibration harness measures and gates. Selection is
 //! explicit via [`MemoryConfig::model`] — never a silent change to the
 //! calibrated paths (see DESIGN.md §13).
+//!
+//! Both models take a request's bursts from the same walk over
+//! [`AddressMapping::row_run`](crate::AddressMapping::row_run)s, one row run
+//! at a time: consecutive bursts in one row of one bank. The fast model
+//! prices a whole run in one call, looking the bank and data path up once
+//! and keeping their clocks and the run's counters in locals, while each
+//! burst still takes the page policy's rules on its own.
 
 use std::str::FromStr;
 
 use serde::{Deserialize, Serialize};
 
-use crate::address::Location;
+use crate::address::{FirstBurst, Location};
 use crate::config::{MemoryConfig, PagePolicy};
-use crate::request::{AccessKind, Completion, Request, RequestId};
+use crate::request::{bursts, AccessKind, Completion, RequestId};
 use crate::stats::MemoryStats;
 use crate::system::MemorySystem;
 use crate::Cycle;
@@ -88,7 +95,8 @@ struct FastBacklog {
 /// The fast-functional memory model: analytic per-read pricing, no
 /// per-command DRAM state.
 ///
-/// Every burst is priced **eagerly at submit time**, in submission order:
+/// Every burst is priced **eagerly at submit time**, in submission order,
+/// one row run of a request at a time:
 ///
 /// ```text
 /// issue  = max(arrival, bank.free, bus.free) + row_delay
@@ -166,112 +174,136 @@ impl FastFunctionalMemory {
         }
     }
 
-    /// Prices one burst, returning `(issue, finish)` in underated cycles.
-    fn price_burst(
+    /// Prices a row run: `len` consecutive bursts from `first` on, all in
+    /// one row of one bank. Returns the first burst's issue cycle and the
+    /// last burst's finish, underated. The bank, the data path, their
+    /// backlog and the run's counters are looked up once and held in locals
+    /// across the run; each burst still takes the page policy's rules on
+    /// its own.
+    #[inline]
+    fn price_run(
         &mut self,
-        location: Location,
+        first: Location,
+        len: usize,
         kind: AccessKind,
         arrival: Cycle,
     ) -> (Cycle, Cycle) {
         let topology = self.config.topology;
         let t = self.config.timing;
-        let bank_index = location.global_rank(&topology) * topology.banks_per_rank()
-            + location.flat_bank(&topology);
-        let bus_index = self.bus_index(location);
-        let bank = self.banks[bank_index];
-        let ready = arrival.max(bank.free).max(self.buses[bus_index]);
-
-        // Row-buffer outcome from the consecutive-row run in this bank's
-        // stream, with the adaptive policy's idle-timeout close estimated
-        // from the gap since the bank's last access.
-        let open_row = match self.config.page_policy {
-            PagePolicy::Adaptive { timeout }
-                if bank.open_row != FastBank::CLOSED
-                    && ready.saturating_sub(bank.last_issue) > timeout =>
-            {
-                self.stats.precharges += 1; // the speculative close
-                FastBank::CLOSED
-            }
-            _ => bank.open_row,
-        };
-        let row = location.row as u64;
-        let row_delay = if open_row == row {
-            self.stats.row_hits += 1;
-            0
-        } else if open_row == FastBank::CLOSED {
-            self.stats.row_misses += 1;
-            self.stats.activations += 1;
-            t.tRCD
-        } else {
-            self.stats.row_conflicts += 1;
-            self.stats.activations += 1;
-            self.stats.precharges += 1;
-            t.tRP + t.tRCD
-        };
-
-        let issue = ready + row_delay;
+        let bank_index =
+            first.global_rank(&topology) * topology.banks_per_rank() + first.flat_bank(&topology);
+        let bus_index = self.bus_index(first);
         let access_latency = match kind {
             AccessKind::Read => t.tCL,
             AccessKind::Write => t.tCWL,
         };
         let straggler = match (kind, self.config.straggler) {
             (AccessKind::Read, Some((channel, rank, extra)))
-                if channel == location.channel && rank == location.rank =>
+                if channel == first.channel && rank == first.rank =>
             {
                 extra
             }
             _ => 0,
         };
-        let finish = issue + access_latency + t.tBL + straggler;
-
-        let next_open = match self.config.page_policy {
-            PagePolicy::Closed => {
-                self.stats.precharges += 1; // auto-precharge after the access
-                FastBank::CLOSED
-            }
-            _ => row,
+        let service = access_latency + t.tBL + straggler;
+        // Only the adaptive policy closes an idle row; the closed one
+        // precharges after every access instead.
+        let timeout = match self.config.page_policy {
+            PagePolicy::Adaptive { timeout } => timeout,
+            PagePolicy::Open | PagePolicy::Closed => Cycle::MAX,
         };
-        self.banks[bank_index] =
-            FastBank { open_row: next_open, free: issue + t.tCCD_L, last_issue: issue };
-        self.buses[bus_index] = issue + t.tBL.max(t.tCCD_S);
+        let auto_precharge = self.config.page_policy == PagePolicy::Closed;
+        let row = first.row as u64;
+        let mut bank = self.banks[bank_index];
+        let mut bus = self.buses[bus_index];
+        let mut backlog = self.backlogs[bus_index];
+        let (mut hits, mut misses, mut conflicts, mut precharges) = (0, 0, 0, 0);
+        let mut depth = self.stats.max_queue_depth;
+        let (mut start, mut finish) = (Cycle::MAX, 0);
+        for _ in 0..len {
+            let ready = arrival.max(bank.free).max(bus);
 
+            // Row-buffer outcome from the consecutive-row run in this bank's
+            // stream, with the adaptive policy's idle-timeout close estimated
+            // from the gap since the bank's last access.
+            let mut open_row = bank.open_row;
+            if open_row != FastBank::CLOSED && ready.saturating_sub(bank.last_issue) > timeout {
+                precharges += 1; // the speculative close
+                open_row = FastBank::CLOSED;
+            }
+            let row_delay = if open_row == row {
+                hits += 1;
+                0
+            } else if open_row == FastBank::CLOSED {
+                misses += 1;
+                t.tRCD
+            } else {
+                conflicts += 1;
+                precharges += 1;
+                t.tRP + t.tRCD
+            };
+
+            let issue = ready + row_delay;
+            let end = issue + service;
+            let next_open = if auto_precharge {
+                precharges += 1; // auto-precharge after the access
+                FastBank::CLOSED
+            } else {
+                row
+            };
+            bank = FastBank { open_row: next_open, free: issue + t.tCCD_L, last_issue: issue };
+            bus = issue + t.tBL.max(t.tCCD_S);
+
+            // Backlog estimate for `max_queue_depth`: bursts stack up on a
+            // data path until its pacing clock passes their arrival.
+            if arrival >= backlog.drained_by {
+                backlog.queued = 0;
+            }
+            backlog.queued += 1;
+            backlog.drained_by = backlog.drained_by.max(end);
+            depth = depth.max(backlog.queued);
+
+            start = start.min(issue);
+            finish = finish.max(end);
+        }
+        self.banks[bank_index] = bank;
+        self.buses[bus_index] = bus;
+        self.backlogs[bus_index] = backlog;
+        let stats = &mut self.stats;
+        stats.row_hits += hits;
+        stats.row_misses += misses;
+        stats.row_conflicts += conflicts;
+        stats.activations += misses + conflicts;
+        stats.precharges += precharges;
+        stats.max_queue_depth = depth;
         match kind {
-            AccessKind::Read => self.stats.reads += 1,
-            AccessKind::Write => self.stats.writes += 1,
+            AccessKind::Read => stats.reads += len as u64,
+            AccessKind::Write => stats.writes += len as u64,
         }
-        self.stats.bytes_transferred += topology.burst_bytes as u64;
-
-        // Backlog estimate for `max_queue_depth`: bursts stack up on a data
-        // path until its pacing clock passes their arrival.
-        let backlog = &mut self.backlogs[bus_index];
-        if arrival >= backlog.drained_by {
-            backlog.queued = 0;
-        }
-        backlog.queued += 1;
-        backlog.drained_by = backlog.drained_by.max(finish);
-        self.stats.max_queue_depth = self.stats.max_queue_depth.max(backlog.queued);
-
-        (issue, finish)
+        stats.bytes_transferred += (len * topology.burst_bytes) as u64;
+        (start, finish)
     }
 
-    /// Prices a request's bursts and records its completion, returning its
-    /// id.
-    fn submit(&mut self, request: Request) -> RequestId {
+    /// Prices a request's bursts one row run at a time and records its
+    /// completion, returning its id.
+    fn submit(
+        &mut self,
+        first: FirstBurst,
+        bursts: usize,
+        kind: AccessKind,
+        arrival: Cycle,
+    ) -> RequestId {
         let id = RequestId(self.completions.len() as u64);
-        let bursts = request.bursts(self.config.topology.burst_bytes);
         let mut start = Cycle::MAX;
         let mut finish = 0;
         let (hits0, misses0, conflicts0) =
             (self.stats.row_hits, self.stats.row_misses, self.stats.row_conflicts);
-        for burst in 0..bursts {
-            let addr = crate::PhysAddr(
-                request.addr.0 + burst as u64 * self.config.topology.burst_bytes as u64,
-            );
-            let location = self.config.mapping.decode(addr, &self.config.topology);
-            let (issue, end) = self.price_burst(location, request.kind, request.arrival);
+        let (mapping, topology) = (self.config.mapping, self.config.topology);
+        mapping.for_each_row_run(first, bursts, &topology, |location, len| {
+            let (issue, end) = self.price_run(location, len, kind, arrival);
             start = start.min(issue);
             finish = finish.max(end);
-        }
+        });
         let completion = Completion {
             id,
             finish_cycle: self.derate(finish),
@@ -282,20 +314,22 @@ impl FastFunctionalMemory {
         };
         self.now = self.now.max(completion.finish_cycle);
         self.stats.requests_completed += 1;
-        self.stats.total_request_latency += completion.finish_cycle.saturating_sub(request.arrival);
+        self.stats.total_request_latency += completion.finish_cycle.saturating_sub(arrival);
         self.completions.push(completion);
         id
     }
 
-    /// Submits a read of `bytes` at a device location.
+    /// Submits a read of `bytes` starting at the device `location`, which
+    /// must be in bounds; the bursts are those of the read at its address
+    /// under the configured mapping.
     pub fn submit_read_at(
         &mut self,
         location: Location,
         bytes: usize,
         arrival: Cycle,
     ) -> RequestId {
-        let addr = self.config.mapping.encode(location, &self.config.topology);
-        self.submit(Request::read(addr.0, bytes).at(arrival))
+        let bursts = bursts(bytes, self.config.topology.burst_bytes);
+        self.submit(FirstBurst::At(location), bursts, AccessKind::Read, arrival)
     }
 
     /// Eager pricing means every submitted request is already complete;
@@ -544,8 +578,8 @@ mod tests {
         let mut fast = FastFunctionalMemory::new(config());
         for i in 0..16u64 {
             let addr = i * 512;
-            cycle.submit(Request::read(addr, 512));
-            fast.submit(Request::read(addr, 512));
+            cycle.submit(crate::Request::read(addr, 512));
+            fast.submit(FirstBurst::Addr(crate::PhysAddr(addr)), 8, AccessKind::Read, 0);
         }
         cycle.run_until_idle();
         fast.run_until_idle();

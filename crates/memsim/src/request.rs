@@ -67,8 +67,14 @@ impl Request {
     /// burst size.
     #[must_use]
     pub fn bursts(&self, burst_bytes: usize) -> usize {
-        self.bytes.div_ceil(burst_bytes).max(1)
+        bursts(self.bytes, burst_bytes)
     }
+}
+
+/// The number of bursts a transfer of `bytes` occupies: rounded up, and at
+/// least one.
+pub(crate) fn bursts(bytes: usize, burst_bytes: usize) -> usize {
+    bytes.div_ceil(burst_bytes).max(1)
 }
 
 /// Result of a finished request.

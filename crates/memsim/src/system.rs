@@ -3,10 +3,10 @@
 
 use std::collections::VecDeque;
 
-use crate::address::Location;
+use crate::address::{FirstBurst, Location};
 use crate::config::MemoryConfig;
 use crate::controller::{BurstJob, ChannelController};
-use crate::request::{Completion, Request, RequestId};
+use crate::request::{bursts, AccessKind, Completion, Request, RequestId};
 use crate::stats::MemoryStats;
 use crate::Cycle;
 
@@ -111,11 +111,35 @@ impl MemorySystem {
     /// Submits a request, splitting it into bursts routed to the owning
     /// channels. Returns the id used to look up its [`Completion`].
     pub fn submit(&mut self, request: Request) -> RequestId {
+        let bursts = request.bursts(self.config.topology.burst_bytes);
+        self.submit_from(FirstBurst::Addr(request.addr), bursts, request.kind, request.arrival)
+    }
+
+    /// Convenience: submits a read of `bytes` starting at the device
+    /// `location`, which must be in bounds; the bursts are those of the
+    /// read at its address under the configured mapping.
+    pub fn submit_read_at(
+        &mut self,
+        location: Location,
+        bytes: usize,
+        arrival: Cycle,
+    ) -> RequestId {
+        let bursts = bursts(bytes, self.config.topology.burst_bytes);
+        self.submit_from(FirstBurst::At(location), bursts, AccessKind::Read, arrival)
+    }
+
+    /// Queues a request's bursts on their channels, one row run at a time.
+    fn submit_from(
+        &mut self,
+        first: FirstBurst,
+        bursts: usize,
+        kind: AccessKind,
+        arrival: Cycle,
+    ) -> RequestId {
         let id = RequestId(self.first_id + self.requests.len() as u64);
-        let bursts = request.bursts(self.config.topology.burst_bytes) as u32;
         self.requests.push_back(Tracked::InFlight(Pending {
-            arrival: request.arrival,
-            remaining: bursts,
+            arrival,
+            remaining: bursts as u32,
             start_cycle: Cycle::MAX,
             finish_cycle: 0,
             row_hits: 0,
@@ -123,35 +147,24 @@ impl MemorySystem {
             row_conflicts: 0,
         }));
         self.in_flight += 1;
-        for burst in 0..bursts {
-            let addr = crate::PhysAddr(
-                request.addr.0 + u64::from(burst) * self.config.topology.burst_bytes as u64,
-            );
-            let location = self.config.mapping.decode(addr, &self.config.topology);
-            let job = BurstJob {
-                id,
-                burst_index: burst,
-                location,
-                kind: request.kind,
-                arrival: request.arrival,
-                seq: self.next_seq,
-            };
-            self.next_seq += 1;
-            self.controllers[location.channel].enqueue(job);
-        }
+        let (mapping, topology) = (self.config.mapping, self.config.topology);
+        let mut burst_index = 0;
+        mapping.for_each_row_run(first, bursts, &topology, |location, len| {
+            let controller = &mut self.controllers[location.channel];
+            for column in location.column..location.column + len {
+                controller.enqueue(BurstJob {
+                    id,
+                    burst_index,
+                    location: Location { column, ..location },
+                    kind,
+                    arrival,
+                    seq: self.next_seq,
+                });
+                self.next_seq += 1;
+                burst_index += 1;
+            }
+        });
         id
-    }
-
-    /// Convenience: submits a read of `bytes` at the explicit device
-    /// `location` (encoded through the configured mapping).
-    pub fn submit_read_at(
-        &mut self,
-        location: Location,
-        bytes: usize,
-        arrival: Cycle,
-    ) -> RequestId {
-        let addr = self.config.mapping.encode(location, &self.config.topology);
-        self.submit(Request::read(addr.0, bytes).at(arrival))
     }
 
     /// Advances the simulation one command-clock cycle.
