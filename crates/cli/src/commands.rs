@@ -28,7 +28,9 @@ const NONZERO_FRACTION: Kind = Number((Excluded(0.0), Included(1.0)));
 /// Upper bounds of the count flags that size a run's memory or length.
 /// Each lies far above any figure's or test's use, and no allocation a
 /// run sizes by one of them can overflow a capacity; spmv's grid
-/// factorization of `--ranks` takes at most 256 steps.
+/// factorization of `--ranks` takes at most 256 steps. `--query-len` is
+/// 64 times the engines' header limit of 16 indices, which rejects any
+/// longer query; `trace --record` alone writes such queries.
 const MAX_BATCH: u64 = 1 << 16;
 const MAX_BATCHES: u64 = 1 << 16;
 const MAX_QUERIES: u64 = 1 << 22;
@@ -36,11 +38,12 @@ const MAX_WORKERS: u64 = 1 << 12;
 const MAX_SHARDS: u64 = 1 << 10;
 const MAX_NNZ: u64 = 1 << 26;
 const MAX_SPMV_RANKS: u64 = 1 << 16;
+const MAX_QUERY_LEN: u64 = 1 << 10;
 
 const SEED: Flag = flag("seed", ANY, Some("7"), "random seed");
 const SKEW: Flag = flag("skew", NON_NEGATIVE, Some("1.15"), "Zipf exponent; 0 draws uniformly");
 const UNIVERSE: Flag = flag("universe", Count(1, U32_MAX), Some("2000"), "embedding rows");
-const QUERY_LEN: Flag = flag("query-len", NONZERO, Some("16"), "indices per query");
+const QUERY_LEN: Flag = flag("query-len", Count(1, MAX_QUERY_LEN), Some("16"), "indices per query");
 const BATCH: Flag = flag("batch", Count(1, MAX_BATCH), Some("32"), "queries per batch");
 const RANKS: Flag = flag("ranks", Count(1, 64), Some("32"), "memory ranks, a power of two");
 const RATIO: Flag =
@@ -955,6 +958,7 @@ mod tests {
         ("spmv --nnz 18446744073709551615", "nnz"),
         ("spmv --rows 1024 --partition grid --ranks 18446744073709551615", "ranks"),
         ("spmv --rows 1024 --partition grid --ranks 1000000000000000000", "ranks"),
+        ("lookup --query-len 4294967295 --universe 4294967295 --skew 0", "query-len"),
     ];
 
     #[test]
@@ -1006,10 +1010,30 @@ mod tests {
             let line = format!("{} {}", command.name, base(command.name));
             run_line(&line).unwrap_or_else(|e| panic!("base run `{line}`: {e}"));
             for flag in command.flags() {
-                for value in ["0", "-1", "nan", "inf", "x"] {
+                for value in ["0", "-1", "nan", "inf", "x", "1e300"] {
                     let _ = dispatch(COMMANDS, &with_flag(command.name, flag.name, value));
                 }
             }
+        }
+    }
+
+    /// Skews at which nearly every draw is the hottest index. Queries used
+    /// to redraw duplicates until they held `--query-len` distinct indices:
+    /// 15 s at `--skew 6`, forever at the others.
+    const STEEP: &[&str] = &[
+        "lookup --skew 6",
+        "lookup --skew 8",
+        "serve --skew 1e300 --query-len 2",
+        "cluster --skew 1e300",
+        "trace --record 4 --skew 1e300",
+        "anatomy --skew 1e300",
+        "energy --skew 1e300",
+    ];
+
+    #[test]
+    fn steep_skews_run_to_completion() {
+        for line in STEEP {
+            run_line(line).unwrap_or_else(|e| panic!("`{line}`: {e}"));
         }
     }
 

@@ -39,10 +39,19 @@ pub enum Popularity {
     },
 }
 
+/// Consecutive duplicate draws after which [`BatchGenerator::query`] stops
+/// drawing and fills the query's remaining slots with the lowest-ranked
+/// indices it has not picked. A skew so steep that nearly every draw is
+/// the hottest index would otherwise redraw forever. Where a fresh index
+/// has even a 1 % chance per draw, 4,096 duplicates in a row happen with
+/// probability below 10⁻¹⁷, so no realistic query reaches the cap.
+pub const MAX_DUPLICATE_DRAWS: u32 = 4_096;
+
 /// Generates batches of embedding-lookup queries.
 ///
 /// Queries hold `query_len` *distinct* indices (an index cannot appear twice
-/// in one pooling operation); duplicate draws are retried.
+/// in one pooling operation); duplicate draws are retried, up to
+/// [`MAX_DUPLICATE_DRAWS`] in a row.
 #[derive(Debug, Clone)]
 pub struct BatchGenerator {
     popularity: Popularity,
@@ -112,16 +121,32 @@ impl BatchGenerator {
         }
     }
 
-    /// Generates one query of `query_len` distinct indices.
+    /// Generates one query of `query_len` distinct indices. After
+    /// [`MAX_DUPLICATE_DRAWS`] duplicate draws in a row, the remaining
+    /// slots take, in order, the lowest-ranked indices not yet picked: the
+    /// hottest first under (drifting) Zipf, the lowest ids otherwise.
     pub fn query(&mut self) -> IndexSet {
         if let Popularity::DriftingZipf { drift_per_query, .. } = self.popularity {
             self.drift = (self.drift + drift_per_query) % self.universe;
         }
         let mut picked: Vec<u64> = Vec::with_capacity(self.query_len);
-        while picked.len() < self.query_len {
+        let mut duplicates = 0;
+        while picked.len() < self.query_len && duplicates < MAX_DUPLICATE_DRAWS {
             let candidate = self.draw();
-            if !picked.contains(&candidate) {
+            if picked.contains(&candidate) {
+                duplicates += 1;
+            } else {
                 picked.push(candidate);
+                duplicates = 0;
+            }
+        }
+        // `drift` is 0 unless the popularity drifts. The constructor checked
+        // `query_len <= universe`, so the ranks run out only once full.
+        let mut ranked = (0..self.universe).map(|rank| (rank + self.drift) % self.universe);
+        while picked.len() < self.query_len {
+            let index = ranked.next().expect("query_len <= universe");
+            if !picked.contains(&index) {
+                picked.push(index);
             }
         }
         picked.into_iter().map(|i| VectorIndex(i as u32)).collect()
@@ -214,6 +239,22 @@ mod tests {
         let mut a = BatchGenerator::new(Popularity::Zipf { exponent: 1.0 }, 1_000, 8, 42);
         let mut b = BatchGenerator::new(Popularity::Zipf { exponent: 1.0 }, 1_000, 8, 42);
         assert_eq!(a.batch(8), b.batch(8));
+    }
+
+    #[test]
+    fn a_skew_that_only_draws_the_hottest_index_fills_in_rank_order() {
+        let query = |popularity| BatchGenerator::new(popularity, 2_000, 16, 1).query();
+        let ids = |query: IndexSet| query.iter().map(|i| i.value()).collect::<Vec<_>>();
+        assert_eq!(ids(query(Popularity::Zipf { exponent: 1e300 })), (0..16).collect::<Vec<_>>());
+        // The hot spot has advanced by one query's drift.
+        let drifting = query(Popularity::DriftingZipf { exponent: 1e300, drift_per_query: 1_995 });
+        let expected: Vec<u32> = (1_995..2_000).chain(0..11).collect();
+        let mut got = ids(drifting);
+        got.sort_unstable_by_key(|&i| expected.iter().position(|&e| e == i));
+        assert_eq!(got, expected);
+        // A query as long as the universe takes every index.
+        let mut whole = BatchGenerator::new(Popularity::Zipf { exponent: 8.0 }, 16, 16, 2);
+        assert_eq!(whole.batch(4).total_references(), 64);
     }
 
     #[test]
