@@ -56,8 +56,7 @@ pub use fafnir_spmv::{SpmvRun, SpmvStreamRun, SpmvTiming};
 pub use iteration::SpmvPlan;
 pub use lil::LilMatrix;
 pub use partition::{
-    execute_partitioned, stream_partitioned, PartitionStrategy, PartitionedRun, RankRun, RankSpan,
-    SpmvPartition,
+    execute_partitioned, PartitionStrategy, PartitionedRun, RankRun, RankSpan, SpmvPartition,
 };
 pub use report::PartitionReport;
 pub use stream::{PartialStream, StreamOps};

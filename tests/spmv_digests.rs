@@ -4,7 +4,7 @@
 //! entries, the plan, the per-iteration volumes and every [`StreamOps`]
 //! counter of the FAFNIR tree engine; the Two-Step baseline's and
 //! [`LilMatrix::multiply`]'s results; [`merge_tree`] and [`merge_two`] on
-//! hand-built streams; and, for both partitioned drivers, the partition's
+//! hand-built streams; and, for the partitioned driver, the partition's
 //! spans, every [`RankRun`] field, the synchronization counters and
 //! [`PartitionReport::to_json`]. The inputs cover R-MAT graphs, banded,
 //! uniform and SPD matrices, a matrix with empty columns and a matrix built
@@ -13,15 +13,15 @@
 //!
 //! The digests were recorded with the tree that allocated one stream per
 //! column and per PE firing, so a rewrite of the LIL layout, the merge
-//! tree or the partitioned drivers must reproduce every value bit and
+//! tree or the partitioned driver must reproduce every value bit and
 //! counter to pass. When a deliberate model change moves a digest, the
 //! failure message prints the full table to paste back here.
 
 use fafnir_sparse::stream::{merge_tree, merge_two};
 use fafnir_sparse::{
-    execute_partitioned, fafnir_spmv, gen, stream_partitioned, two_step, CooMatrix, LilMatrix,
-    PartialStream, PartitionReport, PartitionStrategy, PartitionedRun, SpmvPartition, SpmvPlan,
-    SpmvTiming, StreamOps,
+    execute_partitioned, fafnir_spmv, gen, two_step, CooMatrix, LilMatrix, PartialStream,
+    PartitionReport, PartitionStrategy, PartitionedRun, SpmvPartition, SpmvPlan, SpmvTiming,
+    StreamOps,
 };
 
 /// Tree input vector sizes: the smallest legal, an odd one, and the sizes
@@ -37,31 +37,24 @@ const RECORDED: &[(&str, u64)] = &[
     ("rmat10/serial", 0xd1f21a77714f6655),
     ("rmat10/two_step", 0x424da42cdec416f9),
     ("rmat10/partitioned", 0x518e49e7f93bcdb4),
-    ("rmat10/streamed", 0x79f2c333d887a8e0),
     ("rmat12/serial", 0xcfbfd6d54946ae30),
     ("rmat12/two_step", 0x1fd1e319a94af0f8),
     ("rmat12/partitioned", 0xa6e8c6ed26099518),
-    ("rmat12/streamed", 0xd79fda0f6c2174e4),
     ("banded/serial", 0x4ecef8890c231578),
     ("banded/two_step", 0x6c551de2ea02199e),
     ("banded/partitioned", 0x6f48d34944aed8f5),
-    ("banded/streamed", 0xf3fa0a0fdf3f382b),
     ("uniform/serial", 0xf434dc3e9cfcadd6),
     ("uniform/two_step", 0x3bdb64dd46ac8721),
     ("uniform/partitioned", 0x96cd98ccbe8284f4),
-    ("uniform/streamed", 0xaf41de7a49de51a5),
     ("spd/serial", 0x27e58116ed4e58e3),
     ("spd/two_step", 0x02705da07352371e),
     ("spd/partitioned", 0x78634eee8429851b),
-    ("spd/streamed", 0x5942d5d936c4d758),
     ("empty-cols/serial", 0xae7111a7f3983539),
     ("empty-cols/two_step", 0xe14f5bc10c9a02e9),
     ("empty-cols/partitioned", 0x475a513b0332f9b5),
-    ("empty-cols/streamed", 0x03287f4dd1e50395),
     ("pushed/serial", 0x9b97e95b3185bcbc),
     ("pushed/two_step", 0x81aedc10369e9be6),
     ("pushed/partitioned", 0x8580fcac3f872f3c),
-    ("pushed/streamed", 0x5ea86ba30615b761),
     ("merge_tree/0", 0x40d69e0cf0f65c45),
     ("merge_tree/1", 0xbb6f70370ca957af),
     ("merge_tree/3", 0xdea08b027e07a781),
@@ -155,7 +148,7 @@ impl Mix {
 }
 
 /// A 40 x 30 matrix pushed in random order, with many coordinates
-/// repeated: the partitioned drivers sum the repeats, the LIL keeps them.
+/// repeated: the partitioned driver sums the repeats, the LIL keeps them.
 fn pushed() -> CooMatrix {
     let mut matrix = CooMatrix::new(40, 30);
     let mut mix = Mix(91);
@@ -257,37 +250,34 @@ fn digest_partitioned_run(fnv: &mut Fnv, run: &PartitionedRun, report: &Partitio
     fnv.bytes(&report.to_json());
 }
 
-/// Both partitioned drivers over every vector size, rank count and
-/// strategy that fits the matrix.
-fn digest_partitioned(matrix: &CooMatrix, x: &[f64]) -> (u64, u64) {
+/// The partitioned driver over every vector size, rank count and strategy
+/// that fits the matrix.
+fn digest_partitioned(matrix: &CooMatrix, x: &[f64]) -> u64 {
     let reference = matrix.multiply_dense(x);
     let timing = SpmvTiming::paper();
     let lil = LilMatrix::from(matrix);
-    let (mut in_memory, mut streamed) = (Fnv::new(), Fnv::new());
+    let mut fnv = Fnv::new();
     for vector_size in VECTOR_SIZES {
         let serial = fafnir_spmv::execute(&lil, x, vector_size);
         for ranks in RANK_COUNTS {
             for strategy in strategies(ranks).into_iter().filter(|&s| fits(matrix, s, ranks)) {
                 let partition = SpmvPartition::new(matrix, strategy, ranks);
-                in_memory.word(partition.ranks() as u64);
+                fnv.word(partition.ranks() as u64);
                 for span in partition.spans() {
                     for value in
                         [span.rank, span.rows.start, span.rows.end, span.cols.start, span.cols.end]
                     {
-                        in_memory.word(value as u64);
+                        fnv.word(value as u64);
                     }
-                    in_memory.word(span.nnz as u64);
+                    fnv.word(span.nnz as u64);
                 }
                 let run = execute_partitioned(matrix, x, &partition, vector_size);
                 let report = PartitionReport::new(&run, &serial, &timing, &reference);
-                digest_partitioned_run(&mut in_memory, &run, &report);
-                let run = stream_partitioned(matrix, x, &partition, vector_size);
-                let report = PartitionReport::new(&run, &serial, &timing, &reference);
-                digest_partitioned_run(&mut streamed, &run, &report);
+                digest_partitioned_run(&mut fnv, &run, &report);
             }
         }
     }
-    (in_memory.0, streamed.0)
+    fnv.0
 }
 
 /// `count` row-sorted streams of 0 to 24 entries; every fifth is empty.
@@ -333,9 +323,7 @@ fn measure() -> Vec<(String, u64)> {
         let x = operand(matrix.cols());
         digests.push((format!("{name}/serial"), digest_serial(&matrix, &x)));
         digests.push((format!("{name}/two_step"), digest_two_step(&matrix, &x)));
-        let (in_memory, streamed) = digest_partitioned(&matrix, &x);
-        digests.push((format!("{name}/partitioned"), in_memory));
-        digests.push((format!("{name}/streamed"), streamed));
+        digests.push((format!("{name}/partitioned"), digest_partitioned(&matrix, &x)));
     }
     digests.extend(digest_merges());
     digests
