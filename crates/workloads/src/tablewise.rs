@@ -14,6 +14,7 @@ use rand::{Rng, SeedableRng};
 use fafnir_core::{Batch, IndexSet};
 
 use crate::embedding::EmbeddingTableSet;
+use crate::query::draw_distinct;
 use crate::zipf::Zipf;
 
 /// Generates queries that gather one row from each of `tables_per_query`
@@ -88,7 +89,10 @@ impl TablewiseGenerator {
         self
     }
 
-    /// One query: a distinct table subset, one popular row per table.
+    /// One query: a distinct table subset, one popular row per table (or
+    /// [`Self::with_rows_per_lookup`] distinct rows). Duplicate rows are
+    /// redrawn up to [`crate::query::MAX_DUPLICATE_DRAWS`] in a row; then the
+    /// table's lowest-ranked rows not yet picked fill the lookup.
     pub fn query(&mut self) -> IndexSet {
         // Sample distinct tables by partial Fisher-Yates over table ids.
         let mut table_ids: Vec<u32> = (0..self.tables).collect();
@@ -98,15 +102,15 @@ impl TablewiseGenerator {
         }
         let mut indices = Vec::with_capacity(self.tables_per_query * self.rows_per_lookup);
         for &table in &table_ids[..self.tables_per_query] {
-            let mut rows: Vec<u32> = Vec::with_capacity(self.rows_per_lookup);
-            while rows.len() < self.rows_per_lookup {
-                let row = self.per_table.sample(&mut self.rng) as u32;
-                if !rows.contains(&row) {
-                    rows.push(row);
-                }
-            }
+            // A row's Zipf rank is its id, so row 0 is the hottest.
+            let ranked = 0..u64::from(self.rows_per_table);
+            let rows = draw_distinct(
+                self.rows_per_lookup,
+                || self.per_table.sample(&mut self.rng),
+                ranked,
+            );
             indices.extend(rows.into_iter().map(|row| {
-                fafnir_core::VectorIndex::from_table_row(table, row, self.rows_per_table)
+                fafnir_core::VectorIndex::from_table_row(table, row as u32, self.rows_per_table)
             }));
         }
         indices.into_iter().collect()
@@ -178,6 +182,21 @@ mod tests {
         }
         assert_eq!(per_table.len(), 4);
         assert!(per_table.values().all(|&count| count == 3));
+    }
+
+    #[test]
+    fn a_skew_that_only_draws_the_hottest_row_fills_in_rank_order() {
+        let set = tables();
+        let query = TablewiseGenerator::new(&set, 4, 1e300, 1).with_rows_per_lookup(2).query();
+        let mut rows_of = std::collections::BTreeMap::<u32, Vec<u32>>::new();
+        for index in query.iter() {
+            let (table, row) = set.coordinates_of(index);
+            rows_of.entry(table).or_default().push(row);
+        }
+        assert_eq!(rows_of.len(), 4);
+        for rows in rows_of.values() {
+            assert_eq!(rows, &[0, 1]);
+        }
     }
 
     #[test]
