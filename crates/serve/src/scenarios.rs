@@ -3,18 +3,13 @@
 //! A parameter sweep — batching windows, arrival rates, fault plans — is a
 //! set of *self-contained* simulations: each scenario owns its traffic
 //! generator and configuration, and the engine's lookup path is a pure
-//! function of the batch. That is exactly the
-//! [`fafnir_core::ParallelBatchDriver`] determinism trick one level up:
-//! fan the scenarios out over a thread pool with an atomic work index,
-//! land every outcome in its submission-order slot, and the result — down
-//! to the rendered [`crate::ServeReport`] JSON bytes — is identical for
-//! any thread count, including the sequential `threads == 1` path (pinned
-//! by the property tests in `tests/serving.rs`).
+//! function of the batch. So [`run_scenarios`] fans them out through
+//! [`fafnir_core::pipeline::map_ordered`], the pool that also runs
+//! [`fafnir_core::ParallelBatchDriver`]'s plans, and its thread-count
+//! contract reaches down to the rendered [`crate::ServeReport`] JSON bytes
+//! (pinned by `tests/scenario_determinism.rs`).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-use fafnir_core::pipeline::LookupService;
+use fafnir_core::pipeline::{map_ordered, LookupService};
 use fafnir_core::EmbeddingSource;
 use fafnir_workloads::query::BatchGenerator;
 
@@ -66,8 +61,8 @@ pub struct ScenarioResult {
 /// results in submission order.
 ///
 /// Each scenario is simulated exactly as a standalone
-/// [`crate::simulate_resilient`] call would: outcomes — and any report or
-/// JSON derived from them — are byte-identical for every `threads` value.
+/// [`crate::simulate_resilient`] call would, so the results meet
+/// [`map_ordered`]'s thread-count contract.
 ///
 /// # Panics
 ///
@@ -83,38 +78,11 @@ where
     S: EmbeddingSource + Sync,
 {
     assert!(threads >= 1, "scenario runner needs at least one thread");
-    let run_one = |scenario: Scenario| -> ScenarioResult {
+    let run_one = |scenario: Scenario| {
         let Scenario { label, config, resilience, mut traffic } = scenario;
         let resilience = resilience.unwrap_or_else(|| ResilienceConfig::none(config.workers));
         let outcome = simulate_resilient(engine, source, &mut traffic, &config, &resilience);
         ScenarioResult { label, outcome }
     };
-    let workers = threads.min(scenarios.len()).max(1);
-    if workers == 1 {
-        return scenarios.into_iter().map(run_one).collect();
-    }
-    // The ParallelBatchDriver pattern: an atomic work index hands each
-    // scenario to exactly one pool worker; per-scenario slots make the
-    // output order the submission order regardless of interleaving.
-    let next = AtomicUsize::new(0);
-    let jobs: Vec<Mutex<Option<Scenario>>> =
-        scenarios.into_iter().map(|scenario| Mutex::new(Some(scenario))).collect();
-    let slots: Vec<Mutex<Option<ScenarioResult>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= jobs.len() {
-                    break;
-                }
-                let scenario =
-                    jobs[i].lock().expect("scenario slot").take().expect("claimed exactly once");
-                *slots[i].lock().expect("result slot") = Some(run_one(scenario));
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("result slot").expect("every scenario executed"))
-        .collect()
+    map_ordered(scenarios, threads, run_one)
 }
