@@ -21,6 +21,17 @@ tier1:
 test:
     cargo test --workspace -q
 
+# Run every root example. `cargo test` builds them but never runs them, so
+# one that panics at run time would otherwise go unnoticed.
+examples:
+    cargo run --release --example design_space
+    cargo run --release --example dlrm_inference
+    cargo run --release --example mtx_workflow
+    cargo run --release --example quickstart
+    cargo run --release --example recommendation_inference
+    cargo run --release --example spmv_graph
+    cargo run --release --example tree_anatomy
+
 # Compile every bench target without running it.
 bench-build:
     cargo bench --workspace --no-run
@@ -56,7 +67,7 @@ loc:
     scripts/loc.sh
 
 # Everything CI runs.
-ci: fmt clippy tier1 docs test ledger-check bench-build figures calibration-gate
+ci: fmt clippy tier1 examples docs test ledger-check bench-build figures calibration-gate
 
 # Regenerate the parallel-driver measurement (BENCH_parallel_driver.json).
 bench-driver:
