@@ -10,6 +10,10 @@
 //! the skewed graph, nnz-balanced 1D beats row-count 1D on every rank
 //! count; on the uniform band, the two coincide.
 //!
+//! The simulator rate depends on the host's core count, since
+//! `execute_partitioned` runs row bands on every available core, so the
+//! record carries `host_cores` beside it.
+//!
 //! Regression guard: if an existing `BENCH_spmv.json` shows a materially
 //! better simulator rate, this bench refuses to overwrite it unless
 //! `--force` is passed (`just bench-spmv --force`).
@@ -127,10 +131,11 @@ fn main() {
     }
     let (row_16, nnz_16) = (pick("rmat", "row", 16), pick("rmat", "nnz", 16));
     let sim_nnz_per_sec = multiplied_nnz as f64 / wall_s;
+    let host_cores = std::thread::available_parallelism().map_or(1, usize::from);
     println!(
         "\nnnz balancing cuts 16-rank R-MAT imbalance {:.2}x ({:.3} -> {:.3}) and lifts \
          speedup {:.2}x -> {:.2}x; banded row/nnz coincide at {:.3}; \
-         simulator rate {sim_nnz_per_sec:.0} nnz/s of wall clock",
+         simulator rate {sim_nnz_per_sec:.0} nnz/s of wall clock on {host_cores} host core(s)",
         row_16.nnz_imbalance / nnz_16.nnz_imbalance,
         row_16.nnz_imbalance,
         nnz_16.nnz_imbalance,
@@ -169,6 +174,7 @@ fn main() {
          \"rmat_nnz_imbalance_16\": {:.6},\n  \
          \"rmat_row_speedup_16\": {:.6},\n  \
          \"rmat_nnz_speedup_16\": {:.6},\n  \
+         \"host_cores\": {host_cores},\n  \
          \"sim_nnz_per_sec\": {sim_nnz_per_sec:.0}\n}}\n",
         rmat.nnz(),
         banded.nnz(),

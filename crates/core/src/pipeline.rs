@@ -433,7 +433,8 @@ pub struct ParallelBatchDriver {
 }
 
 impl ParallelBatchDriver {
-    /// A driver with `threads` worker threads (≥ 1).
+    /// A driver with `threads` workers (≥ 1): the calling thread and
+    /// `threads - 1` scoped threads ([`map_ordered`]).
     ///
     /// # Panics
     ///
@@ -487,14 +488,16 @@ impl ParallelBatchDriver {
     }
 }
 
-/// Maps every job through `run` on up to `threads` scoped worker threads
-/// and returns the results in submission order.
+/// Maps every job through `run` on up to `threads` workers and returns the
+/// results in submission order.
 ///
+/// The calling thread is one of the workers: `n` workers (never more than
+/// there are jobs) are the caller plus `n - 1` scoped threads, so one
+/// worker runs the jobs in order on the calling thread and spawns nothing.
 /// An atomic work index hands each job to exactly one worker and each
 /// result lands in its job's slot, so the output order is the submission
-/// order however the workers interleave; one worker runs the jobs in order
-/// on the calling thread. When `run` depends on nothing but its job, the
-/// output is byte-identical for any thread count.
+/// order however the workers interleave. When `run` depends on nothing but
+/// its job, the output is byte-identical for any thread count.
 pub fn map_ordered<J, R, F>(jobs: Vec<J>, threads: usize, run: F) -> Vec<R>
 where
     J: Send,
@@ -510,18 +513,20 @@ where
     let next = AtomicUsize::new(0);
     let jobs: Vec<Mutex<Option<J>>> = jobs.into_iter().map(|job| Mutex::new(Some(job))).collect();
     let slots: Vec<Mutex<Option<R>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= jobs.len() {
-                    break;
-                }
-                let job = jobs[i].lock().expect("job slot").take().expect("claimed exactly once");
-                let result = run(job);
-                *slots[i].lock().expect("result slot") = Some(result);
-            });
+    let work = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= jobs.len() {
+            break;
         }
+        let job = jobs[i].lock().expect("job slot").take().expect("claimed exactly once");
+        let result = run(job);
+        *slots[i].lock().expect("result slot") = Some(result);
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..workers {
+            scope.spawn(work);
+        }
+        work();
     });
     slots
         .into_iter()
@@ -609,6 +614,30 @@ mod tests {
     use crate::placement::StripedSource;
     use crate::reduce::ReduceOp;
     use fafnir_mem::MemoryConfig;
+
+    #[test]
+    fn map_ordered_counts_the_caller_as_a_worker() {
+        // Both jobs must wait at the barrier together, so two workers run
+        // them at once; with the caller working, only one thread is spawned.
+        let barrier = std::sync::Barrier::new(2);
+        let ids = map_ordered(vec![(); 2], 2, |()| {
+            barrier.wait();
+            std::thread::current().id()
+        });
+        assert_ne!(ids[0], ids[1], "the barrier needs two workers");
+        assert!(ids.contains(&std::thread::current().id()), "the caller ran no job: {ids:?}");
+    }
+
+    #[test]
+    fn map_ordered_keeps_submission_order_at_any_thread_count() {
+        let expected: Vec<u64> = (0..7u64).map(|job| job * job + 1).collect();
+        for threads in [1, 2, 3, 16] {
+            let results = map_ordered((0..7u64).collect(), threads, |job| job * job + 1);
+            assert_eq!(results, expected, "{threads} threads");
+            let empty = map_ordered(Vec::<u64>::new(), threads, |job| job);
+            assert!(empty.is_empty(), "{threads} threads");
+        }
+    }
 
     #[test]
     fn parallel_driver_is_thread_count_invariant_for_every_operator() {

@@ -57,8 +57,8 @@ pub struct ScenarioResult {
     pub outcome: Result<ServeOutcome, ServeError>,
 }
 
-/// Runs every scenario on up to `threads` pool workers and returns the
-/// results in submission order.
+/// Runs every scenario on up to `threads` pool workers, the calling thread
+/// among them, and returns the results in submission order.
 ///
 /// Each scenario is simulated exactly as a standalone
 /// [`crate::simulate_resilient`] call would, so the results meet

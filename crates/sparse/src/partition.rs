@@ -10,10 +10,11 @@
 //!   a [`CooMatrix`], producing per-rank sub-problems (contiguous row/column
 //!   windows with their nonzero loads);
 //! * [`execute_partitioned`] runs every sub-problem through the existing
-//!   [`crate::fafnir_spmv::execute_to_stream`] tree path (paper Sec. IV-D)
-//!   one row band at a time, and merges the band's partial rows across its
-//!   ranks before the next band runs, counting the entries that cross a
-//!   partition boundary; at most one band's partial streams are alive;
+//!   [`crate::fafnir_spmv::execute_to_stream`] tree path (paper Sec. IV-D),
+//!   one row band per job on the host's cores, and merges each band's
+//!   partial rows across its ranks, counting the entries that cross a
+//!   partition boundary; at most one band's partial streams are alive per
+//!   worker, and the result does not depend on the core count;
 //! * [`PartitionedRun`] prices the whole thing through [`SpmvTiming`]: the
 //!   parallel makespan is the slowest rank plus the synchronization stage
 //!   ([`SpmvTiming::sync_merge_ns`] per cross-rank entry), the way
@@ -25,6 +26,7 @@
 
 use std::ops::Range;
 
+use fafnir_core::pipeline::map_ordered;
 use serde::{Deserialize, Serialize};
 
 use crate::coo::CooMatrix;
@@ -371,13 +373,43 @@ impl PartitionedRun {
         }
         ops
     }
+
+    /// The first conservation law this run breaks, if any, given the
+    /// stored entries its ranks `received`. A band lost or run twice breaks
+    /// the first; each law costs O(ranks).
+    fn broken_law(&self, received: u64) -> Option<&'static str> {
+        let partition = &self.partition;
+        if !self.rank_runs.iter().map(|r| r.rank).eq(0..partition.ranks()) {
+            return Some("rank runs must be ranks 0..ranks in order");
+        }
+        // A rank sums repeated coordinates, so it multiplies at most the
+        // entries it received, and exactly those when none repeat.
+        let multiplied: u64 = self.rank_runs.iter().map(|r| r.nnz).sum();
+        if received != partition.nnz as u64 || multiplied > received {
+            return Some("every stored entry must reach exactly one rank");
+        }
+        // Every band has `col_bands` column ranks, so either every band
+        // synchronizes or none does.
+        let synced = partition.col_bands() > 1;
+        let partial: u64 = self.rank_runs.iter().map(|r| r.partial_entries).sum();
+        if self.sync_entries != if synced { partial } else { 0 } {
+            return Some("sync entries must equal the synchronized bands' partial entries");
+        }
+        if self.sync_rounds != if synced { partition.row_bands() } else { 0 } {
+            return Some("sync rounds must equal the bands with several column ranks");
+        }
+        None
+    }
 }
+
+/// One stored entry, `(row, col, value)`, in its rank's local coordinates.
+type Triplet = (usize, usize, f64);
 
 /// Runs one rank's window, given as triplets in local coordinates, through
 /// the tree path.
 fn run_rank(
     span: &RankSpan,
-    triplets: &[(usize, usize, f64)],
+    triplets: &[Triplet],
     x: &[f64],
     vector_size: usize,
 ) -> (RankRun, PartialStream) {
@@ -396,18 +428,74 @@ fn run_rank(
     )
 }
 
-/// Executes `y = A·x` across a partition, one row band at a time: the
-/// band's ranks run their windows through the FAFNIR tree path, then their
-/// partial rows are reduced (a balanced merge tree, like the hardware would
-/// gang spare PEs) and scattered into `y` before the next band's ranks run.
-/// Each rank's entries are freed once it has run, so beside the input and
-/// `y` the driver holds one bucketed copy of the entries, shrinking rank by
-/// rank, and one band's partial streams.
+/// One row band's executed ranks.
+struct BandRun {
+    /// The band's rank records, in rank order.
+    runs: Vec<RankRun>,
+    /// Stored entries the band's ranks received.
+    received: u64,
+    /// Entries that crossed a partition boundary in the band's merge.
+    sync_entries: u64,
+    /// Operation counts of the band's merge.
+    sync_ops: StreamOps,
+}
+
+/// Runs one row band's ranks, freeing each rank's entries once it has run,
+/// reduces their partial rows (a balanced merge tree, like the hardware
+/// would gang spare PEs) when the band has several column ranks, and
+/// scatters them into the band's rows of `y`.
+fn run_band(
+    (y, band): (&mut [f64], Vec<(&RankSpan, Vec<Triplet>)>),
+    x: &[f64],
+    vector_size: usize,
+) -> BandRun {
+    let mut runs = Vec::with_capacity(band.len());
+    let mut streams = Vec::with_capacity(band.len());
+    let mut received = 0;
+    for (span, triplets) in band {
+        received += triplets.len() as u64;
+        let (run, stream) = run_rank(span, &triplets, x, vector_size);
+        runs.push(run);
+        streams.push(stream);
+    }
+    // Synchronization: the band's column ranks share its output rows;
+    // different bands' rows are disjoint.
+    let mut sync_ops = StreamOps::default();
+    let (merged, sync_entries) = if streams.len() > 1 {
+        let entries = streams.iter().map(|s| s.len() as u64).sum();
+        (merge_tree(streams, &mut sync_ops), entries)
+    } else {
+        (streams.pop().expect("a band holds one rank per column band"), 0)
+    };
+    for &(row, value) in merged.entries() {
+        y[row] += value;
+    }
+    BandRun { runs, received, sync_entries, sync_ops }
+}
+
+/// Executes `y = A·x` across a partition. Each row band is one job on the
+/// shared ordered pool ([`map_ordered`], one worker per available core):
+/// the band's ranks run their windows through the FAFNIR tree path, then
+/// their partial rows are reduced across the band's column ranks and
+/// scattered into the band's own rows of `y`. Bands write disjoint rows
+/// and share no other state, and their records are collected in band
+/// order, so `y`, every [`RankRun`] and the synchronization counters are
+/// bit-identical for any core count. Each
+/// rank's entries are freed once it has run, so beside the input and `y`
+/// the driver holds one bucketed copy of the entries, shrinking rank by
+/// rank, and per worker one band's partial streams.
 ///
 /// # Panics
 ///
-/// Panics if `x.len()`, the matrix shape and the partition disagree, or if
-/// `vector_size < 2` (see [`crate::fafnir_spmv::execute`]).
+/// Panics if `x.len()`, the matrix shape and the partition disagree, if
+/// `vector_size < 2` (see [`crate::fafnir_spmv::execute`]), or if the run
+/// breaks a conservation law: its rank runs must be ranks `0..ranks` in
+/// order, every stored entry must reach exactly one rank (which sums
+/// repeated coordinates, so the ranks' nonzeros sum to at most the
+/// matrix's stored entries, and to exactly those when none repeat), and the
+/// synchronization counters must account for exactly the partial streams
+/// of the bands with more than one column rank. The message names the law
+/// that broke.
 #[must_use]
 pub fn execute_partitioned(
     matrix: &CooMatrix,
@@ -425,7 +513,7 @@ pub fn execute_partitioned(
     // lookup's row and column tables are freed before the ranks run.
     let buckets = {
         let rank_of = rank_lookup(&partition.row_bounds, &partition.col_bounds);
-        let mut buckets: Vec<Vec<(usize, usize, f64)>> =
+        let mut buckets: Vec<Vec<Triplet>> =
             partition.spans.iter().map(|s| Vec::with_capacity(s.nnz)).collect();
         for &(row, col, value) in matrix.entries() {
             let rank = rank_of(row, col);
@@ -434,43 +522,46 @@ pub fn execute_partitioned(
         }
         buckets
     };
-
-    let mut y = vec![0.0; partition.rows];
-    let mut rank_runs = Vec::with_capacity(partition.ranks());
-    let (mut sync_entries, mut sync_rounds) = (0u64, 0usize);
-    let mut sync_ops = StreamOps::default();
-    let col_bands = partition.col_bands();
     // Spans are in row-major band order, so each band is the next
-    // `col_bands` ranks.
+    // `col_bands` ranks, and it owns its window of `y`.
+    let mut y = vec![0.0; partition.rows];
+    let col_bands = partition.col_bands();
     let mut ranks = partition.spans.iter().zip(buckets);
-    for &band_start in &partition.row_bounds[..partition.row_bands()] {
-        let mut band = Vec::with_capacity(col_bands);
-        for (span, triplets) in ranks.by_ref().take(col_bands) {
-            let (run, stream) = run_rank(span, &triplets, x, vector_size);
-            rank_runs.push(run);
-            band.push(stream);
-        }
-        // Synchronization: the band's column ranks share its output rows;
-        // different bands' rows are disjoint.
-        let merged = if col_bands > 1 {
-            sync_entries += band.iter().map(|s| s.len() as u64).sum::<u64>();
-            sync_rounds += 1;
-            merge_tree(band, &mut sync_ops)
-        } else {
-            band.pop().expect("a band holds one rank per column band")
-        };
-        for &(row, value) in merged.entries() {
-            y[band_start + row] += value;
-        }
+    let mut rows = y.as_mut_slice();
+    let bands: Vec<_> = partition
+        .row_bounds
+        .windows(2)
+        .map(|band| {
+            let (band_rows, rest) = std::mem::take(&mut rows).split_at_mut(band[1] - band[0]);
+            rows = rest;
+            (band_rows, ranks.by_ref().take(col_bands).collect::<Vec<_>>())
+        })
+        .collect();
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    let band_runs = map_ordered(bands, cores, |band| run_band(band, x, vector_size));
+
+    let mut rank_runs = Vec::with_capacity(partition.ranks());
+    let (mut received, mut sync_entries, mut sync_rounds) = (0u64, 0u64, 0usize);
+    let mut sync_ops = StreamOps::default();
+    for band in band_runs {
+        received += band.received;
+        sync_rounds += usize::from(band.runs.len() > 1);
+        rank_runs.extend(band.runs);
+        sync_entries += band.sync_entries;
+        sync_ops.merge(&band.sync_ops);
     }
-    PartitionedRun {
+    let run = PartitionedRun {
         y,
         partition: partition.clone(),
         rank_runs,
         sync_entries,
         sync_rounds,
         sync_ops,
+    };
+    if let Some(law) = run.broken_law(received) {
+        panic!("partitioned SpMV broke a conservation law: {law}");
     }
+    run
 }
 
 #[cfg(test)]
@@ -632,6 +723,38 @@ mod tests {
         let timing = SpmvTiming::paper();
         assert!(col.sync_ns(&timing) > 0.0);
         assert!(col.total_ns(&timing) > col.critical_path_ns(&timing));
+    }
+
+    #[test]
+    fn a_run_that_loses_or_repeats_work_breaks_a_named_law() {
+        let matrix = gen::rmat(7, 2_000, 14);
+        let x = operand(matrix.cols());
+        let grid = SpmvPartition::new(&matrix, PartitionStrategy::grid(8), 8);
+        let run = execute_partitioned(&matrix, &x, &grid, 32);
+        let received = matrix.nnz() as u64;
+        assert_eq!(run.broken_law(received), None);
+        let broken = |tamper: &dyn Fn(&mut PartitionedRun)| {
+            let mut copy = run.clone();
+            tamper(&mut copy);
+            copy.broken_law(received).expect("the tampered run breaks a law")
+        };
+        let lost = broken(&|r| drop(r.rank_runs.pop()));
+        assert!(lost.starts_with("rank runs"), "{lost}");
+        let repeated = broken(&|r| r.rank_runs[1] = r.rank_runs[0].clone());
+        assert!(repeated.starts_with("rank runs"), "{repeated}");
+        let nnz = broken(&|r| r.rank_runs[3].nnz += 1);
+        assert!(nnz.starts_with("every stored entry"), "{nnz}");
+        let dropped = run.broken_law(received - 1).expect("an entry reached no rank");
+        assert!(dropped.starts_with("every stored entry"), "{dropped}");
+        let entries = broken(&|r| r.sync_entries -= 1);
+        assert!(entries.starts_with("sync entries"), "{entries}");
+        let rounds = broken(&|r| r.sync_rounds += 1);
+        assert!(rounds.starts_with("sync rounds"), "{rounds}");
+        // Row layouts synchronize nothing.
+        let row = SpmvPartition::new(&matrix, PartitionStrategy::NnzBalancedRows, 8);
+        let mut run = execute_partitioned(&matrix, &x, &row, 32);
+        run.sync_entries = 1;
+        assert!(run.broken_law(received).is_some_and(|law| law.starts_with("sync entries")));
     }
 
     #[test]

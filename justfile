@@ -32,6 +32,15 @@ examples:
     cargo run --release --example spmv_graph
     cargo run --release --example tree_anatomy
 
+# The SpMV digest and partitioned-driver tests pinned to one core.
+# `execute_partitioned` runs one row band per available core; pinned,
+# `available_parallelism()` is 1, so these check the one-worker path against
+# the same recorded digests the unpinned `cargo test` checks the threaded
+# path against.
+spmv-one-core:
+    taskset -c 0 cargo test -q --test spmv_digests
+    taskset -c 0 cargo test -q -p fafnir-sparse --test partitioned_spmv
+
 # Compile every bench target without running it.
 bench-build:
     cargo bench --workspace --no-run
@@ -67,7 +76,7 @@ loc:
     scripts/loc.sh
 
 # Everything CI runs.
-ci: fmt clippy tier1 examples docs test ledger-check bench-build figures calibration-gate
+ci: fmt clippy tier1 spmv-one-core examples docs test ledger-check bench-build figures calibration-gate
 
 # Regenerate the parallel-driver measurement (BENCH_parallel_driver.json).
 bench-driver:
