@@ -2,12 +2,13 @@
 //!
 //! Compares the trait-level sequential [`GatherEngine::lookup_stream`]
 //! (every hardware batch's reads share ONE memory system and one FR-FCFS
-//! queue) against the [`ParallelBatchDriver`] (independent hardware batches
-//! on private memory systems, fanned out over worker threads). Two effects
-//! stack:
+//! queue) against independent [`GatherEngine::lookup`]s fanned out over
+//! worker threads by [`map_ordered`]. Each software batch here is one
+//! hardware batch, so each lookup runs one plan on its own private memory
+//! system. Two effects stack:
 //!
 //! * splitting the stream into per-plan memory systems keeps the scheduler
-//!   queue shallow, so even `driver(1)` beats the shared-queue path, and
+//!   queue shallow, so even one worker beats the shared-queue path, and
 //! * with multiple host cores the per-plan simulations overlap.
 //!
 //! Results are written to `BENCH_parallel_driver.json` at the repo root.
@@ -16,7 +17,8 @@ use std::time::Instant;
 
 use criterion::black_box;
 use fafnir_bench::{banner, paper_memory, paper_traffic, print_table, record, times};
-use fafnir_core::{Batch, FafnirEngine, GatherEngine, ParallelBatchDriver, StripedSource};
+use fafnir_core::pipeline::map_ordered;
+use fafnir_core::{Batch, FafnirEngine, GatherEngine, LookupResult, StripedSource};
 
 const SOFTWARE_BATCHES: usize = 8;
 const QUERIES_PER_BATCH: usize = 32; // = paper batch capacity -> 8 hardware batches
@@ -34,9 +36,23 @@ fn measure<F: FnMut()>(mut body: F) -> f64 {
     start.elapsed().as_secs_f64() * 1e9 / f64::from(SAMPLES)
 }
 
+/// Every batch's standalone lookup on up to `threads` workers, in
+/// submission order.
+fn lookups(
+    engine: &FafnirEngine,
+    batches: &[Batch],
+    source: &StripedSource,
+    threads: usize,
+) -> Vec<LookupResult> {
+    map_ordered(batches.iter().collect(), threads, |batch| engine.lookup(batch, source))
+        .into_iter()
+        .collect::<Result<_, _>>()
+        .expect("lookup")
+}
+
 fn main() {
     banner(
-        "Parallel multi-batch driver — host-side wall clock",
+        "Parallel multi-batch lookups — host-side wall clock",
         "independent hardware batches on private memory systems vs one shared queue",
     );
     let mem = paper_memory();
@@ -63,23 +79,18 @@ fn main() {
 
     let mut driver_ns = Vec::new();
     for &threads in &threads_measured {
-        let driver = ParallelBatchDriver::new(threads);
         driver_ns.push(measure(|| {
-            black_box(driver.lookup_stream(&engine, &batches, &source).expect("driver stream"));
+            black_box(lookups(&engine, &batches, &source, threads));
         }));
     }
 
-    // Sanity: the driver's results are thread-count-invariant (the full
-    // check lives in tests/determinism.rs). Oversubscribed counts are still
-    // checked for determinism — just not timed.
-    let reference = ParallelBatchDriver::new(1)
-        .lookup_stream(&engine, &batches, &source)
-        .expect("driver stream");
+    // Sanity: the results are thread-count-invariant (the full check lives
+    // in tests/determinism.rs). Oversubscribed counts are still checked for
+    // determinism — just not timed.
+    let reference = lookups(&engine, &batches, &source, 1);
     for threads in THREAD_LADDER {
-        let result = ParallelBatchDriver::new(threads)
-            .lookup_stream(&engine, &batches, &source)
-            .expect("driver stream");
-        assert_eq!(result, reference, "driver({threads}) nondeterministic");
+        let results = lookups(&engine, &batches, &source, threads);
+        assert_eq!(results, reference, "{threads} threads nondeterministic");
     }
 
     let mut rows = vec![vec![
@@ -89,7 +100,7 @@ fn main() {
     ]];
     for (threads, ns) in threads_measured.iter().zip(&driver_ns) {
         rows.push(vec![
-            format!("parallel driver ({threads} threads)"),
+            format!("parallel lookups ({threads} threads)"),
             format!("{:.2} ms", ns / 1e6),
             times(sequential_ns / ns),
         ]);
@@ -125,7 +136,7 @@ fn main() {
          \"hardware_batches\": {hardware_batches},\n  \"samples\": {SAMPLES},\n  \
          \"host_cores\": {host_cores},\n  \
          \"caveat\": \"thread counts above host_cores are not timed: an oversubscribed \
-         driver measures scheduler noise, not scaling\",\n  \
+         pool measures scheduler noise, not scaling\",\n  \
          \"threads_skipped_oversubscribed\": [{}],\n  \
          \"sequential_lookup_stream_wall_ns\": {sequential_ns:.0},\n  \
          \"parallel_driver\": [\n{}\n  ]\n}}\n",

@@ -16,8 +16,6 @@
 //!
 //! Software batches larger than the hardware capacity are served as several
 //! hardware batches back to back (Sec. IV-B); their latencies accumulate.
-//! The tree can be timed by the event-driven model or the cycle-stepped
-//! FIFO model (see [`TreeBackend`]).
 
 use serde::{Deserialize, Serialize};
 
@@ -25,7 +23,6 @@ use fafnir_mem::MemoryConfig;
 
 use crate::batch::Batch;
 use crate::config::FafnirConfig;
-use crate::cycle_sim::CycleTree;
 use crate::error::FafnirError;
 use crate::fastpath::fast_reduce;
 use crate::index::{IndexSet, QueryId, VectorIndex};
@@ -33,7 +30,7 @@ use crate::inject::{build_rank_inputs, GatheredVector};
 use crate::pipeline::{GatherEngine, GatherOutcome, MemoryPlan, PlannedRead, SequentialMerge};
 use crate::placement::EmbeddingSource;
 use crate::reduce::{ReduceOp, ReduceOperator};
-use crate::tree::{ReductionTree, TreeRun, TreeStats};
+use crate::tree::{ReductionTree, TreeStats};
 
 /// Aggregate bandwidth of the memory-to-host link, in bytes per nanosecond
 /// (≈ GB/s): half of four DDR4-2400 channels' 76.8 GB/s, since results
@@ -65,9 +62,8 @@ pub struct LatencyBreakdown {
 
 impl LatencyBreakdown {
     /// Overlays the times of a result that ran concurrently with this one
-    /// (hardware batches on separate instances, cluster shards): every
-    /// stage takes the slower of the two, and the exposed compute tail is
-    /// what remains after the memory phase.
+    /// (another cluster shard): every stage takes the slower of the two,
+    /// and the exposed compute tail is what remains after the memory phase.
     pub fn overlay(&mut self, other: &LatencyBreakdown) {
         self.total_ns = self.total_ns.max(other.total_ns);
         self.memory_ns = self.memory_ns.max(other.memory_ns);
@@ -159,9 +155,9 @@ impl LookupResult {
 
     /// Adds `other`'s counters into this result: DRAM, tree, traffic and
     /// op counters sum, the buffer peak and tree depth take the maximum.
-    /// Every merge of partial results — serial hardware batches,
-    /// concurrent instances, cluster shards — calls this and applies its
-    /// own rule to the times and outputs.
+    /// Every merge of partial results — serial hardware batches, cluster
+    /// shards — calls this and applies its own rule to the times and
+    /// outputs.
     pub fn add_counters(&mut self, other: &LookupResult) {
         self.memory.merge(&other.memory);
         let tree = &mut self.tree;
@@ -256,24 +252,15 @@ impl StreamResult {
     }
 }
 
-/// How the reduce stage times the reduction tree.
-///
-/// The outputs come from the fold either way; the backends differ in the
-/// fidelity (and cost) of the timing model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+/// How the reduce stage times the reduction tree. There is one backend: the
+/// event-timed header tree, whose place the fold's analytic times take
+/// under the fast memory model. The type and [`FafnirEngine::backend`] stay
+/// because the frozen `ledger/` benchmark reads them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TreeBackend {
     /// Event-driven tree model: per-item ready times, per-PE op counters,
-    /// unbounded buffers (the default).
-    #[default]
+    /// unbounded buffers.
     EventTimed,
-    /// Cycle-stepped FIFO model ([`CycleTree`]): bounded inter-PE FIFOs
-    /// with backpressure. Tree op counters are not tracked by this model
-    /// and read as zero; `max_buffer_items` reports the peak FIFO
-    /// occupancy.
-    CycleStepped {
-        /// Capacity of each inter-PE FIFO, in items (must be non-zero).
-        fifo_capacity: usize,
-    },
 }
 
 /// The FAFNIR accelerator: a reduction tree over a DDR4 memory system.
@@ -282,7 +269,6 @@ pub struct FafnirEngine {
     config: FafnirConfig,
     mem_config: MemoryConfig,
     tree: ReductionTree,
-    backend: TreeBackend,
     /// Operator override; `None` instantiates from `config.op`. Lives here
     /// (not in [`FafnirConfig`], which stays `Copy` + serde) so stateful
     /// operators like a similarity-search [`crate::reduce::TopKOperator`]
@@ -304,7 +290,7 @@ impl FafnirEngine {
         mem_config.ndp_data_path = true;
         mem_config.validate().map_err(FafnirError::InvalidConfig)?;
         let tree = ReductionTree::new(config, mem_config.topology.total_ranks())?;
-        Ok(Self { config, mem_config, tree, backend: TreeBackend::EventTimed, operator: None })
+        Ok(Self { config, mem_config, tree, operator: None })
     }
 
     /// Paper-default FAFNIR over the given memory system.
@@ -316,17 +302,10 @@ impl FafnirEngine {
         Self::new(FafnirConfig::paper_default(), mem_config)
     }
 
-    /// Selects the tree timing backend (see [`TreeBackend`]).
-    #[must_use]
-    pub fn with_backend(mut self, backend: TreeBackend) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// The active tree timing backend.
+    /// The tree timing backend: always [`TreeBackend::EventTimed`].
     #[must_use]
     pub fn backend(&self) -> TreeBackend {
-        self.backend
+        TreeBackend::EventTimed
     }
 
     /// Overrides the reduction operator for this engine instance.
@@ -499,9 +478,8 @@ impl GatherEngine for FafnirEngine {
 
     /// Tree phase: the fold ([`crate::fastpath`]) computes every output;
     /// the per-query times and tree statistics come from the fold under the
-    /// fast memory model with the event-timed backend, and from the
-    /// header-only tree the backend selects otherwise. Accounts the root →
-    /// host link transfer per output.
+    /// fast memory model, and from the event-timed header-only tree under
+    /// the cycle model. Accounts the root → host link transfer per output.
     fn reduce<S: EmbeddingSource>(
         &self,
         plan: &MemoryPlan,
@@ -523,39 +501,18 @@ impl GatherEngine for FafnirEngine {
 
         let fold = fast_reduce(batch, &gathered_vectors, &self.tree, &*self.active_operator());
         let fast_memory = self.mem_config.model == fafnir_mem::MemoryModelKind::Fast;
-        let (completions, tree_stats) = match self.backend {
-            TreeBackend::EventTimed if fast_memory => (fold.completion_ns, fold.stats),
-            backend => {
-                let inputs = build_rank_inputs(
-                    batch,
-                    &gathered_vectors,
-                    self.mem_config.topology.total_ranks(),
-                    self.config.ranks_per_leaf,
-                    &self.config.pe_timing,
-                );
-                let run = match backend {
-                    TreeBackend::EventTimed => self.tree.run(inputs),
-                    TreeBackend::CycleStepped { fifo_capacity } => {
-                        let cycle = CycleTree::new(&self.tree, fifo_capacity)
-                            .map_err(|e| FafnirError::InvalidConfig(e.to_string()))?
-                            .run(inputs)
-                            .map_err(|e| FafnirError::InvalidConfig(e.to_string()))?;
-                        TreeRun {
-                            outputs: cycle.outputs,
-                            // The cycle model does not track per-PE op
-                            // counters; they read as zero under this backend.
-                            stats: TreeStats {
-                                levels: self.tree.levels(),
-                                pes: self.tree.pe_count(),
-                                completion_ns: cycle.completion_ns,
-                                max_buffer_items: cycle.max_occupancy as u64,
-                                ..TreeStats::default()
-                            },
-                        }
-                    }
-                };
-                (run.query_completion_ns(), run.stats)
-            }
+        let (completions, tree_stats) = if fast_memory {
+            (fold.completion_ns, fold.stats)
+        } else {
+            let inputs = build_rank_inputs(
+                batch,
+                &gathered_vectors,
+                self.mem_config.topology.total_ranks(),
+                self.config.ranks_per_leaf,
+                &self.config.pe_timing,
+            );
+            let run = self.tree.run(inputs);
+            (run.query_completion_ns(), run.stats)
         };
         let outputs = fold.outputs;
         if outputs.len() != batch.len() {
@@ -857,26 +814,6 @@ mod tests {
         let fast_result = fast.lookup(&batch, &source).unwrap();
         assert_eq!(cycle_result.outputs, fast_result.outputs);
         assert_eq!(fast_result.traffic.vectors_read, 6);
-    }
-
-    #[test]
-    fn fast_memory_under_the_cycle_backend_times_with_the_cycle_tree() {
-        // Fast memory + cycle-stepped tree: the fold's analytic timing must
-        // not engage (it only replaces the event-timed tree); outputs still
-        // agree.
-        let source = source();
-        let config = FafnirConfig::paper_default();
-        let batch = Batch::from_index_sets([indexset![1, 2, 5, 6], indexset![3, 4, 5]]);
-        let fast = FafnirEngine::new(config, fast_mem(MemoryConfig::ddr4_2400_4ch()))
-            .unwrap()
-            .with_backend(TreeBackend::CycleStepped { fifo_capacity: 32 });
-        let cycle = FafnirEngine::new(config, MemoryConfig::ddr4_2400_4ch()).unwrap();
-        let fast_result = fast.lookup(&batch, &source).unwrap();
-        let cycle_result = cycle.lookup(&batch, &source).unwrap();
-        assert_eq!(fast_result.outputs, cycle_result.outputs);
-        // The cycle-stepped backend zeroes op counters; the fold's timing
-        // would have reported reduces — proving the cycle tree timed it.
-        assert_eq!(fast_result.tree.ops.reduces, 0);
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //! never steer routing or timing. This module is therefore the only code
 //! that combines values: [`fast_reduce`] folds each query's gathered
 //! vectors in the tree's combine order and finalizes them, for every
-//! memory model and tree backend. The tree models
-//! ([`crate::tree::ReductionTree`], [`crate::cycle_sim::CycleTree`]) carry
-//! headers and ready times only. The fold reproduces the tree's combine
-//! order exactly because of three structural facts:
+//! memory model. The tree models ([`crate::tree::ReductionTree`],
+//! [`crate::cycle_sim::CycleTree`]) carry headers and ready times only. The
+//! fold reproduces the tree's combine order exactly because of three
+//! structural facts:
 //!
 //! 1. **One item per query per side.** The injector pre-reduces co-resident
 //!    operands, so each query enters the tree with at most one item per
@@ -26,16 +26,15 @@
 //!    same as recursively halving the side range.
 //!
 //! The fold also prices each query's completion analytically; the engine
-//! uses that timing under the fast memory model with the event-timed
-//! backend. It applies the same per-stage latencies as the tree
-//! (reduce/forward + merge per PE, link transfer per level) but skips two
-//! cross-query couplings: output-port serialization and the merge unit's
+//! uses that timing under the fast memory model. It applies the same
+//! per-stage latencies as the tree (reduce/forward + merge per PE, link
+//! transfer per level) but skips two cross-query couplings: output-port serialization and the merge unit's
 //! ready-time max over duplicate outputs. Both only ever *delay* items, so
 //! the fast estimate lower-bounds the tree's per-query times; the
 //! calibration harness records the residual divergence. Op counters
 //! (`reduces`, `forwards`, `merges`) are kept exact per combine, but
 //! `compares`, raw/merged output counts and buffer occupancy are not
-//! modeled (they read as zero, like the cycle-stepped backend's counters).
+//! modeled (they read as zero).
 
 use crate::batch::Batch;
 use crate::index::QueryId;

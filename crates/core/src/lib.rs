@@ -54,8 +54,8 @@
 //! * [`cycle_sim`] — cycle-stepped timing with finite FIFOs and
 //!   backpressure, validating Table I's sizing dynamically.
 //! * [`pipeline`] — the staged [`GatherEngine`] trait (preprocess → gather
-//!   → reduce), the `lookup`/`lookup_stream` drivers, and the
-//!   [`ParallelBatchDriver`] multi-batch executor.
+//!   → reduce), the `lookup`/`lookup_stream` drivers, and the ordered
+//!   worker pool [`pipeline::map_ordered`].
 //! * [`placement`], [`engine`] — vector placement and the end-to-end engine.
 //! * [`model`] — buffer sizing, connections, ASIC/FPGA area & power models.
 //! * [`verify`] — one-call differential self-verification for configuration
@@ -95,8 +95,7 @@ pub use index::{IndexSet, QueryId, VectorIndex};
 pub use item::{Header, Item, PendingQuery, RankInputs};
 pub use pe::{PeOpCounts, ProcessingElement};
 pub use pipeline::{
-    GatherEngine, GatherOutcome, LookupService, MemoryPlan, ParallelBatchDriver,
-    ParallelStreamResult, PlannedRead, ReadCompletion,
+    GatherEngine, GatherOutcome, LookupService, MemoryPlan, PlannedRead, ReadCompletion,
 };
 pub use placement::{EmbeddingSource, ShardPlan, ShardStrategy, StripedSource};
 pub use reduce::{

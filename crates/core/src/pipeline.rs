@@ -18,10 +18,10 @@
 //! The trait provides `lookup` (stages chained per hardware batch, results
 //! merged in submission order — serial accelerator occupancy) and
 //! `lookup_stream` (all plans' reads share one memory system so inter-batch
-//! contention is *measured*, Sec. IV-A) on top of those stages, plus
-//! [`ParallelBatchDriver`] which executes independent hardware batches on
-//! worker threads — each with its own memory system and reduction state —
-//! and merges deterministically in submission order.
+//! contention is *measured*, Sec. IV-A) on top of those stages.
+//! [`map_ordered`] runs independent jobs — whole lookups, serving
+//! scenarios, SpMV row bands — on worker threads and returns their results
+//! in submission order.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -220,19 +220,6 @@ impl SequentialMerge {
     }
 }
 
-/// Merges hardware-batch results that ran *concurrently* on independent
-/// accelerator instances: completions overlay (max), counters add.
-fn merge_concurrent(into: &mut Option<LookupResult>, sub: LookupResult) {
-    let Some(result) = into else {
-        *into = Some(sub);
-        return;
-    };
-    result.add_counters(&sub);
-    result.latency.overlay(&sub.latency);
-    result.outputs.extend(sub.outputs);
-    result.per_query_ns.extend(sub.per_query_ns);
-}
-
 /// The narrow interface serving layers need from an engine: a name and a
 /// whole-batch lookup.
 ///
@@ -252,8 +239,7 @@ pub trait LookupService {
     /// # Errors
     ///
     /// Returns [`FafnirError::InvalidBatch`] for empty batches, vector
-    /// dimension mismatches, or oversized queries, and
-    /// [`FafnirError::InvalidConfig`] for backend configuration failures.
+    /// dimension mismatches, or oversized queries.
     fn lookup<S: EmbeddingSource>(
         &self,
         batch: &Batch,
@@ -311,10 +297,9 @@ pub trait GatherEngine {
     ///
     /// # Errors
     ///
-    /// Returns [`FafnirError::InvalidBatch`] if reduction cannot complete
-    /// (e.g. queries stuck in the tree) and [`FafnirError::InvalidConfig`]
-    /// for backend configuration failures (e.g. a cycle-level deadlock from
-    /// undersized FIFOs).
+    /// Returns [`FafnirError::InvalidBatch`] if reduction cannot complete:
+    /// a query without an output, or a timing model that completed a
+    /// different set of queries than the outputs answer.
     fn reduce<S: EmbeddingSource>(
         &self,
         plan: &Self::Plan,
@@ -407,87 +392,6 @@ pub trait GatherEngine {
     }
 }
 
-/// Result of [`ParallelBatchDriver::lookup_stream`]: per-software-batch
-/// results plus the merged stream summary.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ParallelStreamResult {
-    /// One merged result per submitted software batch, in submission order.
-    pub per_batch: Vec<LookupResult>,
-    /// Stream summary: `batches` counts *hardware* batches (plans),
-    /// `per_batch_completion_ns` is per plan in submission order, and
-    /// `total_ns` is the makespan across the concurrent instances.
-    pub stream: StreamResult,
-}
-
-/// Executes independent hardware batches concurrently, each on its own
-/// memory system and reduction state, merging results deterministically
-/// in submission order.
-///
-/// This models a *replicated* deployment — `threads` independent
-/// accelerator instances with private memory channels — and doubles as a
-/// host-side simulation speedup: every plan is self-contained, so
-/// [`map_ordered`] makes the result independent of the thread count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParallelBatchDriver {
-    threads: usize,
-}
-
-impl ParallelBatchDriver {
-    /// A driver with `threads` workers (≥ 1): the calling thread and
-    /// `threads - 1` scoped threads ([`map_ordered`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero.
-    #[must_use]
-    pub fn new(threads: usize) -> Self {
-        assert!(threads >= 1, "driver needs at least one thread");
-        Self { threads }
-    }
-
-    /// The configured worker count.
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Runs every software batch's plans concurrently and merges the
-    /// results in submission order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates errors from [`GatherEngine::preprocess`] and
-    /// [`GatherEngine::reduce`] for any batch in the stream.
-    pub fn lookup_stream<E, S>(
-        &self,
-        engine: &E,
-        batches: &[Batch],
-        source: &S,
-    ) -> Result<ParallelStreamResult, FafnirError>
-    where
-        E: GatherEngine + Sync,
-        S: EmbeddingSource + Sync,
-    {
-        if batches.is_empty() {
-            return Err(FafnirError::InvalidBatch("stream has no batches".into()));
-        }
-        // Preprocess serially: cheap, and keeps plan order = submission
-        // order regardless of scheduling.
-        let mut plans: Vec<(usize, E::Plan)> = Vec::new();
-        for (slot, batch) in batches.iter().enumerate() {
-            for plan in engine.preprocess(batch, source)? {
-                plans.push((slot, plan));
-            }
-        }
-        let jobs = plans.iter().map(|(_, plan)| plan).collect();
-        let results = map_ordered(jobs, self.threads, |plan| {
-            let gathered = engine.gather(plan);
-            engine.reduce(plan, gathered, source)
-        });
-        merge_stream(batches.len(), &plans, results)
-    }
-}
-
 /// Maps every job through `run` on up to `threads` workers and returns the
 /// results in submission order.
 ///
@@ -534,51 +438,6 @@ where
         .collect()
 }
 
-/// Folds per-plan results into per-software-batch results (concurrent
-/// merge) and the stream summary, all in submission order.
-fn merge_stream<P>(
-    batch_count: usize,
-    plans: &[(usize, P)],
-    results: Vec<Result<LookupResult, FafnirError>>,
-) -> Result<ParallelStreamResult, FafnirError> {
-    let mut per_batch: Vec<Option<LookupResult>> = (0..batch_count).map(|_| None).collect();
-    let mut stream_memory = MemoryStats::default();
-    let mut per_batch_completion_ns = Vec::with_capacity(results.len());
-    let mut total_ns = 0.0f64;
-    let mut queries = 0usize;
-    let mut vectors_read = 0u64;
-    for ((slot, _), result) in plans.iter().zip(results) {
-        let sub = result?;
-        queries += sub.outputs.len();
-        vectors_read += sub.traffic.vectors_read;
-        stream_memory.merge(&sub.memory);
-        total_ns = total_ns.max(sub.latency.total_ns);
-        per_batch_completion_ns.push(sub.latency.total_ns);
-        merge_concurrent(&mut per_batch[*slot], sub);
-    }
-    let per_batch = per_batch
-        .into_iter()
-        .map(|merged| {
-            let mut result = merged.expect("every software batch produced a plan");
-            result.tree.completion_ns = result.latency.total_ns;
-            result.outputs.sort_by_key(|(query, _)| *query);
-            result.per_query_ns.sort_by_key(|(query, _)| *query);
-            result
-        })
-        .collect();
-    Ok(ParallelStreamResult {
-        per_batch,
-        stream: StreamResult {
-            batches: plans.len(),
-            queries,
-            total_ns,
-            per_batch_completion_ns,
-            memory: stream_memory,
-            vectors_read,
-        },
-    })
-}
-
 /// Shared reduce-stage constructor for engines whose reduction is modelled
 /// analytically (the baselines): every query completes when the whole batch
 /// does, and no tree statistics exist.
@@ -607,13 +466,6 @@ pub fn analytic_result(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::Batch;
-    use crate::config::FafnirConfig;
-    use crate::engine::FafnirEngine;
-    use crate::index::{IndexSet, VectorIndex};
-    use crate::placement::StripedSource;
-    use crate::reduce::ReduceOp;
-    use fafnir_mem::MemoryConfig;
 
     #[test]
     fn map_ordered_counts_the_caller_as_a_worker() {
@@ -636,45 +488,6 @@ mod tests {
             assert_eq!(results, expected, "{threads} threads");
             let empty = map_ordered(Vec::<u64>::new(), threads, |job| job);
             assert!(empty.is_empty(), "{threads} threads");
-        }
-    }
-
-    #[test]
-    fn parallel_driver_is_thread_count_invariant_for_every_operator() {
-        // The accumulator merge must commute with the submission-order
-        // merge: plans never share queries, so `merge_concurrent` only
-        // overlays latencies and extends outputs, and the result is
-        // byte-identical for any worker count — including for operators
-        // whose accumulators carry state (Mean counts, TopK heaps).
-        let mem = MemoryConfig::ddr4_2400_4ch();
-        let source = StripedSource::new(mem.topology, 128);
-        let batches: Vec<Batch> = (0..4u32)
-            .map(|k| {
-                Batch::from_index_sets([
-                    IndexSet::from_iter_dedup((0..6).map(|j| VectorIndex(k * 32 + j))),
-                    IndexSet::from_iter_dedup((4..10).map(|j| VectorIndex(k * 32 + j))),
-                ])
-            })
-            .collect();
-        for op in [ReduceOp::Sum, ReduceOp::Mean, ReduceOp::ArgMax, ReduceOp::TopK { k: 2 }] {
-            let config = FafnirConfig { op, ..FafnirConfig::paper_default() };
-            let engine = FafnirEngine::new(config, mem).unwrap();
-            let serial = ParallelBatchDriver::new(1).lookup_stream(&engine, &batches, &source);
-            let serial = serial.unwrap();
-            for threads in [2, 4] {
-                let parallel = ParallelBatchDriver::new(threads)
-                    .lookup_stream(&engine, &batches, &source)
-                    .unwrap();
-                assert_eq!(serial, parallel, "{op} diverged at {threads} threads");
-            }
-            // And the driver agrees with the plain sequential stream driver
-            // on functional outputs.
-            let stream_outputs: Vec<_> =
-                serial.per_batch.iter().flat_map(|r| r.outputs.clone()).collect();
-            for (batch, result) in batches.iter().zip(&serial.per_batch) {
-                assert_eq!(result.outputs.len(), batch.len(), "{op}");
-            }
-            assert_eq!(stream_outputs.len(), 8, "{op}");
         }
     }
 }

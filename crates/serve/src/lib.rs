@@ -14,8 +14,7 @@
 //! * admission control ([`ShedPolicy`], bounded queues) converts overload
 //!   into a measured shed rate instead of unbounded latency;
 //! * a worker pool dispatches formed batches onto replicated engine
-//!   instances, each with a private memory system (the
-//!   [`fafnir_core::ParallelBatchDriver`] replication pattern);
+//!   instances, each with a private memory system;
 //! * a fault-injection and resilience layer
 //!   ([`fafnir_workloads::faults::FaultPlan`] + [`ResilienceConfig`])
 //!   crashes, restarts and slows workers on a seeded schedule while the

@@ -4,10 +4,10 @@
 //! set of *self-contained* simulations: each scenario owns its traffic
 //! generator and configuration, and the engine's lookup path is a pure
 //! function of the batch. So [`run_scenarios`] fans them out through
-//! [`fafnir_core::pipeline::map_ordered`], the pool that also runs
-//! [`fafnir_core::ParallelBatchDriver`]'s plans, and its thread-count
-//! contract reaches down to the rendered [`crate::ServeReport`] JSON bytes
-//! (pinned by `tests/scenario_determinism.rs`).
+//! [`fafnir_core::pipeline::map_ordered`], the pool that also runs the
+//! partitioned SpMV's row bands, and its thread-count contract reaches down
+//! to the rendered [`crate::ServeReport`] JSON bytes (pinned by
+//! `tests/scenario_determinism.rs`).
 
 use fafnir_core::pipeline::{map_ordered, LookupService};
 use fafnir_core::EmbeddingSource;

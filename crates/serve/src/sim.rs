@@ -15,10 +15,9 @@
 //! backoff expiry, worker restart), so a run is fully determined by its
 //! configuration and seeds — byte-identical across hosts, thread counts,
 //! and reruns. Each dispatched batch is served by a
-//! [`LookupService::lookup`] on the worker's own private memory system
-//! (the [`fafnir_core::ParallelBatchDriver`] replication pattern), and the
-//! engine's per-query completion times become per-query completion events
-//! on the serving clock.
+//! [`LookupService::lookup`] on the worker's own private memory system (a
+//! replicated accelerator instance), and the engine's per-query completion
+//! times become per-query completion events on the serving clock.
 //!
 //! [`simulate_resilient`] layers a fault model on top
 //! ([`ResilienceConfig`]): a seeded [`FaultPlan`] schedules per-worker

@@ -78,7 +78,8 @@ loc:
 # Everything CI runs.
 ci: fmt clippy tier1 spmv-one-core examples docs test ledger-check bench-build figures calibration-gate
 
-# Regenerate the parallel-driver measurement (BENCH_parallel_driver.json).
+# Regenerate the parallel-lookup measurement (BENCH_parallel_driver.json):
+# independent lookups on `map_ordered` vs one shared-queue `lookup_stream`.
 bench-driver:
     cargo bench -p fafnir-bench --bench parallel_driver
 

@@ -3,7 +3,8 @@
 //! in this repository reproducible on any machine.
 
 use fafnir_baselines::{RecNmpEngine, TensorDimmEngine};
-use fafnir_core::{FafnirConfig, FafnirEngine, GatherEngine, StripedSource};
+use fafnir_core::pipeline::map_ordered;
+use fafnir_core::{Batch, FafnirConfig, FafnirEngine, GatherEngine, StripedSource};
 use fafnir_mem::MemoryConfig;
 use fafnir_workloads::query::{BatchGenerator, Popularity};
 use fafnir_workloads::tablewise::TablewiseGenerator;
@@ -53,54 +54,48 @@ fn baseline_outcomes_are_deterministic() {
     );
 }
 
-/// The tentpole guarantee of [`fafnir_core::ParallelBatchDriver`]: results
-/// are byte-identical regardless of the worker count, because every plan is
-/// self-contained and merge order is submission order, never completion
-/// order.
+/// Runs every batch's lookup on the ordered worker pool with 1, 2 and 8
+/// workers and checks the results against lookups made one after another
+/// on this thread: each lookup runs its plans on private memory systems and
+/// the pool returns results in submission order, never completion order,
+/// so the two agree byte for byte at any worker count.
+fn assert_pooled_lookups_match_standalone<E: GatherEngine + Sync>(
+    engine: &E,
+    batches: &[Batch],
+    source: &StripedSource,
+) {
+    let standalone: Vec<_> =
+        batches.iter().map(|batch| engine.lookup(batch, source).unwrap()).collect();
+    for threads in [1usize, 2, 8] {
+        let pooled = map_ordered(batches.iter().collect(), threads, |batch| {
+            engine.lookup(batch, source).unwrap()
+        });
+        assert_eq!(pooled, standalone, "{} at {threads} threads", engine.name());
+    }
+}
+
 #[test]
 fn parallel_driver_is_thread_count_invariant() {
-    use fafnir_core::ParallelBatchDriver;
     let mem = MemoryConfig::ddr4_2400_4ch();
     let source = StripedSource::new(mem.topology, 128);
     let engine = FafnirEngine::paper_default(mem).unwrap();
     let mut generator = BatchGenerator::new(Popularity::Zipf { exponent: 1.15 }, 2_000, 16, 2026);
     let batches: Vec<_> = (0..10).map(|_| generator.batch(16)).collect();
-
-    let single = ParallelBatchDriver::new(1).lookup_stream(&engine, &batches, &source).unwrap();
-    for threads in [2usize, 8] {
-        let parallel =
-            ParallelBatchDriver::new(threads).lookup_stream(&engine, &batches, &source).unwrap();
-        assert_eq!(single, parallel, "driver({threads}) diverged from driver(1)");
-    }
-
-    // Each software batch's merged result equals a standalone lookup: the
-    // driver models replicated instances, so per-batch numbers (outputs,
-    // per-query latencies, traffic, memory counters) carry no cross-batch
-    // interference.
-    assert_eq!(single.per_batch.len(), batches.len());
-    for (batch, merged) in batches.iter().zip(&single.per_batch) {
-        let standalone = GatherEngine::lookup(&engine, batch, &source).unwrap();
-        assert_eq!(merged, &standalone);
-    }
+    assert_pooled_lookups_match_standalone(&engine, &batches, &source);
 }
 
 /// The invariance holds for the baselines too — any [`GatherEngine`] can
-/// ride the driver.
+/// ride the pool.
 #[test]
 fn parallel_driver_is_deterministic_for_baselines() {
-    use fafnir_core::ParallelBatchDriver;
     let mem = MemoryConfig::ddr4_2400_4ch();
     let source = StripedSource::new(mem.topology, 128);
     let mut generator = BatchGenerator::new(Popularity::Zipf { exponent: 1.15 }, 2_000, 16, 2027);
     let batches: Vec<_> = (0..8).map(|_| generator.batch(8)).collect();
     let recnmp = RecNmpEngine::paper_default(mem);
     let tensordimm = TensorDimmEngine::paper_default(mem);
-    let a = ParallelBatchDriver::new(1).lookup_stream(&recnmp, &batches, &source).unwrap();
-    let b = ParallelBatchDriver::new(8).lookup_stream(&recnmp, &batches, &source).unwrap();
-    assert_eq!(a, b);
-    let c = ParallelBatchDriver::new(1).lookup_stream(&tensordimm, &batches, &source).unwrap();
-    let d = ParallelBatchDriver::new(8).lookup_stream(&tensordimm, &batches, &source).unwrap();
-    assert_eq!(c, d);
+    assert_pooled_lookups_match_standalone(&recnmp, &batches, &source);
+    assert_pooled_lookups_match_standalone(&tensordimm, &batches, &source);
 }
 
 #[test]

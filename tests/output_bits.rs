@@ -1,13 +1,14 @@
 //! Output bit patterns, pinned.
 //!
-//! Every engine configuration — six operators × {cycle, fast} memory ×
-//! {event-timed, cycle-stepped} tree timing — reduces the same seeded
-//! Zipf-1.15 batch stream, and a digest of every output's `to_bits` must
-//! equal the recorded one. Timing backends and memory models only time the
-//! reduction, so all four configurations of one operator share a digest.
+//! Every engine configuration — six operators × {cycle, fast} memory —
+//! reduces the same seeded Zipf-1.15 batch stream, and a digest of every
+//! output's `to_bits` must equal the recorded one. The memory models only
+//! time the reduction (the event-timed tree under the cycle model, the
+//! fold's own times under the fast one), so both configurations of one
+//! operator share a digest.
 
 use fafnir_core::{
-    Batch, FafnirConfig, FafnirEngine, GatherEngine, QueryId, ReduceOp, StripedSource, TreeBackend,
+    Batch, FafnirConfig, FafnirEngine, GatherEngine, QueryId, ReduceOp, StripedSource,
 };
 use fafnir_mem::{MemoryConfig, MemoryModelKind};
 use fafnir_workloads::query::{BatchGenerator, Popularity};
@@ -48,20 +49,16 @@ fn every_configuration_reproduces_the_recorded_output_bits() {
     let mut failures = Vec::new();
     for (op, expected) in EXPECTED {
         for model in [MemoryModelKind::Cycle, MemoryModelKind::Fast] {
-            for backend in
-                [TreeBackend::EventTimed, TreeBackend::CycleStepped { fifo_capacity: 64 }]
-            {
-                let mem = MemoryConfig { model, ..MemoryConfig::ddr4_2400_4ch() };
-                let source = StripedSource::new(mem.topology, 128);
-                let config = FafnirConfig { op, ..FafnirConfig::paper_default() };
-                let engine = FafnirEngine::new(config, mem).unwrap().with_backend(backend);
-                let mut hash = 0xcbf2_9ce4_8422_2325;
-                for batch in &batches {
-                    digest(&engine.lookup(batch, &source).unwrap().outputs, &mut hash);
-                }
-                if hash != expected {
-                    failures.push(format!("{op} {model} {backend:?}: {hash:#018x}"));
-                }
+            let mem = MemoryConfig { model, ..MemoryConfig::ddr4_2400_4ch() };
+            let source = StripedSource::new(mem.topology, 128);
+            let config = FafnirConfig { op, ..FafnirConfig::paper_default() };
+            let engine = FafnirEngine::new(config, mem).unwrap();
+            let mut hash = 0xcbf2_9ce4_8422_2325;
+            for batch in &batches {
+                digest(&engine.lookup(batch, &source).unwrap().outputs, &mut hash);
+            }
+            if hash != expected {
+                failures.push(format!("{op} {model}: {hash:#018x}"));
             }
         }
     }
