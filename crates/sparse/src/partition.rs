@@ -281,7 +281,9 @@ impl SpmvPartition {
 pub struct RankRun {
     /// Rank index.
     pub rank: usize,
-    /// Nonzeros the rank multiplied.
+    /// Stored entries the rank received, counting a repeated coordinate
+    /// once per entry, like [`RankSpan::nnz`]; `ops.multiplies` counts the
+    /// summed cells it multiplied.
     pub nnz: u64,
     /// The rank's iteration/round plan.
     pub plan: SpmvPlan,
@@ -364,28 +366,14 @@ impl PartitionedRun {
         self.critical_path_ns(timing) / mean
     }
 
-    /// Total operation counts: every rank plus the synchronization merges.
-    #[must_use]
-    pub fn total_ops(&self) -> StreamOps {
-        let mut ops = self.sync_ops;
-        for run in &self.rank_runs {
-            ops.merge(&run.ops);
-        }
-        ops
-    }
-
-    /// The first conservation law this run breaks, if any, given the
-    /// stored entries its ranks `received`. A band lost or run twice breaks
-    /// the first; each law costs O(ranks).
-    fn broken_law(&self, received: u64) -> Option<&'static str> {
+    /// The first conservation law this run breaks, if any. A band lost or
+    /// run twice breaks the first; each law costs O(ranks).
+    fn broken_law(&self) -> Option<&'static str> {
         let partition = &self.partition;
         if !self.rank_runs.iter().map(|r| r.rank).eq(0..partition.ranks()) {
             return Some("rank runs must be ranks 0..ranks in order");
         }
-        // A rank sums repeated coordinates, so it multiplies at most the
-        // entries it received, and exactly those when none repeat.
-        let multiplied: u64 = self.rank_runs.iter().map(|r| r.nnz).sum();
-        if received != partition.nnz as u64 || multiplied > received {
+        if self.rank_runs.iter().map(|r| r.nnz).sum::<u64>() != partition.nnz as u64 {
             return Some("every stored entry must reach exactly one rank");
         }
         // Every band has `col_bands` column ranks, so either every band
@@ -418,7 +406,7 @@ fn run_rank(
     (
         RankRun {
             rank: span.rank,
-            nnz: sub.nnz() as u64,
+            nnz: triplets.len() as u64,
             plan: run.plan,
             volumes: run.volumes,
             ops: run.ops,
@@ -432,8 +420,6 @@ fn run_rank(
 struct BandRun {
     /// The band's rank records, in rank order.
     runs: Vec<RankRun>,
-    /// Stored entries the band's ranks received.
-    received: u64,
     /// Entries that crossed a partition boundary in the band's merge.
     sync_entries: u64,
     /// Operation counts of the band's merge.
@@ -451,9 +437,7 @@ fn run_band(
 ) -> BandRun {
     let mut runs = Vec::with_capacity(band.len());
     let mut streams = Vec::with_capacity(band.len());
-    let mut received = 0;
     for (span, triplets) in band {
-        received += triplets.len() as u64;
         let (run, stream) = run_rank(span, &triplets, x, vector_size);
         runs.push(run);
         streams.push(stream);
@@ -470,7 +454,7 @@ fn run_band(
     for &(row, value) in merged.entries() {
         y[row] += value;
     }
-    BandRun { runs, received, sync_entries, sync_ops }
+    BandRun { runs, sync_entries, sync_ops }
 }
 
 /// Executes `y = A·x` across a partition. Each row band is one job on the
@@ -490,9 +474,8 @@ fn run_band(
 /// Panics if `x.len()`, the matrix shape and the partition disagree, if
 /// `vector_size < 2` (see [`crate::fafnir_spmv::execute`]), or if the run
 /// breaks a conservation law: its rank runs must be ranks `0..ranks` in
-/// order, every stored entry must reach exactly one rank (which sums
-/// repeated coordinates, so the ranks' nonzeros sum to at most the
-/// matrix's stored entries, and to exactly those when none repeat), and the
+/// order, every stored entry must reach exactly one rank (the ranks'
+/// [`RankRun::nnz`] sum to the matrix's stored entries), and the
 /// synchronization counters must account for exactly the partial streams
 /// of the bands with more than one column rank. The message names the law
 /// that broke.
@@ -541,10 +524,9 @@ pub fn execute_partitioned(
     let band_runs = map_ordered(bands, cores, |band| run_band(band, x, vector_size));
 
     let mut rank_runs = Vec::with_capacity(partition.ranks());
-    let (mut received, mut sync_entries, mut sync_rounds) = (0u64, 0u64, 0usize);
+    let (mut sync_entries, mut sync_rounds) = (0u64, 0usize);
     let mut sync_ops = StreamOps::default();
     for band in band_runs {
-        received += band.received;
         sync_rounds += usize::from(band.runs.len() > 1);
         rank_runs.extend(band.runs);
         sync_entries += band.sync_entries;
@@ -558,7 +540,7 @@ pub fn execute_partitioned(
         sync_rounds,
         sync_ops,
     };
-    if let Some(law) = run.broken_law(received) {
+    if let Some(law) = run.broken_law() {
         panic!("partitioned SpMV broke a conservation law: {law}");
     }
     run
@@ -731,12 +713,11 @@ mod tests {
         let x = operand(matrix.cols());
         let grid = SpmvPartition::new(&matrix, PartitionStrategy::grid(8), 8);
         let run = execute_partitioned(&matrix, &x, &grid, 32);
-        let received = matrix.nnz() as u64;
-        assert_eq!(run.broken_law(received), None);
+        assert_eq!(run.broken_law(), None);
         let broken = |tamper: &dyn Fn(&mut PartitionedRun)| {
             let mut copy = run.clone();
             tamper(&mut copy);
-            copy.broken_law(received).expect("the tampered run breaks a law")
+            copy.broken_law().expect("the tampered run breaks a law")
         };
         let lost = broken(&|r| drop(r.rank_runs.pop()));
         assert!(lost.starts_with("rank runs"), "{lost}");
@@ -744,7 +725,7 @@ mod tests {
         assert!(repeated.starts_with("rank runs"), "{repeated}");
         let nnz = broken(&|r| r.rank_runs[3].nnz += 1);
         assert!(nnz.starts_with("every stored entry"), "{nnz}");
-        let dropped = run.broken_law(received - 1).expect("an entry reached no rank");
+        let dropped = broken(&|r| r.rank_runs[5].nnz -= 1);
         assert!(dropped.starts_with("every stored entry"), "{dropped}");
         let entries = broken(&|r| r.sync_entries -= 1);
         assert!(entries.starts_with("sync entries"), "{entries}");
@@ -754,7 +735,7 @@ mod tests {
         let row = SpmvPartition::new(&matrix, PartitionStrategy::NnzBalancedRows, 8);
         let mut run = execute_partitioned(&matrix, &x, &row, 32);
         run.sync_entries = 1;
-        assert!(run.broken_law(received).is_some_and(|law| law.starts_with("sync entries")));
+        assert!(run.broken_law().is_some_and(|law| law.starts_with("sync entries")));
     }
 
     #[test]

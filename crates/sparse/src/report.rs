@@ -190,6 +190,33 @@ mod tests {
     }
 
     #[test]
+    fn per_rank_loads_count_every_stored_entry_of_a_pushed_matrix() {
+        // Pushed without `sum_duplicates`: 200 stored entries over 48 cells,
+        // so a load counted in summed cells would fall short of `nnz`.
+        let mut matrix = crate::CooMatrix::new(24, 16);
+        for k in 0..200usize {
+            matrix.push(k * 7 % 24, k * 5 % 16, 1.0 + (k % 3) as f64);
+        }
+        let x: Vec<f64> = (0..matrix.cols()).map(|i| 1.0 + (i % 5) as f64).collect();
+        let serial = fafnir_spmv::execute(&LilMatrix::from(&matrix), &x, 8);
+        let reference = matrix.multiply_dense(&x);
+        for strategy in [
+            PartitionStrategy::RowBlock,
+            PartitionStrategy::NnzBalancedRows,
+            PartitionStrategy::ColumnBlock,
+            PartitionStrategy::grid(4),
+        ] {
+            let run =
+                execute_partitioned(&matrix, &x, &SpmvPartition::new(&matrix, strategy, 4), 8);
+            let report = PartitionReport::new(&run, &serial, &SpmvTiming::paper(), &reference);
+            assert_eq!(report.per_rank_nnz.iter().sum::<u64>(), 200, "{strategy:?}");
+            let max = *report.per_rank_nnz.iter().max().expect("four ranks") as f64;
+            let imbalance = max / (report.nnz as f64 / report.ranks as f64);
+            assert_eq!(imbalance, report.nnz_imbalance, "{strategy:?}");
+        }
+    }
+
+    #[test]
     fn json_is_byte_stable_and_complete() {
         let report = report_for(PartitionStrategy::grid(4), 4);
         let json = report.to_json();
