@@ -54,7 +54,7 @@ const RECORDED: &[(&str, u64)] = &[
     ("empty-cols/partitioned", 0x475a513b0332f9b5),
     ("pushed/serial", 0x9b97e95b3185bcbc),
     ("pushed/two_step", 0x81aedc10369e9be6),
-    ("pushed/partitioned", 0x8580fcac3f872f3c),
+    ("pushed/partitioned", 0x6449bad40450668f),
     ("merge_tree/0", 0x40d69e0cf0f65c45),
     ("merge_tree/1", 0xbb6f70370ca957af),
     ("merge_tree/3", 0xdea08b027e07a781),
