@@ -29,8 +29,6 @@
 //! [`RankInputs::from_items`] checks it on hand-built items. [`Item`]s are
 //! built only for the root outputs a run returns.
 
-use std::sync::Arc;
-
 use serde::{Deserialize, Serialize};
 
 use crate::error::FafnirError;
@@ -104,17 +102,12 @@ impl std::fmt::Display for Header {
     }
 }
 
-/// A header travelling through the tree, with its ready time.
-///
-/// The header sits behind an [`Arc`]: forwarding an item through a PE level
-/// or fanning one out to several outputs shares the header instead of
-/// deep-cloning its index sets, and the rare in-place edits (the merge
-/// unit) copy-on-write via [`Arc::make_mut`]. Equality still compares the
-/// header contents, not the pointer.
+/// A header with its ready time: a root output of a tree run, or a
+/// hand-built tree input (see [`RankInputs::from_items`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Item {
-    /// Routing and reduction metadata (shared; copy-on-write when edited).
-    pub header: Arc<Header>,
+    /// Routing and reduction metadata.
+    pub header: Header,
     /// Nanosecond timestamp at which this item became available (memory
     /// completion for leaves, PE output time inside the tree).
     pub ready_ns: f64,
@@ -124,7 +117,7 @@ impl Item {
     /// An item available at time zero.
     #[must_use]
     pub fn new(header: Header) -> Self {
-        Self { header: Arc::new(header), ready_ns: 0.0 }
+        Self { header, ready_ns: 0.0 }
     }
 
     /// Sets the availability timestamp.
@@ -340,7 +333,7 @@ impl Arena {
                 )
             })
             .collect();
-        Item { header: Arc::new(Header { indices, queries }), ready_ns: node.ready_ns }
+        Item { header: Header { indices, queries }, ready_ns: node.ready_ns }
     }
 }
 

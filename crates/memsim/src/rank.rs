@@ -110,12 +110,6 @@ impl Rank {
     pub fn record_column(&mut self, at: Cycle, flat_bank: usize) {
         self.last_column = Some((at, self.group_of(flat_bank)));
     }
-
-    /// Number of bank groups in this rank.
-    #[must_use]
-    pub fn bank_group_count(&self) -> usize {
-        self.bank_groups
-    }
 }
 
 #[cfg(test)]
