@@ -10,7 +10,6 @@ use crate::Cycle;
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Rank {
     banks: Vec<Bank>,
-    bank_groups: usize,
     banks_per_group: usize,
     /// Issue cycles of the most recent activations (for tFAW).
     recent_acts: Vec<Cycle>,
@@ -26,7 +25,6 @@ impl Rank {
     pub fn new(topology: &Topology) -> Self {
         Self {
             banks: vec![Bank::new(); topology.banks_per_rank()],
-            bank_groups: topology.bank_groups,
             banks_per_group: topology.banks_per_group,
             recent_acts: Vec::new(),
             last_act: None,
