@@ -266,8 +266,8 @@ pub enum TreeBackend {
 /// The FAFNIR accelerator: a reduction tree over a DDR4 memory system.
 #[derive(Debug, Clone)]
 pub struct FafnirEngine {
-    config: FafnirConfig,
     mem_config: MemoryConfig,
+    /// The tree, which also holds the engine's [`FafnirConfig`].
     tree: ReductionTree,
     /// Operator override; `None` instantiates from `config.op`. Lives here
     /// (not in [`FafnirConfig`], which stays `Copy` + serde) so stateful
@@ -283,7 +283,7 @@ impl FafnirEngine {
     ///
     /// Returns [`FafnirError::InvalidConfig`] for inconsistent
     /// configurations (see [`ReductionTree::new`]).
-    // Inlined so the caller builds the half-kilobyte engine in place: as an
+    // Inlined so the caller builds the 400-byte engine in place: as an
     // out-of-line call it is assembled on the stack and copied into the
     // result, which costs about 15 % of a serving worker's set-up.
     #[inline]
@@ -294,7 +294,7 @@ impl FafnirEngine {
         mem_config.ndp_data_path = true;
         mem_config.validate().map_err(FafnirError::InvalidConfig)?;
         let tree = ReductionTree::new(config, mem_config.topology.total_ranks())?;
-        Ok(Self { config, mem_config, tree, operator: None })
+        Ok(Self { mem_config, tree, operator: None })
     }
 
     /// Paper-default FAFNIR over the given memory system.
@@ -331,13 +331,13 @@ impl FafnirEngine {
     /// injected, else the one named by `config.op`.
     #[must_use]
     pub fn active_operator(&self) -> std::sync::Arc<dyn ReduceOperator> {
-        self.operator.clone().unwrap_or_else(|| self.config.op.operator())
+        self.operator.clone().unwrap_or_else(|| self.config().op.operator())
     }
 
     /// The accelerator configuration.
     #[must_use]
     pub fn config(&self) -> &FafnirConfig {
-        &self.config
+        self.tree.config()
     }
 
     /// The memory configuration.
@@ -405,26 +405,27 @@ impl GatherEngine for FafnirEngine {
         if batch.is_empty() {
             return Err(FafnirError::InvalidBatch("batch has no queries".into()));
         }
-        if source.vector_dim() != self.config.vector_dim {
+        let config = self.config();
+        if source.vector_dim() != config.vector_dim {
             return Err(FafnirError::InvalidBatch(format!(
                 "source vector_dim {} != configured {}",
                 source.vector_dim(),
-                self.config.vector_dim
+                config.vector_dim
             )));
         }
-        if batch.max_query_len() > self.config.max_query_len {
+        if batch.max_query_len() > config.max_query_len {
             return Err(FafnirError::InvalidBatch(format!(
                 "query of {} indices exceeds the hardware header limit q = {}",
                 batch.max_query_len(),
-                self.config.max_query_len
+                config.max_query_len
             )));
         }
-        let hardware_batches = if self.config.arrange_batches {
-            batch.split_for_sharing(self.config.batch_capacity)
+        let hardware_batches = if config.arrange_batches {
+            batch.split_for_sharing(config.batch_capacity)
         } else {
-            batch.split(self.config.batch_capacity)
+            batch.split(config.batch_capacity)
         };
-        let vector_bytes = self.config.vector_bytes();
+        let vector_bytes = config.vector_bytes();
         let topology = self.mem_config.topology;
         Ok(hardware_batches
             .into_iter()
@@ -432,7 +433,7 @@ impl GatherEngine for FafnirEngine {
                 // Without dedup every reference is its own read; model that
                 // by rewriting the batch over per-occurrence virtual
                 // indices.
-                let (plan_batch, origin): (Batch, Option<Vec<VectorIndex>>) = if self.config.dedup {
+                let (plan_batch, origin): (Batch, Option<Vec<VectorIndex>>) = if config.dedup {
                     (hardware_batch, None)
                 } else {
                     let mut originals = Vec::new();
@@ -490,6 +491,7 @@ impl GatherEngine for FafnirEngine {
         gathered: GatherOutcome,
         source: &S,
     ) -> Result<LookupResult, FafnirError> {
+        let config = self.config();
         let batch = &plan.batch;
         let gathered_vectors: Vec<GatheredVector> = gathered
             .completions
@@ -512,8 +514,8 @@ impl GatherEngine for FafnirEngine {
                 batch,
                 &gathered_vectors,
                 self.mem_config.topology.total_ranks(),
-                self.config.ranks_per_leaf,
-                &self.config.pe_timing,
+                config.ranks_per_leaf,
+                &config.pe_timing,
             );
             let run = self.tree.run(inputs);
             (run.query_completion_ns(), run.stats)
@@ -534,22 +536,20 @@ impl GatherEngine for FafnirEngine {
             )));
         }
         // Root → host link transfer per output.
-        let per_query_ns: Vec<(QueryId, f64)> = completions
-            .iter()
-            .map(|&(query, t)| (query, t + self.config.link_transfer_ns()))
-            .collect();
+        let per_query_ns: Vec<(QueryId, f64)> =
+            completions.iter().map(|&(query, t)| (query, t + config.link_transfer_ns())).collect();
         let total_ns = per_query_ns.iter().map(|&(_, t)| t).fold(0.0, f64::max);
         // The tree is fully pipelined: per batch it is busy only for the
         // root's output serialization (one output per initiation interval
         // per query), not the tree's depth.
-        let timing = &self.config.pe_timing;
+        let timing = &config.pe_timing;
         let compute_busy_ns =
             outputs.len() as f64 * timing.output_interval_cycles as f64 * timing.cycle_ns();
-        let bytes_to_host = (batch.len() * self.config.vector_bytes()) as u64;
+        let bytes_to_host = (batch.len() * config.vector_bytes()) as u64;
         // Every reduce the tree performed happened at NDP; count merged
         // (deduplicated) reduces as element ops.
         let reduces = tree_stats.ops.reduces;
-        let ndp_elem_ops = (reduces / 2).max(reduces.min(1)) * self.config.vector_dim as u64;
+        let ndp_elem_ops = (reduces / 2).max(reduces.min(1)) * config.vector_dim as u64;
 
         Ok(LookupResult {
             outputs,
@@ -935,7 +935,7 @@ mod tests {
         assert_eq!(result.core_elem_ops, 0);
         assert_eq!(result.ndp_fraction(), 1.0);
         // Two outputs leave the pipelined root, one cycle apart.
-        assert_eq!(result.latency.compute_busy_ns, 2.0 * engine.config.pe_timing.cycle_ns());
+        assert_eq!(result.latency.compute_busy_ns, 2.0 * engine.config().pe_timing.cycle_ns());
         assert_eq!(result.latency.host_link_ns, 2.0 * 512.0 / HOST_LINK_BYTES_PER_NS);
     }
 
