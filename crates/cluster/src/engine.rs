@@ -1,39 +1,39 @@
 //! The sharded multi-tree engine.
 //!
-//! [`ClusterEngine`] owns one independent FAFNIR tree per shard and answers
-//! whole batches through [`LookupService`], so the virtual-time serving
-//! simulation (faults, retries, hedging) drives a cluster exactly like a
-//! single engine. A lookup proceeds in three stages:
+//! [`ClusterEngine`] puts one FAFNIR tree per shard behind a router and
+//! answers whole batches through [`LookupService`], so the virtual-time
+//! serving simulation (faults, retries, hedging) drives a cluster exactly
+//! like a single engine. A lookup proceeds in three stages:
 //!
 //! 1. **route** — [`crate::router::route`] splits every query into
 //!    per-shard sub-queries over owned indices;
 //! 2. **shard lookups** — each touched shard runs its sub-batch on its own
 //!    tree (timing, DRAM counters, traffic all measured per shard; shards
 //!    operate concurrently, so batch latency is the slowest shard);
-//! 3. **merge** — queries split across shards combine their per-shard
-//!    partial accumulators through the [`ReduceOperator`]
-//!    (`combine_into`), finalized once.
+//! 3. **merge** — every query combines its shards' root accumulators
+//!    through the [`ReduceOperator`] (`combine_into`) and is finalized once.
 //!
 //! ## Merge semantics
 //!
-//! A query resolved by a single shard takes that shard's tree output
-//! verbatim — the tree's per-query fold depends only on the query's own
-//! indices and the placement, so the bits equal a one-tree run of the same
-//! query (pinned by the parity property test). A *split* query instead
-//! folds each shard's owned indices in ascending index order into an
-//! unfinalized partial (`lift` + `combine_into` — per-shard finalization
-//! would double-apply e.g. the Mean division), combines partials in
-//! ascending shard order, and finalizes once. For exactly associative
-//! operators (max/min/argmax/top-k) this is bit-identical to the one-tree
-//! result; for float sum/mean the grouping changes rounding, so split
-//! queries are `ReduceOperator`-merged rather than bit-equal — the
-//! documented cluster contract.
+//! One [`FafnirEngine`] runs every shard's sub-batch (the trees share a
+//! configuration, and an engine builds private memory systems per lookup)
+//! with the cluster's operator minus its finalize step, so each sub-query
+//! yields its tree's root accumulator: what the modeled hardware sends to
+//! the merge point. Partials combine in ascending shard order and finalize
+//! once (finalizing per shard would double-apply e.g. the Mean division).
+//! A single-shard query therefore finalizes the same accumulator as a
+//! one-tree run, bit for bit. A *split* query groups each shard's operands
+//! in that shard's tree order: bit-identical to one tree for the exactly
+//! associative max/min/argmax/top-k, `ReduceOperator`-merged (rounding
+//! differs) for float sum/mean — the documented cluster contract. Before
+//! it returns, a lookup checks the routing and reference conservation
+//! laws and names a broken one in a [`FafnirError::InvalidBatch`].
 
 use std::sync::{Arc, Mutex};
 
 use fafnir_core::{
-    combine_partials, Batch, EmbeddingSource, FafnirConfig, FafnirEngine, FafnirError,
-    GatherEngine, LookupResult, LookupService, QueryId, ReduceOperator, ShardPlan,
+    Batch, EmbeddingSource, FafnirConfig, FafnirEngine, FafnirError, GatherEngine, LookupResult,
+    LookupService, QueryId, ReduceOperator, ShardPlan, VectorIndex,
 };
 use fafnir_mem::{MemoryConfig, MemoryModelKind};
 use fafnir_serve::{worker_setup, ServeError};
@@ -41,36 +41,70 @@ use fafnir_serve::{worker_setup, ServeError};
 use crate::report::ClusterStats;
 use crate::router::{route, RouterPolicy};
 
-/// A cluster of independent FAFNIR trees behind a placement-aware router.
+/// A cluster of FAFNIR trees behind a placement-aware router.
 #[derive(Debug)]
 pub struct ClusterEngine {
-    engines: Vec<FafnirEngine>,
-    config: FafnirConfig,
+    /// The engine every shard runs: the cluster's operator without its
+    /// finalize step ([`Unfinalized`]).
+    engine: FafnirEngine,
     operator: Arc<dyn ReduceOperator>,
     plan: ShardPlan,
     policy: RouterPolicy,
     stats: Mutex<ClusterStats>,
 }
 
+/// The cluster's operator without its finalize step: a shard's tree then
+/// outputs its root accumulator, which the cluster combines with the other
+/// shards' partials and finalizes once.
+#[derive(Debug)]
+struct Unfinalized(Arc<dyn ReduceOperator>);
+
+impl ReduceOperator for Unfinalized {
+    fn name(&self) -> String {
+        self.0.name()
+    }
+
+    fn acc_dim(&self, dim: usize) -> usize {
+        self.0.acc_dim(dim)
+    }
+
+    fn lift(&self, index: VectorIndex, value: &[f32]) -> Vec<f32> {
+        self.0.lift(index, value)
+    }
+
+    fn lift_is_identity(&self) -> bool {
+        self.0.lift_is_identity()
+    }
+
+    fn combine_into(&self, acc: &mut [f32], other: &[f32]) {
+        self.0.combine_into(acc, other);
+    }
+}
+
 impl ClusterEngine {
-    /// Builds one engine per shard of `plan`, each with a private memory
-    /// system configured by `mem`.
+    /// Builds the engine every shard of `plan` runs; each shard lookup
+    /// builds a private memory system configured by `mem`.
     ///
     /// # Errors
     ///
-    /// Returns [`FafnirError::InvalidConfig`] when the per-shard engine
-    /// rejects the configuration.
+    /// Returns [`FafnirError::InvalidConfig`] when the shard engine rejects
+    /// the configuration.
     pub fn new(
         config: FafnirConfig,
         mem: MemoryConfig,
         plan: ShardPlan,
         policy: RouterPolicy,
     ) -> Result<Self, FafnirError> {
-        let engines = (0..plan.shards())
-            .map(|_| FafnirEngine::new(config, mem))
-            .collect::<Result<Vec<_>, _>>()?;
+        Ok(Self::assemble(FafnirEngine::new(config, mem)?, plan, policy))
+    }
+
+    /// Puts `engine` behind the router: its operator becomes the cluster's
+    /// merge operator, and the engine keeps it without the finalize step.
+    fn assemble(engine: FafnirEngine, plan: ShardPlan, policy: RouterPolicy) -> Self {
+        let operator = engine.active_operator();
+        let engine = engine.with_operator(Arc::new(Unfinalized(Arc::clone(&operator))));
         let stats = Mutex::new(ClusterStats::new(plan.shards()));
-        Ok(Self { engines, config, operator: config.op.operator(), plan, policy, stats })
+        Self { engine, operator, plan, policy, stats }
     }
 
     /// The shard plan.
@@ -88,13 +122,13 @@ impl ClusterEngine {
     /// Number of shards.
     #[must_use]
     pub fn shards(&self) -> usize {
-        self.engines.len()
+        self.plan.shards()
     }
 
     /// The per-shard engine configuration.
     #[must_use]
     pub fn config(&self) -> &FafnirConfig {
-        &self.config
+        self.engine.config()
     }
 
     /// A snapshot of the accumulated cluster statistics.
@@ -127,17 +161,17 @@ impl ClusterEngine {
     /// combine it at the merge point: one link transfer of the accumulator
     /// plus one PE-grade reduce.
     fn merge_step_ns(&self, acc_dim: usize) -> f64 {
+        let config = self.config();
         let acc_bytes = acc_dim * std::mem::size_of::<f32>();
-        let transfer_cycles = acc_bytes.div_ceil(self.config.link_bytes_per_cycle) as f64;
-        transfer_cycles * self.config.pe_timing.cycle_ns()
-            + self.config.pe_timing.reduce_latency_ns()
+        let transfer_cycles = acc_bytes.div_ceil(config.link_bytes_per_cycle) as f64;
+        transfer_cycles * config.pe_timing.cycle_ns() + config.pe_timing.reduce_latency_ns()
     }
 }
 
 /// [`ClusterEngine`] plus its matching [`fafnir_core::StripedSource`],
 /// built through the shared serving worker constructor
-/// ([`fafnir_serve::worker_setup`]) once per shard — the cluster path
-/// reuses the exact setup the single-engine serving paths use.
+/// ([`fafnir_serve::worker_setup`]) — the cluster's shard engine is built
+/// exactly as the single-engine serving paths build theirs.
 ///
 /// # Errors
 ///
@@ -149,18 +183,8 @@ pub fn cluster_setup(
     plan: ShardPlan,
     policy: RouterPolicy,
 ) -> Result<(ClusterEngine, fafnir_core::StripedSource), ServeError> {
-    let mut engines = Vec::with_capacity(plan.shards());
-    let mut source = None;
-    for _ in 0..plan.shards() {
-        let (engine, shard_source) = worker_setup(config, model)?;
-        engines.push(engine);
-        source = Some(shard_source);
-    }
-    let source = source.expect("plans have at least one shard");
-    let stats = Mutex::new(ClusterStats::new(plan.shards()));
-    let cluster =
-        ClusterEngine { engines, config, operator: config.op.operator(), plan, policy, stats };
-    Ok((cluster, source))
+    let (engine, source) = worker_setup(config, model)?;
+    Ok((ClusterEngine::assemble(engine, plan, policy), source))
 }
 
 impl LookupService for ClusterEngine {
@@ -177,15 +201,14 @@ impl LookupService for ClusterEngine {
             return Err(FafnirError::InvalidBatch("batch has no queries".into()));
         }
         let routed = route(batch, &self.plan, self.policy);
-        let dim = source.vector_dim();
-        let acc_dim = self.operator.acc_dim(dim);
+        let acc_dim = self.operator.acc_dim(source.vector_dim());
         let merge_step_ns = self.merge_step_ns(acc_dim);
         let acc_bytes = (acc_dim * std::mem::size_of::<f32>()) as u64;
 
-        // Stage 2: every touched shard runs its sub-batch on its own tree.
-        // `shard_outputs[p]`/`shard_times[p]` collect, per global query
-        // position, the (shard, value/time) pairs in ascending shard order.
-        let mut shard_outputs: Vec<Vec<(usize, Vec<f32>)>> = vec![Vec::new(); batch.len()];
+        // Stage 2: every touched shard runs its sub-batch, in ascending
+        // shard order. Each sub-query's root accumulator moves into its
+        // query's slot, or combines into the partial already there.
+        let mut partials: Vec<Option<Vec<f32>>> = vec![None; batch.len()];
         let mut shard_times: Vec<f64> = vec![0.0; batch.len()];
         let mut merged: Option<LookupResult> = None;
         let mut per_shard_vectors = vec![0u64; self.shards()];
@@ -194,69 +217,51 @@ impl LookupService for ClusterEngine {
                 continue;
             }
             let sub_batch = Batch::from_index_sets(sub_queries.iter().map(|sq| sq.indices.clone()));
-            let result = GatherEngine::lookup(&self.engines[shard], &sub_batch, source)?;
+            let mut result = GatherEngine::lookup(&self.engine, &sub_batch, source)?;
             per_shard_vectors[shard] = result.traffic.vectors_read;
-            for &(QueryId(local), ref value) in &result.outputs {
-                let position = sub_queries[local as usize].position;
-                // Split queries recompute from partials; only single-shard
-                // queries consume the tree output, so skip the other clones.
-                if routed.touched[position].len() == 1 {
-                    shard_outputs[position].push((shard, value.clone()));
+            for (QueryId(local), acc) in std::mem::take(&mut result.outputs) {
+                match &mut partials[sub_queries[local as usize].position] {
+                    Some(partial) => self.operator.combine_into(partial, &acc),
+                    empty @ None => *empty = Some(acc),
                 }
             }
             for &(QueryId(local), completion) in &result.per_query_ns {
                 let position = sub_queries[local as usize].position;
                 shard_times[position] = shard_times[position].max(completion);
             }
-            merge_shard(&mut merged, result);
+            // Shards run concurrently: latencies overlay, counters add.
+            match &mut merged {
+                Some(aggregate) => {
+                    aggregate.latency.overlay(&result.latency);
+                    aggregate.add_counters(&result);
+                }
+                None => merged = Some(result),
+            }
         }
         let mut aggregate = merged
             .ok_or_else(|| FafnirError::InvalidBatch("batch references no indices".into()))?;
 
-        // Stage 3: assemble outputs. Single-shard queries take the tree
-        // output verbatim; split queries fold their own partials (see the
-        // module docs for why the shard output cannot be reused there).
+        let sub_queries = routed.per_shard.iter().map(Vec::len).sum();
+        let touches = routed.touched.iter().map(Vec::len).sum();
+        let references = batch.total_references() as u64;
+        check_laws(sub_queries, touches, aggregate.traffic.total_references, references)?;
+
+        // Stage 3: finalize every query once; a split query pays one merge
+        // step per partial beyond the first.
         let mut outputs = Vec::with_capacity(batch.len());
         let mut per_query_ns = Vec::with_capacity(batch.len());
         let mut batch_merge_ns = 0.0f64;
         let mut split_queries = 0u64;
         let mut cross_shard_bytes = 0u64;
-        for (position, query) in batch.queries().iter().enumerate() {
-            let touched = &routed.touched[position];
-            let value = match touched.len() {
-                0 => continue,
-                1 => {
-                    let mut collected = std::mem::take(&mut shard_outputs[position]);
-                    match collected.pop() {
-                        Some((_, value)) => value,
-                        None => continue, // incomplete on its shard
-                    }
-                }
-                _ => {
-                    split_queries += 1;
-                    cross_shard_bytes += (touched.len() as u64 - 1) * acc_bytes;
-                    let partials = touched.iter().map(|&shard| {
-                        partial_fold(
-                            self.operator.as_ref(),
-                            routed.per_shard[shard]
-                                .iter()
-                                .find(|sq| sq.position == position)
-                                .expect("touched shards hold a sub-query"),
-                            source,
-                        )
-                    });
-                    match combine_partials(self.operator.as_ref(), partials) {
-                        Some(value) => value,
-                        None => continue,
-                    }
-                }
-            };
-            let merge_ns = merge_step_ns * touched.len().saturating_sub(1) as f64;
+        for (position, (query, partial)) in batch.queries().iter().zip(partials).enumerate() {
+            let Some(acc) = partial else { continue }; // the query touched no shard
+            let hops = routed.touched[position].len() - 1;
+            split_queries += u64::from(hops > 0);
+            cross_shard_bytes += hops as u64 * acc_bytes;
+            let merge_ns = merge_step_ns * hops as f64;
             batch_merge_ns = batch_merge_ns.max(merge_ns);
-            let completion = shard_times[position] + merge_ns;
-            let id = query.id;
-            outputs.push((id, value));
-            per_query_ns.push((id, completion));
+            outputs.push((query.id, self.operator.finalize(&acc)));
+            per_query_ns.push((query.id, shard_times[position] + merge_ns));
         }
         outputs.sort_by_key(|&(id, _)| id);
         per_query_ns.sort_by_key(|&(id, _)| id);
@@ -269,7 +274,6 @@ impl LookupService for ClusterEngine {
         aggregate.latency.compute_tail_ns =
             (aggregate.latency.total_ns - aggregate.latency.memory_ns).max(0.0);
         aggregate.tree.completion_ns = aggregate.latency.total_ns;
-        aggregate.traffic.total_references = batch.total_references() as u64;
         aggregate.traffic.bytes_to_host = outputs
             .iter()
             .map(|(_, value)| (value.len() * std::mem::size_of::<f32>()) as u64)
@@ -294,31 +298,36 @@ impl LookupService for ClusterEngine {
     }
 }
 
-/// One shard's unfinalized partial: `lift` the first owned vector, then
-/// `combine_into` the rest in ascending index order (the order
-/// [`fafnir_core::IndexSet`] iterates).
-fn partial_fold<S: EmbeddingSource>(
-    operator: &dyn ReduceOperator,
-    sub_query: &crate::router::SubQuery,
-    source: &S,
-) -> Vec<f32> {
-    let mut indices = sub_query.indices.iter();
-    let first = indices.next().expect("sub-queries are non-empty");
-    let mut acc = operator.lift(first, &source.shared_value_of(first));
-    for index in indices {
-        operator.combine_into(&mut acc, &operator.lift(index, &source.shared_value_of(index)));
-    }
-    acc
+/// Checks a cluster lookup's conservation laws: every routed sub-query is
+/// one (query, shard) touch, and every reference of the batch reaches
+/// exactly one shard. The error names the first law broken.
+fn check_laws(
+    sub_queries: usize,
+    touches: usize,
+    shard_references: u64,
+    batch_references: u64,
+) -> Result<(), FafnirError> {
+    let law = if sub_queries != touches {
+        "routed sub-queries must equal the routed touches"
+    } else if shard_references != batch_references {
+        "the shards' references must sum to the batch's references"
+    } else {
+        return Ok(());
+    };
+    Err(FafnirError::InvalidBatch(format!("cluster broke a conservation law: {law}")))
 }
 
-/// Overlays a concurrent shard result onto the batch aggregate: latencies
-/// max (shards run in parallel), counters add. Outputs and per-query times
-/// are assembled separately, so only the scalar fields matter here.
-fn merge_shard(into: &mut Option<LookupResult>, sub: LookupResult) {
-    let Some(aggregate) = into else {
-        *into = Some(sub);
-        return;
-    };
-    aggregate.latency.overlay(&sub.latency);
-    aggregate.add_counters(&sub);
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn tampered_counts_break_a_named_law() {
+        assert_eq!(check_laws(5, 5, 12, 12), Ok(()));
+        let broken = |law: Result<(), FafnirError>| law.expect_err("a law breaks").to_string();
+        let routing = broken(check_laws(5, 6, 12, 12));
+        assert!(routing.contains("routed sub-queries must equal"), "{routing}");
+        let references = broken(check_laws(5, 5, 11, 12));
+        assert!(references.contains("references must sum"), "{references}");
+    }
 }

@@ -16,9 +16,9 @@
 //! * **routing** — replicated rows are placed by a marginal-cost model
 //!   (per-shard DRAM reads are equal, so cross-shard transfer bytes decide),
 //!   with round-robin or least-loaded tie-breaking ([`RouterPolicy`]);
-//! * **merge** — split queries combine unfinalized partials in ascending
-//!   shard order and finalize once; single-shard queries keep their tree
-//!   output bit for bit;
+//! * **merge** — each shard's tree sends every query's unfinalized root
+//!   accumulator; the cluster combines them in ascending shard order and
+//!   finalizes once, so single-shard queries keep the one-tree bits;
 //! * **serving** — [`ClusterEngine`] implements
 //!   [`fafnir_core::LookupService`], so the deterministic virtual-time
 //!   simulation in `fafnir_serve` (fault plans, retries, hedging) drives a

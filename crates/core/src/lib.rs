@@ -99,8 +99,8 @@ pub use pipeline::{
 };
 pub use placement::{EmbeddingSource, ShardPlan, ShardStrategy, StripedSource};
 pub use reduce::{
-    combine_partials, ArgMaxOperator, MaxOperator, MeanOperator, MinOperator, ReduceOp,
-    ReduceOperator, SumOperator, TopKOperator,
+    ArgMaxOperator, MaxOperator, MeanOperator, MinOperator, ReduceOp, ReduceOperator, SumOperator,
+    TopKOperator,
 };
 pub use timing::PeTiming;
 pub use tree::{ReductionTree, TreeRun, TreeStats};

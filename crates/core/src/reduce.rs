@@ -202,34 +202,6 @@ pub trait ReduceOperator: Send + Sync + std::fmt::Debug {
     }
 }
 
-/// Folds per-shard partial accumulators into one finalized output.
-///
-/// The cluster merge stage: each shard reduces the indices it owns into a
-/// partial accumulator (lift + combine, *not* finalized — a per-shard Mean
-/// division would double-count), and this helper combines the partials in
-/// the order given and finalizes once. Callers that need a deterministic
-/// result must pass partials in a deterministic order (the cluster passes
-/// ascending shard id).
-///
-/// Returns `None` for an empty partial list (a query that touched no shard).
-///
-/// # Panics
-///
-/// Panics if the partials have mismatched widths (via
-/// [`ReduceOperator::combine_into`]).
-#[must_use]
-pub fn combine_partials(
-    operator: &dyn ReduceOperator,
-    partials: impl IntoIterator<Item = Vec<f32>>,
-) -> Option<Vec<f32>> {
-    let mut partials = partials.into_iter();
-    let mut acc = partials.next()?;
-    for partial in partials {
-        operator.combine_into(&mut acc, &partial);
-    }
-    Some(operator.finalize(&acc))
-}
-
 /// Element-wise sum (the paper's default): identity lift, unrolled add.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SumOperator;

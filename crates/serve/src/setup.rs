@@ -1,7 +1,7 @@
 //! Shared worker-engine construction.
 //!
 //! Every serving entry point — the calibration matrix, the CLI `serve`
-//! command, benches, and the cluster's per-shard trees — builds the same
+//! command, benches, and the cluster's shard engine — builds the same
 //! pair: a [`FafnirEngine`] under a chosen memory model plus a
 //! [`StripedSource`] over the matching topology. Before this module each
 //! call site hand-rolled that block; keeping one constructor means a
