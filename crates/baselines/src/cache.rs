@@ -6,10 +6,8 @@
 //! cache at whole-vector granularity, so the measured hit rate emerges from
 //! the traffic instead of being assumed.
 
-use serde::{Deserialize, Serialize};
-
 /// A set-associative LRU cache over embedding-vector indices.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VectorCache {
     sets: Vec<Vec<u32>>,
     ways: usize,

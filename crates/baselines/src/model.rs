@@ -1,13 +1,11 @@
 //! The host-side cost model the baselines price core work and link
 //! transfers with.
 
-use serde::{Deserialize, Serialize};
-
 use fafnir_core::HOST_LINK_BYTES_PER_NS;
 
 /// Cost model of the host side: the link from memory to cores and the cores'
 /// reduction throughput.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoreModel {
     /// Element-wise f32 operations the cores sustain per nanosecond
     /// (SIMD reduction over vectors streaming through the cache hierarchy).

@@ -7,12 +7,10 @@
 //! that needs it. The tree then reuses the value as many times as required
 //! — no caches.
 
-use serde::{Deserialize, Serialize};
-
 use crate::index::{IndexSet, QueryId, VectorIndex};
 
 /// One embedding-lookup query: a set of indices to gather and reduce.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Query {
     /// Batch-local identifier.
     pub id: QueryId,
@@ -43,7 +41,7 @@ impl Query {
 /// assert_eq!(batch.unique_indices().len(), 6);
 /// assert!(batch.access_savings() > 0.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Batch {
     queries: Vec<Query>,
 }

@@ -1,12 +1,10 @@
 //! FAFNIR accelerator configuration.
 
-use serde::{Deserialize, Serialize};
-
 use crate::reduce::ReduceOp;
 use crate::timing::PeTiming;
 
 /// Configuration of a FAFNIR tree instance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FafnirConfig {
     /// Ranks feeding one leaf PE (the paper's 1PE:2R default; 1PE:1R and
     /// 1PE:4R are the other scales mentioned in Sec. IV-B).

@@ -37,8 +37,6 @@
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap};
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::FafnirConfig;
 use crate::item::{Arena, Item, Node, RankInputs};
 use crate::pe::{PeScratch, ProcessingElement};
@@ -82,7 +80,7 @@ impl std::fmt::Display for CycleSimError {
 impl std::error::Error for CycleSimError {}
 
 /// Result of a cycle-stepped traversal.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CycleRun {
     /// Items emitted by the root (headers), with `ready_ns` set from the
     /// cycle clock.

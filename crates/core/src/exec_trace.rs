@@ -6,12 +6,10 @@
 //! central routing argument), where time went, and how occupancy compares
 //! to the Table I buffer bounds.
 
-use serde::{Deserialize, Serialize};
-
 use crate::pe::PeOpCounts;
 
 /// One PE's activity during a traced run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PeFiring {
     /// Tree level (0 = leaves).
     pub level: usize,
@@ -46,7 +44,7 @@ impl PeFiring {
 }
 
 /// The complete firing record of one tree traversal.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ExecutionTrace {
     firings: Vec<PeFiring>,
 }

@@ -7,14 +7,12 @@
 //! small sets — implemented here as sorted `Vec`s, which is also what the
 //! hardware's iterative compare units effectively do.
 
-use serde::{Deserialize, Serialize};
-
 /// Global identifier of one embedding vector.
 ///
 /// Following Fig. 4b/Fig. 6 of the paper, an index addresses a vector across
 /// all embedding tables (table number and in-table offset are packed by the
 /// workload layer).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VectorIndex(pub u32);
 
 impl VectorIndex {
@@ -45,7 +43,7 @@ impl std::fmt::Display for VectorIndex {
 }
 
 /// Identifier of a query within a batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct QueryId(pub u32);
 
 impl std::fmt::Display for QueryId {
@@ -129,7 +127,7 @@ impl SetBuilder {
 /// assert!(reduced.is_subset_of(&query));
 /// assert_eq!(query.difference(&reduced), indexset![5]);
 /// ```
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct IndexSet(Repr);
 
 impl IndexSet {

@@ -29,14 +29,12 @@
 //! [`RankInputs::from_items`] checks it on hand-built items. [`Item`]s are
 //! built only for the root outputs a run returns.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::FafnirError;
 use crate::index::{IndexSet, QueryId, VectorIndex};
 
 /// One entry of the header's `queries` field: a query that needs this item,
 /// plus the indices of that query not yet folded in.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PendingQuery {
     /// The query this entry belongs to.
     pub query: QueryId,
@@ -59,7 +57,7 @@ impl PendingQuery {
 }
 
 /// The header of an in-tree item.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Header {
     /// Indices already reduced into the value.
     pub indices: IndexSet,
@@ -104,7 +102,7 @@ impl std::fmt::Display for Header {
 
 /// A header with its ready time: a root output of a tree run, or a
 /// hand-built tree input (see [`RankInputs::from_items`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Item {
     /// Routing and reduction metadata.
     pub header: Header,

@@ -7,14 +7,12 @@
 //! figures as a parametric model so scaling experiments (more ranks, other
 //! leaf ratios) can report area/power too.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-component area/power constants at 7 nm.
 ///
 /// Node figures are primary (they come from the paper's layouts); a node
 /// packs its PEs tighter than a standalone PE chip, whose 274 µm × 282 µm
 /// footprint includes per-chip overhead.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AsicModel {
     /// Area of a standalone PE chip in mm² (274 µm × 282 µm).
     pub pe_chip_area_mm2: f64,
@@ -100,7 +98,7 @@ impl Default for AsicModel {
 
 /// Fraction of a PE's power by subcomponent (Fig. 16b's uniform
 /// distribution: no hot spot).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PePowerBreakdown {
     /// Input FIFO buffers.
     pub buffers: f64,

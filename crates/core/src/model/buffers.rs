@@ -5,8 +5,6 @@
 //! q = 16 over 32 tables). A DIMM/rank node groups seven PEs, a channel
 //! node three (Sec. IV-B).
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of the buffer-sizing model.
 ///
 /// # Examples
@@ -18,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(model.entry_bytes(), 522); // 512 B value + 10 B header
 /// assert_eq!(model.max_outputs(8, 8), 32); // min(nm + n + m, B)
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BufferModel {
     /// Hardware batch capacity *B* (`n = m = B` entries per FIFO).
     pub batch_capacity: usize,

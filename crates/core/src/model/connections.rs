@@ -6,8 +6,6 @@
 //! FAFNIR's tree needs only `2m − 2` internal links plus `c` links from the
 //! root — fewer, and growing linearly rather than multiplicatively.
 
-use serde::{Deserialize, Serialize};
-
 /// Connection counts for a system of `m` memory devices and `c` cores.
 ///
 /// # Examples
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(system.all_to_all(), 128);
 /// assert_eq!(system.fafnir_tree(), 66);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ConnectionModel {
     /// Memory devices (ranks).
     pub memory_devices: usize,

@@ -6,12 +6,10 @@
 //! ≈3.2 mW; at a 1 GHz ASIC clock that is ≈3.2 pJ per active cycle, split
 //! over the Table IV stage lengths and the Fig. 16b component shares).
 
-use serde::{Deserialize, Serialize};
-
 use crate::pe::PeOpCounts;
 
 /// Per-operation energy constants for the tree, in picojoules.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TreeEnergyModel {
     /// One header comparison (subset test).
     pub compare_pj: f64,

@@ -5,10 +5,8 @@
 //! one channel node, at 0.23 W (DIMM/rank node) and 0.18 W (channel node)
 //! dynamic power @200 MHz.
 
-use serde::{Deserialize, Serialize};
-
 /// Available resources of the XCVU9P device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FpgaDevice {
     /// Lookup tables.
     pub luts: u64,
@@ -29,7 +27,7 @@ impl FpgaDevice {
 }
 
 /// Resource demand of one FAFNIR node on the FPGA.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeUtilization {
     /// LUTs used.
     pub luts: u64,
@@ -58,7 +56,7 @@ impl NodeUtilization {
 }
 
 /// A FAFNIR deployment on one FPGA: some DIMM/rank nodes plus channel nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FpgaDeployment {
     /// DIMM/rank node count (4 in the paper's system).
     pub dimm_rank_nodes: usize,

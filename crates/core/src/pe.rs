@@ -25,14 +25,12 @@
 //! with `y` ORs the masks. The merge unit compares reduced sets by size and
 //! fingerprint first and confirms equal ones index by index.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::FafnirError;
 use crate::item::{Arena, Entry, Item, Node, RankInputs, NONE};
 use crate::timing::PeTiming;
 
 /// Operation counters accumulated by one PE invocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PeOpCounts {
     /// Header subset comparisons performed by the compute units.
     pub compares: u64,
@@ -68,7 +66,7 @@ impl PeOpCounts {
 /// The PE itself is stateless between invocations; FIFOs and wiring live in
 /// [`crate::tree::ReductionTree`]. `process` is the combinational behaviour
 /// of one firing, on headers and ready times only.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ProcessingElement {
     /// Stage latencies.
     pub timing: PeTiming,

@@ -1,13 +1,11 @@
 //! PE stage latencies (paper Table IV) and NDP clocking.
 
-use serde::{Deserialize, Serialize};
-
 /// Latencies of the compute-unit components of a PE, in NDP clock cycles.
 ///
 /// Reproduces Table IV of the paper (FPGA implementation @200 MHz): the
 /// compare unit feeds two parallel paths — reduce (value + header, the
 /// slower one, which defines the critical path) and forward.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PeTiming {
     /// Header comparison (subset test over the queries field).
     pub compare_cycles: u64,

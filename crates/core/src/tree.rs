@@ -13,8 +13,6 @@
 //! values. The outputs themselves come from the per-query fold in
 //! [`crate::fastpath`].
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::FafnirConfig;
 use crate::error::FafnirError;
 use crate::index::QueryId;
@@ -22,7 +20,7 @@ use crate::item::{Arena, Item, Node, RankInputs};
 use crate::pe::{PeOpCounts, PeScratch, ProcessingElement};
 
 /// Aggregated statistics of one tree traversal.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TreeStats {
     /// Summed PE operation counters.
     pub ops: PeOpCounts,
@@ -40,7 +38,7 @@ pub struct TreeStats {
 }
 
 /// Result of running a batch through the tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TreeRun {
     /// Items emitted by the root PE (headers and ready times).
     pub outputs: Vec<Item>,
@@ -68,7 +66,7 @@ impl TreeRun {
 }
 
 /// The FAFNIR reduction tree over a memory system's ranks.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReductionTree {
     config: FafnirConfig,
     leaf_count: usize,

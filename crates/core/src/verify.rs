@@ -7,15 +7,13 @@
 //! the engine, compares every output against the software reference, and
 //! checks the invariants; the CLI exposes it as `fafnir selftest`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::batch::Batch;
 use crate::engine::{reference_lookup, FafnirEngine};
 use crate::pipeline::GatherEngine;
 use crate::placement::EmbeddingSource;
 
 /// One discrepancy found during verification.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Discrepancy {
     /// Index of the offending batch in the input list.
     pub batch_index: usize,
@@ -30,7 +28,7 @@ impl std::fmt::Display for Discrepancy {
 }
 
 /// Outcome of a verification run.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct VerificationReport {
     /// Batches checked.
     pub batches: usize,

@@ -12,14 +12,10 @@
 //! starts. A read submitted at a [`Location`] starts from it, so a read
 //! that fits in its row is never encoded or decoded.
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::Topology;
 
 /// A byte address in the simulated physical address space.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PhysAddr(pub u64);
 
 impl PhysAddr {
@@ -43,7 +39,7 @@ impl std::fmt::Display for PhysAddr {
 }
 
 /// A fully decoded DRAM coordinate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Location {
     /// Channel index.
     pub channel: usize,
@@ -105,7 +101,7 @@ impl Location {
 /// let loc = mapping.decode(PhysAddr(0x10040), &topology);
 /// assert_eq!(mapping.encode(loc, &topology), PhysAddr(0x10040));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AddressMapping {
     /// `offset | column | bank | bank_group | rank | channel | row`.
     ///

@@ -1,12 +1,10 @@
 //! Per-bank state machine: row buffer and bank-local timing constraints.
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::Timing;
 use crate::Cycle;
 
 /// State of one DRAM bank's row buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BankState {
     /// No row open; an ACT is required before column access.
     Idle,
@@ -15,7 +13,7 @@ pub enum BankState {
 }
 
 /// How a burst to a given row relates to the bank's current state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RowOutcome {
     /// Target row already open: column access only.
     Hit,
@@ -27,7 +25,7 @@ pub enum RowOutcome {
 
 /// One DRAM bank: row-buffer state plus the earliest cycles at which each
 /// command class may legally issue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Bank {
     state: BankState,
     /// Earliest cycle a new ACT may issue (tRC / tRP driven).

@@ -4,13 +4,11 @@
 //! overlap their array work but serialize their data beats here. Switching
 //! drivers between ranks costs an extra [`Timing::tRTRS`] bubble.
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::Timing;
 use crate::Cycle;
 
 /// Data-bus occupancy tracker for one channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DataBus {
     /// Cycle at which the bus becomes free.
     free_at: Cycle,

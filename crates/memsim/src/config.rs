@@ -3,8 +3,6 @@
 //! The defaults model a DDR4-2400 system matching the paper's evaluation
 //! platform: 4 channels × 4 DIMMs × 2 ranks = 32 ranks, 64-byte bursts.
 
-use serde::{Deserialize, Serialize};
-
 use crate::address::AddressMapping;
 use crate::model::MemoryModelKind;
 
@@ -14,7 +12,7 @@ use crate::model::MemoryModelKind;
 /// groups → banks per group → rows → columns`. A "column" here is one
 /// 64-byte burst worth of data (the usual granularity a controller
 /// schedules), so `columns` counts bursts per row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Topology {
     /// Independent memory channels, each with its own command/data bus.
     pub channels: usize,
@@ -103,7 +101,7 @@ impl Topology {
 ///
 /// Named after the JEDEC DDR4 parameters. Values are for the command clock
 /// (half the data rate), e.g. DDR4-2400 runs the command clock at 1200 MHz.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(non_snake_case)]
 pub struct Timing {
     /// CAS latency: read command to first data beat.
@@ -290,7 +288,7 @@ impl Timing {
 }
 
 /// Command arbitration policy of the controller.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchedulerPolicy {
     /// First-ready, first-come-first-served: row hits bypass older
     /// conflicting requests (the default, and what FAFNIR assumes).
@@ -301,7 +299,7 @@ pub enum SchedulerPolicy {
 }
 
 /// Row-buffer management policy of the controller.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PagePolicy {
     /// Leave rows open after an access (exploits locality; FAFNIR default).
     Open,
@@ -316,7 +314,7 @@ pub enum PagePolicy {
 }
 
 /// Complete configuration of a [`crate::MemorySystem`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryConfig {
     /// Physical organization.
     pub topology: Topology,
@@ -346,7 +344,6 @@ pub struct MemoryConfig {
     /// reference (default) or the fast-functional analytic model. Selecting
     /// `Fast` changes *timing fidelity only* — functional outputs stay
     /// byte-identical (see [`crate::FastFunctionalMemory`]).
-    #[serde(default)]
     pub model: MemoryModelKind,
 }
 

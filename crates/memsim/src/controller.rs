@@ -65,8 +65,6 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
-
 use crate::address::Location;
 use crate::bank::{BankState, RowOutcome};
 use crate::channel::DataBus;
@@ -78,7 +76,7 @@ use crate::verify::{CommandKind, CommandLog, CommandRecord};
 use crate::Cycle;
 
 /// One 64-byte burst of a request, as queued at a channel controller.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BurstJob {
     /// Owning request.
     pub id: RequestId,
@@ -95,7 +93,7 @@ pub struct BurstJob {
 }
 
 /// Outcome of one completed burst, reported back to the system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BurstResult {
     /// Owning request.
     pub id: RequestId,
@@ -111,7 +109,7 @@ pub struct BurstResult {
 
 /// A burst waiting in its bank queue. The queue fixes its channel, rank
 /// and bank; this keeps what scheduling and completion still need.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct QueuedBurst {
     id: RequestId,
     seq: u64,
@@ -131,7 +129,7 @@ struct QueuedBurst {
 pub const SCHED_WINDOW: usize = 48;
 
 /// A command class, in FR-FCFS priority order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Class {
     /// RD or WR to an open row.
     Column,
@@ -142,7 +140,7 @@ enum Class {
 }
 
 /// A queued burst in global seq order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct QueuedSeq {
     seq: u64,
     arrival: Cycle,
@@ -153,7 +151,7 @@ struct QueuedSeq {
 /// One window bank's next legal commands, valid while nothing they read
 /// has moved (see the module docs). Cycles are absolute and never earlier
 /// than the cycle the entry was computed on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct BankCommand {
     /// The bank queue this entry describes.
     qi: u32,
@@ -212,7 +210,7 @@ impl BankCommand {
 
 /// A command chosen by the scheduler: window bank `slot` issues `class`
 /// for burst `seq`, no earlier than cycle `at`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Pick {
     at: Cycle,
     class: Class,
@@ -228,7 +226,7 @@ impl Pick {
 }
 
 /// FR-FCFS controller for one channel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChannelController {
     config: MemoryConfig,
     ranks: Vec<Rank>,

@@ -6,8 +6,6 @@
 //! per-command constants derived from DDR4 IDD figures (Micron power
 //! calculator methodology, the same source the paper cites).
 
-use serde::{Deserialize, Serialize};
-
 use crate::stats::MemoryStats;
 
 /// Per-command and background energy constants, in picojoules.
@@ -21,7 +19,7 @@ use crate::stats::MemoryStats;
 /// let stats = MemoryStats { reads: 8, activations: 1, ..Default::default() };
 /// assert!(model.dynamic_nj(&stats) > 10.0); // one vector read costs > 10 nJ
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyModel {
     /// Energy of one ACT+PRE pair (row activation cycle).
     pub act_pre_pj: f64,

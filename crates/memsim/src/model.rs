@@ -29,8 +29,6 @@
 
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 use crate::address::{FirstBurst, Location};
 use crate::config::{MemoryConfig, PagePolicy};
 use crate::request::{bursts, AccessKind, Completion, RequestId};
@@ -39,7 +37,7 @@ use crate::system::MemorySystem;
 use crate::Cycle;
 
 /// Which memory timing model a [`MemoryConfig`] selects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum MemoryModelKind {
     /// The cycle-accurate command-level simulator (the default and the
     /// calibrated reference).

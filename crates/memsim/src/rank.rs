@@ -1,13 +1,11 @@
 //! Per-rank state: banks plus rank-wide activation and column constraints.
 
-use serde::{Deserialize, Serialize};
-
 use crate::bank::Bank;
 use crate::config::{Timing, Topology};
 use crate::Cycle;
 
 /// One DRAM rank: a set of banks sharing tRRD, tFAW and tCCD constraints.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Rank {
     banks: Vec<Bank>,
     banks_per_group: usize,

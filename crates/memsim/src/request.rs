@@ -1,13 +1,11 @@
 //! Memory requests and completions.
 
-use serde::{Deserialize, Serialize};
-
 use crate::address::PhysAddr;
 use crate::Cycle;
 
 /// Identifier assigned to each submitted [`Request`], unique per
 /// [`crate::MemorySystem`] instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RequestId(pub u64);
 
 impl std::fmt::Display for RequestId {
@@ -17,7 +15,7 @@ impl std::fmt::Display for RequestId {
 }
 
 /// Whether a request reads or writes memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// A DRAM read (RD commands).
     Read,
@@ -30,7 +28,7 @@ pub enum AccessKind {
 /// Multi-burst requests model whole-embedding-vector reads: a 512 B vector
 /// is one request that the controller expands into 8 consecutive column
 /// accesses, completing when the final data beat returns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Request {
     /// Starting physical address.
     pub addr: PhysAddr,
@@ -78,7 +76,7 @@ pub(crate) fn bursts(bytes: usize, burst_bytes: usize) -> usize {
 }
 
 /// Result of a finished request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Completion {
     /// The request this completion belongs to.
     pub id: RequestId,

@@ -1,7 +1,5 @@
 //! Aggregate counters collected by the memory system.
 
-use serde::{Deserialize, Serialize};
-
 use crate::Cycle;
 
 /// Counters accumulated over a simulation run.
@@ -11,7 +9,7 @@ use crate::Cycle;
 /// phases use [`crate::MemorySystem::reset_stats`], which checks that no
 /// request is mid-flight (a mid-flight reset would split one request's
 /// counters across two phases).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MemoryStats {
     /// Completed read bursts.
     pub reads: u64,

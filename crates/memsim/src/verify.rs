@@ -5,13 +5,11 @@
 //! scheduling bug cannot hide behind its own bookkeeping. Property tests
 //! drive random traffic through the system and assert the log verifies.
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::Timing;
 use crate::Cycle;
 
 /// A DRAM command class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CommandKind {
     /// Row activation.
     Act,
@@ -26,7 +24,7 @@ pub enum CommandKind {
 }
 
 /// One issued command with its coordinates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CommandRecord {
     /// Issue cycle.
     pub cycle: Cycle,
@@ -41,7 +39,7 @@ pub struct CommandRecord {
 }
 
 /// An append-only log of commands issued on one channel.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CommandLog {
     records: Vec<CommandRecord>,
 }

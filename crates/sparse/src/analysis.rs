@@ -6,8 +6,6 @@
 //! on: density, degree distributions and their skew, bandwidth, and
 //! symmetry — the profile one would report for a SuiteSparse input.
 
-use serde::{Deserialize, Serialize};
-
 use crate::coo::CooMatrix;
 
 /// Structural profile of a sparse matrix.
@@ -21,7 +19,7 @@ use crate::coo::CooMatrix;
 /// assert_eq!(profile.bandwidth, 2);
 /// assert!(profile.row_degree_gini < 0.1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MatrixProfile {
     /// Rows.
     pub rows: usize,

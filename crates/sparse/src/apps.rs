@@ -9,15 +9,13 @@
 //! Both run every SpMV through the FAFNIR engine (functional + timed) so an
 //! application-level speedup over Two-Step can be reported.
 
-use serde::{Deserialize, Serialize};
-
 use crate::csr::CsrMatrix;
 use crate::fafnir_spmv::{self, SpmvRun, SpmvTiming};
 use crate::lil::LilMatrix;
 use crate::two_step;
 
 /// Result of an iterative application run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppRun {
     /// Final solution/state vector.
     pub solution: Vec<f64>,

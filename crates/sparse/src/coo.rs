@@ -1,10 +1,8 @@
 //! Coordinate (COO) sparse-matrix format — the interchange format the
 //! generators produce and the other formats convert from.
 
-use serde::{Deserialize, Serialize};
-
 /// A sparse matrix as a list of `(row, col, value)` triplets.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CooMatrix {
     rows: usize,
     cols: usize,

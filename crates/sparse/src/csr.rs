@@ -1,12 +1,10 @@
 //! Compressed sparse row (CSR) format — the reference format for validation
 //! and for the Two-Step baseline's row-major streaming.
 
-use serde::{Deserialize, Serialize};
-
 use crate::coo::CooMatrix;
 
 /// A CSR sparse matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CsrMatrix {
     rows: usize,
     cols: usize,

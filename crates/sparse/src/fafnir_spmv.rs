@@ -9,8 +9,6 @@
 //! [`crate::iteration::SpmvPlan`]: iteration 0 multiplies, later iterations
 //! only merge (leaf PEs skip the multiply, exactly like embedding mode).
 
-use serde::{Deserialize, Serialize};
-
 use crate::iteration::SpmvPlan;
 use crate::lil::LilMatrix;
 use crate::stream::{MergeTree, PartialStream, StreamOps, Streams};
@@ -22,7 +20,7 @@ use crate::stream::{MergeTree, PartialStream, StreamOps, Streams};
 /// decompression, fully parallel reduction), so its multiply phase is
 /// several times faster per non-zero; the Two-Step accelerator's multi-way
 /// merge core makes its *merge* phase faster per entry instead.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpmvTiming {
     /// FAFNIR iteration-0 cost per non-zero.
     pub fafnir_multiply_ns: f64,
@@ -97,7 +95,7 @@ impl Default for SpmvTiming {
 }
 
 /// The record of one SpMV execution: result, plan, and measured volumes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpmvRun {
     /// The product vector `y = A·x`.
     pub y: Vec<f64>,
@@ -115,7 +113,7 @@ pub struct SpmvRun {
 /// is scattered into a dense vector. This is the form a partition rank
 /// ships to the synchronization stage (see [`crate::partition`]), where
 /// partial rows from several ranks still have to be reduced.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpmvStreamRun {
     /// The combined row-sorted partial-result stream.
     pub stream: PartialStream,

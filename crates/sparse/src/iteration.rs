@@ -8,8 +8,6 @@
 //! count: even 20-million-column matrices need no more than two merge
 //! iterations at vector size 2048.
 
-use serde::{Deserialize, Serialize};
-
 /// The execution plan of one SpMV on FAFNIR.
 ///
 /// # Examples
@@ -23,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(plan.merge_iterations(), 2);
 /// assert_eq!(plan.rounds_per_iteration, vec![9_766, 5, 1]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpmvPlan {
     /// Columns processed per round (the paper's vector size, 2048 default).
     pub vector_size: usize,

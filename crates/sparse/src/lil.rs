@@ -14,8 +14,6 @@
 //! counting sort by column followed by a stable sort of each column by
 //! row, so equal rows keep their input order.
 
-use serde::{Deserialize, Serialize};
-
 use crate::coo::CooMatrix;
 use crate::stream::Streams;
 
@@ -31,7 +29,7 @@ use crate::stream::Streams;
 /// assert_eq!(lil.multiply(&[3.0, 4.0]), vec![3.0, 8.0]);
 /// assert_eq!(lil.column_chunks(1).count(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LilMatrix {
     rows: usize,
     /// Column `col`'s list is stream `col`.

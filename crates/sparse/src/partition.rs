@@ -26,17 +26,15 @@
 
 use std::ops::Range;
 
-use fafnir_core::pipeline::map_ordered;
-use serde::{Deserialize, Serialize};
-
 use crate::coo::CooMatrix;
 use crate::fafnir_spmv::{self, SpmvRun, SpmvTiming};
 use crate::iteration::SpmvPlan;
 use crate::lil::LilMatrix;
 use crate::stream::{merge_tree, PartialStream, StreamOps};
+use fafnir_core::pipeline::map_ordered;
 
 /// How the matrix is split across ranks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PartitionStrategy {
     /// 1D contiguous row blocks with (near-)equal *row counts* per rank.
     RowBlock,
@@ -106,7 +104,7 @@ impl PartitionStrategy {
 }
 
 /// One rank's sub-problem: a contiguous row/column window and its load.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RankSpan {
     /// Rank index.
     pub rank: usize,
@@ -131,7 +129,7 @@ pub struct RankSpan {
 /// // Balancing by nonzeros beats balancing by rows on a skewed matrix.
 /// assert!(nnz.nnz_imbalance() < row.nnz_imbalance());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpmvPartition {
     /// The layout strategy.
     pub strategy: PartitionStrategy,
@@ -277,7 +275,7 @@ impl SpmvPartition {
 
 /// One rank's executed sub-problem: its plan, volumes, and the size of the
 /// partial-result stream it ships to the synchronization stage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RankRun {
     /// Rank index.
     pub rank: usize,
@@ -299,7 +297,7 @@ pub struct RankRun {
 
 /// The record of one partitioned SpMV: result, per-rank runs, and the
 /// synchronization stage's measured volume.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PartitionedRun {
     /// The product vector `y = A·x`.
     pub y: Vec<f64>,

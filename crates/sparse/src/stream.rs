@@ -18,10 +18,8 @@
 
 use std::ops::Range;
 
-use serde::{Deserialize, Serialize};
-
 /// A row-sorted stream of partial results.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PartialStream {
     entries: Vec<(usize, f64)>,
 }
@@ -99,7 +97,7 @@ impl PartialStream {
 }
 
 /// Operation counters of a stream reduction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StreamOps {
     /// Index comparisons during merging.
     pub compares: u64,
@@ -181,7 +179,7 @@ pub fn merge_tree(streams: Vec<PartialStream>, ops: &mut StreamOps) -> PartialSt
 /// Row-sorted streams stored end to end in one buffer: `ends[k]` is one
 /// past stream `k`'s last entry. One tree level, one iteration's round
 /// outputs, or a [`crate::LilMatrix`]'s columns live in one of these.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub(crate) struct Streams {
     entries: Vec<(usize, f64)>,
     ends: Vec<usize>,

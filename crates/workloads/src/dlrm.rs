@@ -8,10 +8,8 @@
 //! count and the host's throughput. The default configuration reproduces
 //! the paper's 0.5 ms FC assumption at batch 32.
 
-use serde::{Deserialize, Serialize};
-
 /// A multi-layer perceptron given by its layer widths (input first).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MlpSpec {
     widths: Vec<usize>,
 }
@@ -55,7 +53,7 @@ impl MlpSpec {
 }
 
 /// Per-stage latency of one DLRM inference batch, in nanoseconds.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DlrmBreakdown {
     /// Bottom MLP over the dense features.
     pub bottom_mlp_ns: f64,
@@ -99,7 +97,7 @@ impl DlrmBreakdown {
 /// let inference = model.breakdown(2_000.0, 32); // 2 µs embedding stage
 /// assert!(inference.non_embedding_ns() > inference.embedding_ns);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DlrmModel {
     /// Dense (continuous) input features.
     pub dense_features: usize,

@@ -6,13 +6,11 @@
 //! reproduces that layout and doubles as the functional data source: values
 //! are deterministic per index so tree outputs can be validated exactly.
 
-use fafnir_mem::{Location, Topology};
-use serde::{Deserialize, Serialize};
-
 use fafnir_core::{EmbeddingSource, VectorIndex};
+use fafnir_mem::{Location, Topology};
 
 /// How tables map onto the ranks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TablePlacement {
     /// The paper's Fig. 4b layout: consecutive indices stripe across all
     /// ranks, so any hot set spreads over the whole system.
@@ -25,7 +23,7 @@ pub enum TablePlacement {
 }
 
 /// A set of embedding tables distributed over a memory system.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EmbeddingTableSet {
     topology: Topology,
     tables: u32,

@@ -6,10 +6,8 @@
 //! embedding part is accelerated, so the end-to-end speedup of a memory
 //! configuration follows Amdahl's law over the embedding share.
 
-use serde::{Deserialize, Serialize};
-
 /// Fixed-cost model of the non-embedding parts of inference.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecSysModel {
     /// FC-layer latency in nanoseconds (0.5 ms in the paper).
     pub fc_ns: f64,
@@ -38,7 +36,7 @@ impl Default for RecSysModel {
 }
 
 /// Total inference latency split into the paper's three components.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct InferenceBreakdown {
     /// Embedding-lookup latency (the accelerated part).
     pub embedding_ns: f64,

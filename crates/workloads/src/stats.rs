@@ -5,12 +5,10 @@
 //! for batch sizes 8 / 16 / 32 on the paper's traffic). Both are properties
 //! of the workload alone, measured here over sampled batches.
 
-use serde::{Deserialize, Serialize};
-
 use crate::query::BatchGenerator;
 
 /// Summary of unique-index sharing over many sampled batches.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SharingStats {
     /// Batch size the samples used.
     pub batch_size: usize,

@@ -7,8 +7,6 @@
 //! replay into batches of any size and the reuse statistics that determine
 //! how much FAFNIR's dedup will save on it.
 
-use serde::{Deserialize, Serialize};
-
 use fafnir_core::{Batch, IndexSet, VectorIndex};
 
 use crate::query::BatchGenerator;
@@ -28,7 +26,7 @@ use crate::query::BatchGenerator;
 /// assert_eq!(parsed.replay(2).len(), 1);
 /// # Ok::<(), fafnir_workloads::trace::ParseTraceError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct QueryTrace {
     queries: Vec<Vec<u32>>,
 }
@@ -206,7 +204,7 @@ impl QueryTrace {
 /// bounds what any LRU cache can achieve on the trace — the analysis behind
 /// the paper's observation that RecNMP's 128 KB caches cap out around a
 /// 50 % hit rate (Sec. III-E).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReuseDistances {
     /// `buckets[d]` counts distances in `[2^d, 2^(d+1))` (bucket 0: 0–1).
     pub buckets: Vec<u64>,
@@ -242,7 +240,7 @@ impl ReuseDistances {
 }
 
 /// Reuse summary of a trace.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceReuse {
     /// Total index references.
     pub references: u64,
