@@ -1,5 +1,6 @@
 //! Cluster-level statistics and the serving-integrated report.
 
+use fafnir_core::json::{Layout, Object};
 use fafnir_serve::{LatencyStats, ServeReport};
 
 use crate::engine::ClusterEngine;
@@ -123,37 +124,26 @@ impl ClusterReport {
     /// Byte-stable JSON rendering (fixed key order, fixed float widths).
     #[must_use]
     pub fn to_json(&self) -> String {
-        let counts = |values: &[u64]| {
-            let cells: Vec<String> = values.iter().map(u64::to_string).collect();
-            format!("[{}]", cells.join(", "))
-        };
-        format!(
-            "{{\n  \"shards\": {},\n  \"strategy\": \"{}\",\n  \"policy\": \"{}\",\n  \
-             \"replicated_rows\": {},\n  \"batches\": {},\n  \"queries\": {},\n  \
-             \"split_queries\": {},\n  \"split_fraction\": {:.6},\n  \
-             \"replicated_routes\": {},\n  \"per_shard_queries\": {},\n  \
-             \"per_shard_vectors_read\": {},\n  \"imbalance\": {:.6},\n  \
-             \"cross_shard_bytes\": {},\n  \"merge_ns\": {},\n  \"served\": {},\n  \
-             \"shed\": {},\n  \"throughput_qps\": {:.3},\n  \"latency\": {}\n}}",
-            self.shards,
-            self.strategy,
-            self.policy,
-            self.replicated_rows,
-            self.stats.batches,
-            self.stats.queries,
-            self.stats.split_queries,
-            self.stats.split_fraction(),
-            self.stats.replicated_routes,
-            counts(&self.stats.per_shard_queries),
-            counts(&self.stats.per_shard_vectors_read),
-            self.imbalance,
-            self.stats.cross_shard_bytes,
-            self.merge.to_json(),
-            self.served,
-            self.shed,
-            self.throughput_qps,
-            self.latency.to_json(),
-        )
+        Object::new(Layout::Pretty)
+            .field("shards", self.shards)
+            .str("strategy", &self.strategy)
+            .str("policy", &self.policy)
+            .field("replicated_rows", self.replicated_rows)
+            .field("batches", self.stats.batches)
+            .field("queries", self.stats.queries)
+            .field("split_queries", self.stats.split_queries)
+            .num("split_fraction", self.stats.split_fraction(), 6)
+            .field("replicated_routes", self.stats.replicated_routes)
+            .list("per_shard_queries", &self.stats.per_shard_queries)
+            .list("per_shard_vectors_read", &self.stats.per_shard_vectors_read)
+            .num("imbalance", self.imbalance, 6)
+            .field("cross_shard_bytes", self.stats.cross_shard_bytes)
+            .field("merge_ns", self.merge.to_json())
+            .field("served", self.served)
+            .field("shed", self.shed)
+            .num("throughput_qps", self.throughput_qps, 3)
+            .field("latency", self.latency.to_json())
+            .to_string()
     }
 
     /// Human-readable table.

@@ -44,7 +44,7 @@
 //! * [`batch`] — queries, batches, unique-index extraction (Sec. IV-C).
 //! * [`reduce`] — reduction operators: the [`ReduceOperator`] trait with
 //!   per-query accumulator state (Sum/Mean/Max/Min/ArgMax/TopK) and the
-//!   serde-visible [`ReduceOp`] specification.
+//!   [`ReduceOp`] specification that configs and reports name.
 //! * [`fastpath`] — the per-query fold that computes every output, with
 //!   analytic timing used under the `Fast` memory model.
 //! * [`pe`], [`timing`] — the PE microarchitecture and Table IV latencies.
@@ -60,6 +60,7 @@
 //! * [`model`] — buffer sizing, connections, ASIC/FPGA area & power models.
 //! * [`verify`] — one-call differential self-verification for configuration
 //!   changes.
+//! * [`json`] — the ordered JSON writer every report and bench record uses.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -74,6 +75,7 @@ pub mod fastpath;
 pub mod index;
 pub mod inject;
 pub mod item;
+pub mod json;
 pub mod model;
 pub mod pe;
 pub mod pipeline;

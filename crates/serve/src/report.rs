@@ -10,6 +10,8 @@
 //! value-sorted arrays so the report is invariant under worker
 //! renumbering.
 
+use fafnir_core::json::{self, Layout, Object};
+
 use crate::record::{AttemptResult, QueryRecord};
 use crate::sim::{ResilienceConfig, ServeConfig, ServeOutcome};
 
@@ -72,17 +74,15 @@ impl LatencyStats {
         if self.count == 0 {
             return "null".to_string();
         }
-        format!(
-            "{{\"count\": {}, \"mean_ns\": {:.3}, \"p50_ns\": {:.3}, \"p95_ns\": {:.3}, \
-             \"p99_ns\": {:.3}, \"p999_ns\": {:.3}, \"max_ns\": {:.3}}}",
-            self.count,
-            self.mean_ns,
-            self.p50_ns,
-            self.p95_ns,
-            self.p99_ns,
-            self.p999_ns,
-            self.max_ns
-        )
+        Object::new(Layout::OneLine)
+            .field("count", self.count)
+            .num("mean_ns", self.mean_ns, 3)
+            .num("p50_ns", self.p50_ns, 3)
+            .num("p95_ns", self.p95_ns, 3)
+            .num("p99_ns", self.p99_ns, 3)
+            .num("p999_ns", self.p999_ns, 3)
+            .num("max_ns", self.max_ns, 3)
+            .to_string()
     }
 }
 
@@ -367,58 +367,42 @@ impl ServeReport {
     /// samples render as `null`, per-worker arrays are value-sorted).
     #[must_use]
     pub fn to_json(&self) -> String {
-        let fractions = |values: &[f64]| {
-            let cells: Vec<String> = values.iter().map(|v| format!("{v:.6}")).collect();
-            format!("[{}]", cells.join(", "))
-        };
-        format!(
-            "{{\n  \"policy\": \"{}\",\n  \"shed_policy\": \"{}\",\n  \
-             \"offered_qps\": {:.3},\n  \"workers\": {},\n  \
-             \"queue_capacity\": {},\n  \"seed\": {},\n  \"offered\": {},\n  \
-             \"served\": {},\n  \"shed\": {},\n  \"failed\": {},\n  \
-             \"shed_rate\": {:.6},\n  \"batches\": {},\n  \
-             \"mean_batch_size\": {:.3},\n  \"makespan_ns\": {:.3},\n  \
-             \"window_ns\": {:.3},\n  \"throughput_qps\": {:.3},\n  \
-             \"goodput_qps\": {:.3},\n  \"utilization\": {:.6},\n  \
-             \"retries\": {},\n  \"timeouts\": {},\n  \"crashes\": {},\n  \
-             \"hedges\": {},\n  \"hedge_wins\": {},\n  \
-             \"worker_availability\": {},\n  \"worker_busy\": {},\n  \
-             \"latency\": {},\n  \"queue_wait\": {},\n  \"service\": {},\n  \
-             \"references\": {},\n  \"vectors_read\": {},\n  \
-             \"dram_reads_per_query\": {:.6},\n  \"dedup_savings\": {:.6}\n}}\n",
-            self.policy,
-            self.shed_policy,
-            self.offered_qps,
-            self.workers,
-            self.queue_capacity,
-            self.seed,
-            self.offered,
-            self.served,
-            self.shed,
-            self.failed,
-            self.shed_rate,
-            self.batches,
-            self.mean_batch_size,
-            self.makespan_ns,
-            self.window_ns,
-            self.throughput_qps,
-            self.goodput_qps,
-            self.utilization,
-            self.retries,
-            self.timeouts,
-            self.crashes,
-            self.hedges,
-            self.hedge_wins,
-            fractions(&self.worker_availability),
-            fractions(&self.worker_busy),
-            self.latency.to_json(),
-            self.queue_wait.to_json(),
-            self.service.to_json(),
-            self.references,
-            self.vectors_read,
-            self.dram_reads_per_query,
-            self.dedup_savings,
-        )
+        let fraction = |value: &f64| json::fixed(*value, 6);
+        Object::new(Layout::Pretty)
+            .str("policy", &self.policy)
+            .str("shed_policy", &self.shed_policy)
+            .num("offered_qps", self.offered_qps, 3)
+            .field("workers", self.workers)
+            .field("queue_capacity", self.queue_capacity)
+            .field("seed", self.seed)
+            .field("offered", self.offered)
+            .field("served", self.served)
+            .field("shed", self.shed)
+            .field("failed", self.failed)
+            .num("shed_rate", self.shed_rate, 6)
+            .field("batches", self.batches)
+            .num("mean_batch_size", self.mean_batch_size, 3)
+            .num("makespan_ns", self.makespan_ns, 3)
+            .num("window_ns", self.window_ns, 3)
+            .num("throughput_qps", self.throughput_qps, 3)
+            .num("goodput_qps", self.goodput_qps, 3)
+            .num("utilization", self.utilization, 6)
+            .field("retries", self.retries)
+            .field("timeouts", self.timeouts)
+            .field("crashes", self.crashes)
+            .field("hedges", self.hedges)
+            .field("hedge_wins", self.hedge_wins)
+            .list("worker_availability", self.worker_availability.iter().map(fraction))
+            .list("worker_busy", self.worker_busy.iter().map(fraction))
+            .field("latency", self.latency.to_json())
+            .field("queue_wait", self.queue_wait.to_json())
+            .field("service", self.service.to_json())
+            .field("references", self.references)
+            .field("vectors_read", self.vectors_read)
+            .num("dram_reads_per_query", self.dram_reads_per_query, 6)
+            .num("dedup_savings", self.dedup_savings, 6)
+            .to_string()
+            + "\n"
     }
 }
 

@@ -5,6 +5,8 @@
 //! with the two imbalance factors (nonzero load and modeled time, both
 //! max/mean like `ClusterReport`) and the synchronization stage broken out.
 
+use fafnir_core::json::{self, Layout, Object};
+
 use crate::fafnir_spmv::{SpmvRun, SpmvTiming};
 use crate::partition::PartitionedRun;
 
@@ -107,32 +109,24 @@ impl PartitionReport {
     /// Byte-stable JSON rendering (fixed key order, fixed float widths).
     #[must_use]
     pub fn to_json(&self) -> String {
-        let counts: Vec<String> = self.per_rank_nnz.iter().map(u64::to_string).collect();
-        let times: Vec<String> = self.per_rank_ns.iter().map(|ns| format!("{ns:.1}")).collect();
-        format!(
-            "{{\n  \"strategy\": \"{}\",\n  \"ranks\": {},\n  \"rows\": {},\n  \
-             \"cols\": {},\n  \"nnz\": {},\n  \"per_rank_nnz\": [{}],\n  \
-             \"per_rank_ns\": [{}],\n  \"nnz_imbalance\": {:.6},\n  \
-             \"time_imbalance\": {:.6},\n  \"sync_entries\": {},\n  \"sync_ns\": {:.1},\n  \
-             \"parallel_ns\": {:.1},\n  \"serial_ns\": {:.1},\n  \"speedup\": {:.6},\n  \
-             \"efficiency\": {:.6},\n  \"max_abs_error\": {:e}\n}}",
-            self.strategy,
-            self.ranks,
-            self.rows,
-            self.cols,
-            self.nnz,
-            counts.join(", "),
-            times.join(", "),
-            self.nnz_imbalance,
-            self.time_imbalance,
-            self.sync_entries,
-            self.sync_ns,
-            self.parallel_ns,
-            self.serial_ns,
-            self.speedup,
-            self.efficiency,
-            self.max_abs_error,
-        )
+        Object::new(Layout::Pretty)
+            .str("strategy", &self.strategy)
+            .field("ranks", self.ranks)
+            .field("rows", self.rows)
+            .field("cols", self.cols)
+            .field("nnz", self.nnz)
+            .list("per_rank_nnz", &self.per_rank_nnz)
+            .list("per_rank_ns", self.per_rank_ns.iter().map(|&ns| json::fixed(ns, 1)))
+            .num("nnz_imbalance", self.nnz_imbalance, 6)
+            .num("time_imbalance", self.time_imbalance, 6)
+            .field("sync_entries", self.sync_entries)
+            .num("sync_ns", self.sync_ns, 1)
+            .num("parallel_ns", self.parallel_ns, 1)
+            .num("serial_ns", self.serial_ns, 1)
+            .num("speedup", self.speedup, 6)
+            .num("efficiency", self.efficiency, 6)
+            .field("max_abs_error", json::sci(self.max_abs_error))
+            .to_string()
     }
 
     /// Human-readable table.
