@@ -10,6 +10,7 @@
 #![warn(missing_docs)]
 
 use fafnir_baselines::{NoNdpEngine, RecNmpEngine, TensorDimmEngine};
+pub use fafnir_core::json::{Layout, Object};
 use fafnir_core::{FafnirConfig, FafnirEngine};
 use fafnir_mem::MemoryConfig;
 use fafnir_workloads::query::{BatchGenerator, Popularity};
@@ -142,19 +143,23 @@ pub fn extract_number(json: &str, key: &str) -> Option<f64> {
     rest[..end].trim().parse().ok()
 }
 
-/// Writes `json` to `BENCH_<name>.json` at the workspace root and prints
-/// its path. When a guarded metric fell below `tolerance` × its recorded
-/// value, the bench refuses (exit code 1) unless it was run with
-/// `--force`.
+/// Writes `BENCH_<name>.json` at the workspace root, `bench` and the
+/// host's core count before `fields`, and prints its path. When a guarded
+/// key's value in it fell below `tolerance` × its recorded value, the
+/// bench refuses (exit code 1) unless it was run with `--force`.
 ///
 /// # Panics
 ///
-/// Panics if the record cannot be written.
-pub fn record(name: &str, json: &str, guarded: &[(&str, f64)], tolerance: f64) {
+/// Panics if a guarded key is missing from the record, appears in it more
+/// than once or holds no number, or if the record cannot be written.
+pub fn record(name: &str, guarded: &[&str], tolerance: f64, fields: Object) {
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    let record = Object::new(Layout::Pretty).str("bench", name).field("host_cores", cores);
+    let json = format!("{}\n", record.extend(fields));
     let path = format!("{}/../../BENCH_{name}.json", env!("CARGO_MANIFEST_DIR"));
     let previous = std::fs::read_to_string(&path).ok();
     let force = std::env::args().any(|arg| arg == "--force");
-    if let Some(reason) = refusal(previous.as_deref(), guarded, tolerance, force) {
+    if let Some(reason) = refusal(previous.as_deref(), &json, guarded, tolerance, force) {
         eprintln!("refusing to overwrite {path}: {reason}; rerun with --force to accept");
         std::process::exit(1);
     }
@@ -162,17 +167,31 @@ pub fn record(name: &str, json: &str, guarded: &[(&str, f64)], tolerance: f64) {
     println!("recorded {path}");
 }
 
-/// Why a new record must not replace `previous`: the first guarded key
-/// whose new value fell below `tolerance` × its recorded value. `None`
-/// when nothing is recorded, nothing regressed, or `force` is set.
+/// Why `record` must not replace `previous`: the first guarded key whose
+/// value fell below `tolerance` × its recorded value. `None` when nothing
+/// is recorded, nothing regressed, or `force` is set.
+///
+/// # Panics
+///
+/// Panics unless each guarded key appears once in `record` with a number:
+/// a guard whose key is absent or ambiguous would silently stop guarding.
 fn refusal(
     previous: Option<&str>,
-    guarded: &[(&str, f64)],
+    record: &str,
+    guarded: &[&str],
     tolerance: f64,
     force: bool,
 ) -> Option<String> {
+    let new: Vec<f64> = guarded
+        .iter()
+        .map(|key| {
+            let times = record.matches(&format!("\"{key}\": ")).count();
+            assert_eq!(times, 1, "guarded key `{key}` appears {times} times in the record");
+            extract_number(record, key).unwrap_or_else(|| panic!("guarded `{key}` is no number"))
+        })
+        .collect();
     let previous = previous.filter(|_| !force)?;
-    guarded.iter().find_map(|&(key, new)| {
+    guarded.iter().zip(new).find_map(|(key, new)| {
         let old = extract_number(previous, key)?;
         (new < old * tolerance)
             .then(|| format!("{key} {new} regressed below {tolerance} x the recorded {old}"))
@@ -194,13 +213,21 @@ mod tests {
     #[test]
     fn the_guard_refuses_only_a_recorded_regression_without_force() {
         let previous = "{\"qps\": 1000, \"recall\": 0.8}";
-        let regressed = [("qps", 700.0), ("recall", 0.8)];
-        assert_eq!(refusal(None, &regressed, 0.8, false), None);
-        let reason = refusal(Some(previous), &regressed, 0.8, false).unwrap();
+        let guarded = ["qps", "recall"];
+        let regressed = "{\"qps\": 700, \"recall\": 0.8}";
+        assert_eq!(refusal(None, regressed, &guarded, 0.8, false), None);
+        let reason = refusal(Some(previous), regressed, &guarded, 0.8, false).unwrap();
         assert!(reason.starts_with("qps 700 regressed"), "{reason}");
-        assert_eq!(refusal(Some(previous), &regressed, 0.8, true), None);
-        assert_eq!(refusal(Some(previous), &[("qps", 800.0), ("recall", 0.7)], 0.8, false), None);
-        assert_eq!(refusal(Some(previous), &[("latency", 1.0)], 0.8, false), None);
+        assert_eq!(refusal(Some(previous), regressed, &guarded, 0.8, true), None);
+        let kept = "{\"qps\": 800, \"recall\": 0.7}";
+        assert_eq!(refusal(Some(previous), kept, &guarded, 0.8, false), None);
+        assert_eq!(refusal(Some(previous), "{\"latency\": 1}", &["latency"], 0.8, false), None);
+        // A guarded key must appear in the new record once, with a number.
+        let record = "{\"qps\": 1, \"rows\": [{\"p99\": 3}, {\"p99\": 4}], \"gone\": null}";
+        for key in ["missing", "p99", "gone"] {
+            let refused = std::panic::catch_unwind(|| refusal(None, record, &[key], 0.8, true));
+            assert!(refused.is_err(), "{key}");
+        }
     }
 
     #[test]
