@@ -78,7 +78,7 @@ pub fn banded(n: usize, bandwidth: usize, seed: u64) -> CooMatrix {
     for row in 0..n {
         let mut off_diagonal_sum = 0.0;
         let low = row.saturating_sub(bandwidth);
-        let high = (row + bandwidth).min(n - 1);
+        let high = row.saturating_add(bandwidth).min(n - 1);
         for col in low..=high {
             if col != row {
                 let value = rng.gen_range(-0.5..0.5);
@@ -107,7 +107,7 @@ pub fn spd_banded(n: usize, bandwidth: usize, seed: u64) -> CooMatrix {
     let mut triplets = Vec::new();
     let mut row_abs_sum = vec![0.0f64; n];
     for row in 0..n {
-        for col in row + 1..=(row + bandwidth).min(n - 1) {
+        for col in row + 1..=row.saturating_add(bandwidth).min(n - 1) {
             let value: f64 = rng.gen_range(-0.5..0.5);
             triplets.push((row, col, value));
             triplets.push((col, row, value));
@@ -195,5 +195,13 @@ mod tests {
         for &(row, col, _) in m.entries() {
             assert!(row < 5 && col < 5);
         }
+    }
+
+    #[test]
+    fn a_band_wider_than_the_matrix_fills_it() {
+        // `row + bandwidth` used to overflow: a panic in debug builds, and a
+        // wrapped, partly empty band in release builds.
+        assert_eq!(banded(64, usize::MAX, 1).nnz(), 64 * 64);
+        assert_eq!(spd_banded(64, usize::MAX, 1).nnz(), 64 * 64);
     }
 }

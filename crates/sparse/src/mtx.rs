@@ -81,8 +81,9 @@ enum Field {
 /// # Errors
 ///
 /// Returns [`MtxError`] naming the offending line for malformed headers,
-/// counts, a shape above [`MAX_DIMENSION`], indices out of range, or
-/// unsupported flavours (`array`, `complex`, `hermitian`).
+/// counts, a shape above [`MAX_DIMENSION`], indices out of range, values
+/// that are not finite numbers, or unsupported flavours (`array`,
+/// `complex`, `hermitian`).
 pub fn parse(text: &str) -> Result<CooMatrix, MtxError> {
     let mut lines = text.lines().enumerate();
 
@@ -191,7 +192,9 @@ pub fn parse(text: &str) -> Result<CooMatrix, MtxError> {
             Field::Pattern => 1.0,
             Field::Real | Field::Integer => parts[2]
                 .parse::<f64>()
-                .map_err(|_| MtxError::new(number + 1, format!("bad value `{}`", parts[2])))?,
+                .ok()
+                .filter(|value| value.is_finite())
+                .ok_or_else(|| MtxError::new(number + 1, format!("bad value `{}`", parts[2])))?,
         };
         let (row, col) = (row - 1, col - 1);
         triplets.push((row, col, value));
@@ -308,6 +311,20 @@ mod tests {
         let error = parse(skew).unwrap_err();
         assert_eq!(error.line, 2);
         assert!(error.message.contains("skew-symmetric"), "{error}");
+    }
+
+    #[test]
+    fn values_must_be_finite() {
+        // A NaN entry used to parse, and a partitioned SpMV over it then
+        // reported a max_abs_error of 0 although `y` held NaN.
+        for value in ["nan", "NaN", "inf", "-inf", "1e309"] {
+            let text = format!(
+                "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 {value}\n2 2 1e308\n"
+            );
+            let error = parse(&text).unwrap_err();
+            assert_eq!(error.line, 3, "{value}: {error}");
+            assert!(error.message.contains(value), "{error}");
+        }
     }
 
     #[test]
