@@ -2,8 +2,8 @@
 //! call per operator across the accumulator widths the serving pipeline
 //! actually sees. These are the innermost loops of every tree run, so the
 //! unrolled kernels in `fafnir_core::reduce` are tuned against this bench
-//! (`just bench-kernels`); the scalar-parity unit tests in that module pin
-//! the results bitwise.
+//! (`just bench reduce_kernels`); the scalar-parity unit tests in that
+//! module pin the results bitwise.
 
 use std::sync::Arc;
 

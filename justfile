@@ -78,54 +78,15 @@ loc:
 # Everything CI runs.
 ci: fmt clippy tier1 spmv-one-core examples docs test ledger-check bench-build figures calibration-gate
 
-# Regenerate the parallel-lookup measurement (BENCH_parallel_driver.json):
-# independent lookups on `map_ordered` vs one shared-queue `lookup_stream`.
-bench-driver:
-    cargo bench -p fafnir-bench --bench parallel_driver
-
-# Regenerate the fast-forward measurement (BENCH_cycle_fastforward.json).
-# The bench refuses to overwrite a recorded result with a regressed speedup;
-# pass --force to accept one anyway: `just bench-fastforward --force`.
-bench-fastforward *ARGS:
-    cargo bench -p fafnir-bench --bench cycle_fastforward -- {{ARGS}}
-
-# Regenerate the serving measurement (BENCH_serving.json). Same guard as
-# bench-fastforward: `just bench-serving --force` accepts a regression.
-bench-serving *ARGS:
-    cargo bench -p fafnir-bench --bench serving -- {{ARGS}}
-
-# Regenerate the fault-resilience measurement (BENCH_fault_resilience.json):
-# hedged dispatch vs DRAM reads under a straggler plan, plus crash/retry
-# churn. Same guard: `just bench-resilience --force` accepts a regression.
-bench-resilience *ARGS:
-    cargo bench -p fafnir-bench --bench fault_resilience -- {{ARGS}}
-
-# Regenerate the Top-K similarity measurement (BENCH_topk.json): recall@k and
-# batch latency vs k for near-memory re-ranking over a proxy shortlist. Same
-# guard: `just bench-topk --force` accepts a regression.
-bench-topk *ARGS:
-    cargo bench -p fafnir-bench --bench topk -- {{ARGS}}
-
-# Regenerate the fast-functional memory measurement (BENCH_fast_memory.json):
-# simulator throughput under the cycle-accurate vs fast memory model, plus
-# the smoke calibration matrix gated against the recorded tolerance
-# envelope. Same guard: `just bench-fastmem --force` accepts a regression.
-bench-fastmem *ARGS:
-    cargo bench -p fafnir-bench --bench fast_memory -- {{ARGS}}
-
-# Regenerate the sharded-cluster measurement (BENCH_cluster.json): throughput,
-# per-shard imbalance, and cross-shard traffic vs shard count at two Zipf
-# skews, plus hot-row replication relief. Same guard: `just bench-cluster
-# --force` accepts a regression.
-bench-cluster *ARGS:
-    cargo bench -p fafnir-bench --bench cluster -- {{ARGS}}
-
-# Regenerate the partitioned-SpMV measurement (BENCH_spmv.json): nnz/time
-# imbalance, sync volume, and modeled speedup for 1D row / nnz-balanced /
-# column and 2D grid partitions over R-MAT and banded matrices at four rank
-# counts. Same guard: `just bench-spmv --force` accepts a regression.
-bench-spmv *ARGS:
-    cargo bench -p fafnir-bench --bench spmv_partition -- {{ARGS}}
+# Run one bench target by name, e.g. `just bench serving`. The eight record
+# benches (parallel_driver, cycle_fastforward, serving, fault_resilience,
+# topk, fast_memory, cluster, spmv_partition) rewrite their BENCH_*.json
+# and refuse to overwrite a record whose guarded metric regressed; pass
+# --force to accept one anyway: `just bench serving --force`.
+# reduce_kernels is criterion-only and keeps its baselines under
+# target/criterion.
+bench NAME *ARGS:
+    cargo bench -p fafnir-bench --bench {{NAME}} -- {{ARGS}}
 
 # Compare the ledger benchmark between BASE and the working tree: PAIRS
 # alternating pairs per workload at equal SECONDS with a fresh seed per pair,
@@ -141,12 +102,6 @@ ledger-pairs BASE PAIRS="10" SECONDS="3":
 # against the recorded envelope; exits non-zero on a violation.
 calibrate:
     cargo run --release -p fafnir-serve --example calibrate
-
-# Criterion micro-bench of the reduction kernels (combine_into per
-# operator x accumulator width). No JSON artifact: criterion keeps its own
-# baselines under target/criterion.
-bench-kernels *ARGS:
-    cargo bench -p fafnir-bench --bench reduce_kernels -- {{ARGS}}
 
 # Profile the simulator with gprofng (binutils). Samples the ledger
 # benchmark running one workload and prints the hottest functions.
