@@ -67,7 +67,7 @@ fn main() {
             .expect("resilient serving run");
         wall_s += start.elapsed().as_secs_f64();
         simulated_queries += QUERIES;
-        let report = ServeReport::with_resilience(&config, &resilience, &outcome);
+        let report = ServeReport::new(&config, &outcome);
         rows.push(vec![
             hedge_ns.map_or("off".to_string(), |h| format!("{:.0} us", h / 1e3)),
             format!("{:.2} us", report.latency.p999_ns / 1e3),
@@ -99,7 +99,7 @@ fn main() {
         .expect("churn serving run");
     wall_s += start.elapsed().as_secs_f64();
     simulated_queries += QUERIES;
-    let churn_report = ServeReport::with_resilience(&config, &churn, &churn_outcome);
+    let churn_report = ServeReport::new(&config, &churn_outcome);
     let churn_delivery = churn_report.served as f64 / churn_report.offered as f64;
 
     let sim_queries_per_sec = simulated_queries as f64 / wall_s;

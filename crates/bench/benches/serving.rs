@@ -17,7 +17,7 @@ use std::time::Instant;
 
 use fafnir_bench::{banner, paper_memory, paper_traffic, print_table, record, Layout, Object};
 use fafnir_core::{FafnirEngine, StripedSource};
-use fafnir_serve::{run_scenarios, BatchPolicy, Scenario, ServeConfig, ServeReport};
+use fafnir_serve::{simulate, BatchPolicy, ServeConfig, ServeReport};
 use fafnir_workloads::arrival::ArrivalProcess;
 
 const RATE_QPS: f64 = 2e6;
@@ -35,29 +35,22 @@ fn main() {
     let engine = FafnirEngine::paper_default(mem).expect("paper defaults");
     let source = StripedSource::new(mem.topology, 128);
 
-    // One scenario per window, all through the deterministic runner on one
-    // thread, so the guarded rate is one core's.
-    let scenarios: Vec<Scenario> = WINDOWS_NS
-        .iter()
-        .map(|&max_wait_ns| {
-            let config = ServeConfig {
-                arrivals: ArrivalProcess::Poisson { rate_qps: RATE_QPS },
-                policy: BatchPolicy::Deadline { max_wait_ns, max_batch: 32 },
-                queries: QUERIES,
-                ..ServeConfig::default()
-            };
-            Scenario::new(format!("{max_wait_ns:.0} ns window"), config, paper_traffic(7))
-        })
-        .collect();
-    let configs: Vec<ServeConfig> = scenarios.iter().map(|s| s.config).collect();
-    let start = Instant::now();
-    let results = run_scenarios(&engine, &source, scenarios, 1);
-    let wall_s = start.elapsed().as_secs_f64();
-
+    // One run per window on this thread, so the guarded rate is one
+    // core's; only the simulations are timed.
     let mut rows = Vec::new();
     let mut reports = Vec::new();
-    for ((result, config), max_wait_ns) in results.into_iter().zip(configs).zip(WINDOWS_NS) {
-        let outcome = result.outcome.expect("serving run");
+    let mut wall_s = 0.0;
+    for max_wait_ns in WINDOWS_NS {
+        let config = ServeConfig {
+            arrivals: ArrivalProcess::Poisson { rate_qps: RATE_QPS },
+            policy: BatchPolicy::Deadline { max_wait_ns, max_batch: 32 },
+            queries: QUERIES,
+            ..ServeConfig::default()
+        };
+        let mut traffic = paper_traffic(7);
+        let start = Instant::now();
+        let outcome = simulate(&engine, &source, &mut traffic, &config).expect("serving run");
+        wall_s += start.elapsed().as_secs_f64();
         let report = ServeReport::new(&config, &outcome);
         rows.push(vec![
             format!("{:.0} us", max_wait_ns / 1e3),

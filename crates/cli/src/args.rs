@@ -66,7 +66,7 @@ impl Kind {
 }
 
 /// Parses a whole number in `min..=max`, or says why `raw` is not one.
-pub fn count(raw: &str, min: u64, max: u64) -> Result<u64, String> {
+fn count(raw: &str, min: u64, max: u64) -> Result<u64, String> {
     let value = raw.parse().map_err(|_| format!("`{raw}` is not a whole number"))?;
     let hi = if max == u64::MAX { Bound::Unbounded } else { Bound::Included(max) };
     within(value, Bound::Included(min), hi)

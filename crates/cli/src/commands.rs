@@ -9,13 +9,13 @@ use fafnir_core::json::{Layout::Compact, Object};
 use fafnir_core::model::report::DeploymentSummary;
 use fafnir_core::{Batch, FafnirConfig, FafnirEngine, GatherEngine, PeTiming, StripedSource};
 use fafnir_mem::{MemoryConfig, MemoryModelKind};
+use fafnir_serve::FaultSpec;
 use fafnir_sparse::{fafnir_spmv, gen, mtx, two_step, LilMatrix, SpmvTiming};
-use fafnir_workloads::faults::{FaultPlan, MAX_EXPECTED_DOWNTIMES};
 use fafnir_workloads::query::{BatchGenerator, Popularity};
 use fafnir_workloads::trace::QueryTrace;
 
 use crate::args::Kind::{self, Choice, Count, Number, Switch, Text};
-use crate::args::{count, flag, number, usage, ArgError, Args, Command, Flag, Range};
+use crate::args::{flag, number, usage, ArgError, Args, Command, Flag, Range};
 
 const ANY: Kind = Count(0, u64::MAX);
 const NONZERO: Kind = Count(1, u64::MAX);
@@ -88,13 +88,12 @@ const SERVE: &[Flag] = &[
     flag("max-wait-ns", NON_NEGATIVE, Some("500000"), "longest batching wait"),
     flag("queue-capacity", NONZERO, Some("1024"), "admission queue bound"),
     flag("shed", Choice(&["drop-newest", "drop-oldest"]), Some("drop-newest"), "on a full queue"),
-    flag("faults", Text("none|outage|slow:MULT:N|crash:MTTF:MTTR"), Some("none"), "fault plan"),
+    flag("faults", Text(FaultSpec::GRAMMAR), Some("none"), "fault plan"),
     flag("timeout-ns", POSITIVE, None, "per-batch dispatch timeout (off)"),
     flag("retries", Count(0, U32_MAX), Some("0"), "retries per failed batch"),
     flag("backoff-ns", NON_NEGATIVE, Some("1000"), "base retry backoff"),
     flag("hedge-ns", NON_NEGATIVE, None, "hedge a batch still running after this (off)"),
     flag("sweep-windows", Text("W1,W2,..."), None, "one deadline-policy scenario per window"),
-    flag("scenario-threads", NONZERO, Some("1"), "sweep parallelism"),
     JSON,
 ];
 
@@ -328,9 +327,9 @@ fn lookup(args: &Args) -> Result<String, ArgError> {
 }
 
 fn serve(args: &Args) -> Result<String, ArgError> {
+    use fafnir_core::pipeline::map_ordered;
     use fafnir_serve::{
-        run_scenarios, BatchPolicy, ResilienceConfig, Scenario, ServeConfig, ServeReport,
-        ShedPolicy,
+        simulate_resilient, BatchPolicy, ResilienceConfig, ServeConfig, ServeReport, ShedPolicy,
     };
     use fafnir_workloads::arrival::ArrivalProcess;
 
@@ -379,8 +378,11 @@ fn serve(args: &Args) -> Result<String, ArgError> {
         seed,
         ..ServeConfig::default()
     };
+    let faults: FaultSpec = args.parse_as("faults")?;
     let resilience = ResilienceConfig {
-        faults: fault_plan(args.value("faults")?, workers, queries, rate, seed)?,
+        faults: faults
+            .plan(workers, queries, rate, seed)
+            .map_err(|e| ArgError::flag("faults", e))?,
         timeout_ns: args.optional("timeout-ns")?,
         retries: args.parse_as("retries")?,
         backoff_ns: args.parse_as("backoff-ns")?,
@@ -392,35 +394,31 @@ fn serve(args: &Args) -> Result<String, ArgError> {
         fafnir_serve::worker_setup(engine_config, model).map_err(|e| ArgError(e.to_string()))?;
     let traffic = traffic(args)?;
 
-    // A sweep fans one scenario per batching window out over the runner;
-    // without one the single scenario takes the same path with one thread's
-    // worth of work, so the report stays byte-identical to a direct
-    // `simulate_resilient` call.
-    let scenarios = match args.get("sweep-windows") {
-        None => vec![Scenario::new("serve", config, traffic).with_resilience(resilience.clone())],
+    // A sweep runs one deadline-policy config per window on the host's
+    // cores. Each run draws from its own copy of the traffic generator and
+    // depends on nothing else, so the reports are the same for any number
+    // of cores.
+    let configs = match args.get("sweep-windows") {
+        None => vec![("serve".to_string(), config)],
         Some(spec) => spec
             .split(',')
             .map(|raw| {
                 // Each window is a `--max-wait-ns`.
                 let window = number(raw.trim(), AT_LEAST_ZERO)
                     .map_err(|e| ArgError::flag("sweep-windows", e))?;
-                let config = ServeConfig {
-                    policy: BatchPolicy::Deadline { max_wait_ns: window, max_batch: batch },
-                    ..config
-                };
-                Ok(Scenario::new(format!("window {window} ns"), config, traffic.clone())
-                    .with_resilience(resilience.clone()))
+                let policy = BatchPolicy::Deadline { max_wait_ns: window, max_batch: batch };
+                Ok((format!("window {window} ns"), ServeConfig { policy, ..config }))
             })
             .collect::<Result<Vec<_>, ArgError>>()?,
     };
-    let configs: Vec<ServeConfig> = scenarios.iter().map(|s| s.config).collect();
-    let results = run_scenarios(&engine, &source, scenarios, args.parse_as("scenario-threads")?);
-
-    let mut reports = Vec::with_capacity(results.len());
-    for (result, config) in results.into_iter().zip(configs) {
-        let outcome = result.outcome.map_err(|e| ArgError(e.to_string()))?;
-        reports.push((result.label, ServeReport::with_resilience(&config, &resilience, &outcome)));
-    }
+    let threads = std::thread::available_parallelism().map_or(1, usize::from);
+    let reports = map_ordered(configs, threads, |(label, config)| {
+        simulate_resilient(&engine, &source, &mut traffic.clone(), &config, &resilience)
+            .map(|outcome| (label, ServeReport::new(&config, &outcome)))
+            .map_err(|e| ArgError(e.to_string()))
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>, ArgError>>()?;
     if reports.len() == 1 {
         let (_, report) = &reports[0];
         return Ok(if args.switch("json") { report.to_json() } else { report.render_table() });
@@ -443,7 +441,7 @@ fn serve(args: &Args) -> Result<String, ArgError> {
 fn cluster(args: &Args) -> Result<String, ArgError> {
     use fafnir_cluster::{cluster_setup, ClusterReport};
     use fafnir_core::{ShardPlan, ShardStrategy, VectorIndex};
-    use fafnir_serve::{simulate_resilient, ResilienceConfig, ServeConfig, ServeReport};
+    use fafnir_serve::{simulate, ServeConfig, ServeReport};
     use fafnir_workloads::arrival::ArrivalProcess;
     use fafnir_workloads::Zipf;
 
@@ -466,63 +464,17 @@ fn cluster(args: &Args) -> Result<String, ArgError> {
     let (cluster, source) = cluster_setup(engine_config, model, plan, args.parse_as("router")?)
         .map_err(|e| ArgError(e.to_string()))?;
 
-    let workers: usize = args.parse_as("workers")?;
     let config = ServeConfig {
         arrivals: ArrivalProcess::Poisson { rate_qps: args.parse_as("rate")? },
-        workers,
+        workers: args.parse_as("workers")?,
         queries: args.parse_as("duration-queries")?,
         seed: args.parse_as("seed")?,
         ..ServeConfig::default()
     };
-    let resilience = ResilienceConfig::none(workers);
-    let outcome = simulate_resilient(&cluster, &source, &mut traffic, &config, &resilience)
-        .map_err(|e| ArgError(e.to_string()))?;
-    let serve_report = ServeReport::with_resilience(&config, &resilience, &outcome);
-    let report = ClusterReport::new(&cluster, &serve_report);
+    let outcome =
+        simulate(&cluster, &source, &mut traffic, &config).map_err(|e| ArgError(e.to_string()))?;
+    let report = ClusterReport::new(&cluster, &ServeReport::new(&config, &outcome));
     Ok(if args.switch("json") { report.to_json() } else { report.render_table() })
-}
-
-/// Parses the `--faults` grammar: `none`, `outage`, `slow:MULT:N`
-/// (first N workers at MULT× service time), or `crash:MTTF:MTTR`
-/// (seeded crash/restart churn in ns, horizon 10× the nominal run length).
-fn fault_plan(
-    spec: &str,
-    workers: usize,
-    queries: usize,
-    rate_qps: f64,
-    seed: u64,
-) -> Result<FaultPlan, ArgError> {
-    let field =
-        |raw: &str, lo| number(raw, (lo, Unbounded)).map_err(|e| ArgError::flag("faults", e));
-    let parts: Vec<&str> = spec.split(':').collect();
-    match parts.as_slice() {
-        ["none"] => Ok(FaultPlan::none(workers)),
-        ["outage"] => Ok(FaultPlan::total_outage(workers)),
-        ["slow", multiplier, slowed] => {
-            let slowed =
-                count(slowed, 0, workers as u64).map_err(|e| ArgError::flag("faults", e))?;
-            Ok(FaultPlan::slow_workers(workers, slowed as usize, field(multiplier, Included(1.0))?))
-        }
-        ["crash", mttf, mttr] => {
-            let (mttf_ns, mttr_ns) = (field(mttf, Excluded(0.0))?, field(mttr, Excluded(0.0))?);
-            let horizon_ns = ((queries as f64 / rate_qps.max(1.0)) * 1e9 * 10.0).max(1.0);
-            let expected = horizon_ns / (mttf_ns + mttr_ns);
-            if expected > f64::from(MAX_EXPECTED_DOWNTIMES) {
-                return Err(ArgError::flag(
-                    "faults",
-                    format!(
-                        "`{spec}` expects {expected:.3e} downtimes per worker over the \
-                         {horizon_ns:.0} ns horizon, more than {MAX_EXPECTED_DOWNTIMES}"
-                    ),
-                ));
-            }
-            Ok(FaultPlan::crash_restart(workers, mttf_ns, mttr_ns, horizon_ns, seed))
-        }
-        _ => Err(ArgError::flag(
-            "faults",
-            format!("`{spec}` is not none|outage|slow:MULT:N|crash:MTTF:MTTR"),
-        )),
-    }
 }
 
 fn spmv(args: &Args) -> Result<String, ArgError> {
@@ -921,6 +873,7 @@ mod tests {
         ("serve --duration-queries 8 --workers 2 --faults crash:1e-300:1e-300", "faults"),
         ("serve --timeout-ns -1 --duration-queries 8", "timeout-ns"),
         ("serve --sweep-windows 1000,nan --duration-queries 8", "sweep-windows"),
+        ("serve --scenario-threads 2", "scenario-threads"),
         ("spmv --gen bogus", "gen"),
         ("spmv --partition diagonal", "partition"),
         ("spmv --partition row --ranks x", "ranks"),

@@ -183,7 +183,7 @@ mod tests {
         let mut traffic = BatchGenerator::new(Popularity::Zipf { exponent: 1.15 }, 2_000, 16, 7);
         let outcome = simulate_resilient(&cluster, &source, &mut traffic, &config, &resilience)
             .expect("simulation runs");
-        let report = fafnir_serve::ServeReport::with_resilience(&config, &resilience, &outcome);
+        let report = fafnir_serve::ServeReport::new(&config, &outcome);
         assert_eq!(report.served + report.shed, 96);
         let cluster_report = ClusterReport::new(&cluster, &report);
         assert_eq!(cluster_report.shards, 4);

@@ -23,60 +23,12 @@
 use fafnir_core::FafnirEngine;
 use fafnir_mem::MemoryModelKind;
 use fafnir_workloads::arrival::ArrivalProcess;
-use fafnir_workloads::faults::FaultPlan;
 use fafnir_workloads::query::{BatchGenerator, Popularity};
 
 use crate::policy::BatchPolicy;
 use crate::report::ServeReport;
-use crate::sim::{simulate_resilient, ResilienceConfig, ServeConfig};
+use crate::sim::{simulate_resilient, FaultSpec, ResilienceConfig, ServeConfig};
 use crate::ServeError;
-
-/// A fault-plan shape for one calibration scenario.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FaultSpec {
-    /// No faults: the transparent resilience configuration.
-    None,
-    /// The first `slowed` workers serve at `multiplier`× service time.
-    Slow {
-        /// Service-time multiplier of the degraded workers.
-        multiplier: f64,
-        /// How many workers are degraded.
-        slowed: usize,
-    },
-    /// Seeded crash/restart churn on every worker.
-    Crash {
-        /// Mean time to failure in virtual ns.
-        mttf_ns: f64,
-        /// Mean time to repair in virtual ns.
-        mttr_ns: f64,
-    },
-}
-
-impl FaultSpec {
-    /// Builds the concrete plan for `workers` replicas over `horizon_ns`.
-    #[must_use]
-    pub fn plan(&self, workers: usize, horizon_ns: f64, seed: u64) -> FaultPlan {
-        match *self {
-            FaultSpec::None => FaultPlan::none(workers),
-            FaultSpec::Slow { multiplier, slowed } => {
-                FaultPlan::slow_workers(workers, slowed.min(workers), multiplier)
-            }
-            FaultSpec::Crash { mttf_ns, mttr_ns } => {
-                FaultPlan::crash_restart(workers, mttf_ns, mttr_ns, horizon_ns.max(1.0), seed)
-            }
-        }
-    }
-
-    /// Short display label.
-    #[must_use]
-    pub fn label(&self) -> String {
-        match *self {
-            FaultSpec::None => "none".into(),
-            FaultSpec::Slow { multiplier, slowed } => format!("slow:{multiplier}:{slowed}"),
-            FaultSpec::Crash { mttf_ns, mttr_ns } => format!("crash:{mttf_ns:.0}:{mttr_ns:.0}"),
-        }
-    }
-}
 
 /// The scenario matrix one calibration run sweeps: the cross product of
 /// rates, deadline-policy windows, popularity skews, and fault plans.
@@ -317,9 +269,10 @@ pub fn calibrate(matrix: &CalibrationMatrix) -> Result<CalibrationReport, ServeE
                         seed: matrix.seed,
                         ..ServeConfig::default()
                     };
-                    let horizon_ns = (matrix.queries as f64 / rate.max(1.0)) * 1e9 * 10.0;
                     let resilience = ResilienceConfig {
-                        faults: fault.plan(matrix.workers, horizon_ns, matrix.seed),
+                        faults: fault
+                            .plan(matrix.workers, matrix.queries, rate, matrix.seed)
+                            .map_err(ServeError::InvalidConfig)?,
                         ..ResilienceConfig::none(matrix.workers)
                     };
                     let popularity = if skew == 0.0 {
@@ -341,15 +294,14 @@ pub fn calibrate(matrix: &CalibrationMatrix) -> Result<CalibrationReport, ServeE
                             &config,
                             &resilience,
                         )?;
-                        Ok(ServeReport::with_resilience(&config, &resilience, &outcome))
+                        Ok(ServeReport::new(&config, &outcome))
                     };
                     let cycle = report_for(&cycle_engine)?;
                     let fast = report_for(&fast_engine)?;
                     let delta = |name, c, f| MetricDelta { name, cycle: c, fast: f };
                     scenarios.push(ScenarioDivergence {
                         label: format!(
-                            "rate {rate:.0} window {window:.0} skew {skew} faults {}",
-                            fault.label()
+                            "rate {rate:.0} window {window:.0} skew {skew} faults {fault}"
                         ),
                         metrics: vec![
                             delta("p50_ns", cycle.latency.p50_ns, fast.latency.p50_ns),
@@ -381,16 +333,6 @@ mod tests {
         assert!((delta.relative() - 0.2).abs() < 1e-12);
         let delta = MetricDelta { name: "x", cycle: 100.0, fast: 120.0 };
         assert!((delta.relative() - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn fault_specs_build_matching_plans() {
-        assert_eq!(FaultSpec::None.plan(3, 1e9, 7), FaultPlan::none(3));
-        assert_eq!(FaultSpec::None.label(), "none");
-        assert_eq!(FaultSpec::Slow { multiplier: 4.0, slowed: 1 }.label(), "slow:4:1");
-        let crash = FaultSpec::Crash { mttf_ns: 5e4, mttr_ns: 1e4 };
-        assert_eq!(crash.plan(2, 1e6, 7).len(), 2);
-        assert_eq!(crash.label(), "crash:50000:10000");
     }
 
     #[test]

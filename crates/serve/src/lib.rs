@@ -15,8 +15,8 @@
 //!   into a measured shed rate instead of unbounded latency;
 //! * a worker pool dispatches formed batches onto replicated engine
 //!   instances, each with a private memory system;
-//! * a fault-injection and resilience layer
-//!   ([`fafnir_workloads::faults::FaultPlan`] + [`ResilienceConfig`])
+//! * a fault-injection and resilience layer ([`FaultSpec`],
+//!   [`fafnir_workloads::faults::FaultPlan`] and [`ResilienceConfig`])
 //!   crashes, restarts and slows workers on a seeded schedule while the
 //!   dispatcher fights back with per-batch timeouts, bounded
 //!   retry-with-backoff, hedged dispatch, and shed escalation under a
@@ -67,21 +67,21 @@ pub mod policy;
 pub mod queue;
 pub mod record;
 pub mod report;
-pub mod scenarios;
 pub mod setup;
 pub mod sim;
 
 pub use calibrate::{
-    calibrate, CalibrationMatrix, CalibrationReport, FaultSpec, MetricDelta, ScenarioDivergence,
+    calibrate, CalibrationMatrix, CalibrationReport, MetricDelta, ScenarioDivergence,
     ToleranceEnvelope,
 };
 pub use policy::BatchPolicy;
 pub use queue::ShedPolicy;
 pub use record::{AttemptRecord, AttemptResult, BatchRecord, QueryOutcome, QueryRecord};
 pub use report::{LatencyStats, ServeReport};
-pub use scenarios::{run_scenarios, Scenario, ScenarioResult};
 pub use setup::{paper_setup, worker_setup};
-pub use sim::{simulate, simulate_resilient, ResilienceConfig, ServeConfig, ServeOutcome};
+pub use sim::{
+    simulate, simulate_resilient, FaultSpec, ResilienceConfig, ServeConfig, ServeOutcome,
+};
 
 /// Errors a serving simulation can produce.
 #[derive(Debug, Clone, PartialEq)]

@@ -13,7 +13,7 @@
 use fafnir_core::json::{self, Layout, Object};
 
 use crate::record::{AttemptResult, QueryRecord};
-use crate::sim::{ResilienceConfig, ServeConfig, ServeOutcome};
+use crate::sim::{ServeConfig, ServeOutcome};
 
 /// Nearest-rank summary of one latency sample, in nanoseconds.
 ///
@@ -164,21 +164,11 @@ pub struct ServeReport {
 }
 
 impl ServeReport {
-    /// Builds the report for a fault-free run.
-    #[must_use]
-    pub fn new(config: &ServeConfig, outcome: &ServeOutcome) -> Self {
-        Self::with_resilience(config, &ResilienceConfig::none(config.workers), outcome)
-    }
-
-    /// Builds the report for a run under a fault plan. The plan is needed
-    /// to score per-worker availability over the measured window.
+    /// Builds the report of a finished run, scoring per-worker availability
+    /// over the measured window from the fault plan the run carries.
     #[must_use]
     #[allow(clippy::too_many_lines)]
-    pub fn with_resilience(
-        config: &ServeConfig,
-        resilience: &ResilienceConfig,
-        outcome: &ServeOutcome,
-    ) -> Self {
+    pub fn new(config: &ServeConfig, outcome: &ServeOutcome) -> Self {
         let served = outcome.served();
         let shed = outcome.shed();
         let failed = outcome.failed();
@@ -208,9 +198,9 @@ impl ServeReport {
         let mut worker_availability: Vec<f64> = (0..config.workers)
             .map(|w| {
                 if window_ns > 0.0 {
-                    resilience.faults.worker(w).availability(window_start, window_end)
+                    outcome.faults.worker(w).availability(window_start, window_end)
                 } else {
-                    f64::from(u8::from(resilience.faults.worker(w).is_up(window_start)))
+                    f64::from(u8::from(outcome.faults.worker(w).is_up(window_start)))
                 }
             })
             .collect();
@@ -411,6 +401,7 @@ mod tests {
     use super::*;
     use crate::record::{AttemptRecord, AttemptResult, BatchRecord, QueryOutcome, QueryRecord};
     use fafnir_core::nearest_rank_percentile_ns;
+    use fafnir_workloads::faults::FaultPlan;
 
     #[test]
     fn latency_stats_match_nearest_rank_definition() {
@@ -511,6 +502,7 @@ mod tests {
                 busy_until_ns: 1_000_100.0,
                 result: AttemptResult::Won,
             }],
+            faults: FaultPlan::none(1),
         };
         let report = ServeReport::new(&config, &outcome);
         assert_eq!(report.window_ns, 100.0);

@@ -37,7 +37,7 @@ use std::collections::VecDeque;
 use fafnir_core::placement::EmbeddingSource;
 use fafnir_core::{Batch, IndexSet, LookupResult, LookupService, QueryId};
 use fafnir_workloads::arrival::ArrivalProcess;
-use fafnir_workloads::faults::{FaultPlan, WorkerFaults};
+use fafnir_workloads::faults::{FaultPlan, WorkerFaults, MAX_EXPECTED_DOWNTIMES};
 use fafnir_workloads::query::BatchGenerator;
 
 use crate::policy::BatchPolicy;
@@ -199,8 +199,129 @@ impl ResilienceConfig {
     }
 }
 
+/// A fault plan's shape, apart from the run it is laid over. Its text is
+/// the `--faults` grammar, [`FaultSpec::GRAMMAR`], with times in virtual ns:
+/// [`FromStr`](std::str::FromStr) reads it, [`Display`](std::fmt::Display)
+/// writes it back, and [`FaultSpec::plan`] checks the values against one
+/// run.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum FaultSpec {
+    /// No faults.
+    None,
+    /// Every worker down from t = 0, forever.
+    Outage,
+    /// The first `slowed` workers serve at `multiplier`× service time.
+    Slow {
+        /// Service-time multiplier of the degraded workers.
+        multiplier: f64,
+        /// How many workers are degraded.
+        slowed: usize,
+    },
+    /// Seeded crash/restart churn on every worker.
+    Crash {
+        /// Mean time to failure in virtual ns.
+        mttf_ns: f64,
+        /// Mean time to repair in virtual ns.
+        mttr_ns: f64,
+    },
+}
+
+impl FaultSpec {
+    /// The grammar's four shapes, as usage text shows them.
+    pub const GRAMMAR: &'static str = "none|outage|slow:MULT:N|crash:MTTF:MTTR";
+
+    /// The plan for `workers` replicas serving `queries` queries offered at
+    /// `rate_qps`. A crash plan draws its schedule from `seed` out to a
+    /// horizon of ten times the run's nominal length, `queries / rate_qps`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the spec when a slowdown is not finite and
+    /// at least 1, more workers are slowed than the run has, a mean time is
+    /// not positive and finite, or a crash plan expects more than
+    /// [`MAX_EXPECTED_DOWNTIMES`] downtimes per worker over its horizon.
+    pub fn plan(
+        &self,
+        workers: usize,
+        queries: usize,
+        rate_qps: f64,
+        seed: u64,
+    ) -> Result<FaultPlan, String> {
+        match *self {
+            Self::None => Ok(FaultPlan::none(workers)),
+            Self::Outage => Ok(FaultPlan::total_outage(workers)),
+            Self::Slow { multiplier, slowed } => {
+                if !(multiplier.is_finite() && multiplier >= 1.0) {
+                    return Err(format!("`{self}` needs a finite slowdown of at least 1"));
+                }
+                if slowed > workers {
+                    return Err(format!("`{self}` slows {slowed} workers of {workers}"));
+                }
+                Ok(FaultPlan::slow_workers(workers, slowed, multiplier))
+            }
+            Self::Crash { mttf_ns, mttr_ns } => {
+                if ![mttf_ns, mttr_ns].iter().all(|mean| mean.is_finite() && *mean > 0.0) {
+                    return Err(format!("`{self}` needs positive, finite mean times"));
+                }
+                let horizon_ns = ((queries as f64 / rate_qps.max(1.0)) * 1e9 * 10.0).max(1.0);
+                let expected = horizon_ns / (mttf_ns + mttr_ns);
+                if expected > f64::from(MAX_EXPECTED_DOWNTIMES) {
+                    return Err(format!(
+                        "`{self}` expects {expected:.3e} downtimes per worker over the \
+                         {horizon_ns:.0} ns horizon, more than {MAX_EXPECTED_DOWNTIMES}"
+                    ));
+                }
+                Ok(FaultPlan::crash_restart(workers, mttf_ns, mttr_ns, horizon_ns, seed))
+            }
+        }
+    }
+}
+
+impl std::str::FromStr for FaultSpec {
+    type Err = String;
+
+    fn from_str(spec: &str) -> Result<Self, String> {
+        let number = |raw: &str| {
+            raw.parse::<f64>().map_err(|_| format!("`{raw}` in `{spec}` is not a number"))
+        };
+        match spec.split(':').collect::<Vec<_>>().as_slice() {
+            ["none"] => Ok(Self::None),
+            ["outage"] => Ok(Self::Outage),
+            ["slow", multiplier, slowed] => Ok(Self::Slow {
+                multiplier: number(multiplier)?,
+                slowed: slowed
+                    .parse()
+                    .map_err(|_| format!("`{slowed}` in `{spec}` is not a whole number"))?,
+            }),
+            ["crash", mttf, mttr] => {
+                Ok(Self::Crash { mttf_ns: number(mttf)?, mttr_ns: number(mttr)? })
+            }
+            _ => Err(format!("`{spec}` is not {}", Self::GRAMMAR)),
+        }
+    }
+}
+
+impl std::fmt::Display for FaultSpec {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // Plain digits, unless they would run to dozens of them; either
+        // form reads back to the same `f64`.
+        let number = |x: f64| match x.abs() {
+            0.0 | 1e-6..1e21 => format!("{x}"),
+            _ => format!("{x:e}"),
+        };
+        match *self {
+            Self::None => write!(f, "none"),
+            Self::Outage => write!(f, "outage"),
+            Self::Slow { multiplier, slowed } => write!(f, "slow:{}:{slowed}", number(multiplier)),
+            Self::Crash { mttf_ns, mttr_ns } => {
+                write!(f, "crash:{}:{}", number(mttf_ns), number(mttr_ns))
+            }
+        }
+    }
+}
+
 /// Everything a finished run produced: per-query, per-batch, and
-/// per-attempt records.
+/// per-attempt records, and the fault plan it ran under.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeOutcome {
     /// One record per offered query, in submission order.
@@ -211,6 +332,9 @@ pub struct ServeOutcome {
     /// spans here (not the winning services alone) drive utilization and
     /// per-worker busy fractions, so wasted work is accounted.
     pub attempts: Vec<AttemptRecord>,
+    /// The run's fault plan ([`FaultPlan::none`] for a fault-free run),
+    /// from which the report scores per-worker availability.
+    pub faults: FaultPlan,
 }
 
 impl ServeOutcome {
@@ -546,7 +670,12 @@ pub fn simulate_resilient<E: LookupService, S: EmbeddingSource>(
     }
 
     sim.audit()?;
-    Ok(ServeOutcome { records: sim.records, batches: sim.batches, attempts: sim.attempt_log })
+    Ok(ServeOutcome {
+        records: sim.records,
+        batches: sim.batches,
+        attempts: sim.attempt_log,
+        faults: resilience.faults.clone(),
+    })
 }
 
 /// Mutable simulation state shared by the dispatch-layer transitions.
@@ -965,6 +1094,53 @@ mod tests {
             jobs: Vec::new(),
             live: Vec::new(),
             free_ns: vec![0.0],
+        }
+    }
+
+    #[test]
+    fn fault_specs_round_trip_through_their_text() {
+        for spec in [
+            FaultSpec::None,
+            FaultSpec::Outage,
+            FaultSpec::Slow { multiplier: 8.0, slowed: 1 },
+            FaultSpec::Crash { mttf_ns: 20_000.0, mttr_ns: 2_500.5 },
+            FaultSpec::Crash { mttf_ns: 1e-300, mttr_ns: 1e300 },
+        ] {
+            let text = spec.to_string();
+            assert_eq!(text.parse::<FaultSpec>(), Ok(spec), "{text}");
+        }
+        assert_eq!(FaultSpec::Slow { multiplier: 8.0, slowed: 1 }.to_string(), "slow:8:1");
+        let crash = FaultSpec::Crash { mttf_ns: 5e4, mttr_ns: 1e4 };
+        assert_eq!(crash.to_string(), "crash:50000:10000");
+        let crash = FaultSpec::Crash { mttf_ns: 1e-300, mttr_ns: 1e300 };
+        assert_eq!(crash.to_string(), "crash:1e-300:1e300");
+        for text in ["", "bogus", "none:1", "slow:4", "slow:x:1", "slow:4:-1", "crash:1:2:3"] {
+            assert!(text.parse::<FaultSpec>().is_err(), "`{text}` parsed");
+        }
+    }
+
+    #[test]
+    fn fault_spec_plans_check_the_run_instead_of_clamping_or_panicking() {
+        assert_eq!(FaultSpec::None.plan(3, 64, 2e6, 7), Ok(FaultPlan::none(3)));
+        assert_eq!(FaultSpec::Outage.plan(3, 64, 2e6, 7), Ok(FaultPlan::total_outage(3)));
+        let slow = FaultSpec::Slow { multiplier: 4.0, slowed: 3 };
+        assert_eq!(slow.plan(3, 64, 2e6, 7), Ok(FaultPlan::slow_workers(3, 3, 4.0)));
+        assert!(slow.plan(2, 64, 2e6, 7).unwrap_err().contains("slow:4:3"));
+        // 1,000 queries at 1,000 q/s: a 1e10 ns horizon, which holds at most
+        // 2^17 mean cycles of 76,293.9 ns.
+        let crash = |mean_ns: f64| FaultSpec::Crash { mttf_ns: mean_ns, mttr_ns: mean_ns };
+        let plan = crash(40_000.0).plan(1, 1_000, 1e3, 7).expect("under the cap");
+        assert_eq!(plan, FaultPlan::crash_restart(1, 40_000.0, 40_000.0, 1e10, 7));
+        let error = crash(38_000.0).plan(1, 1_000, 1e3, 7).unwrap_err();
+        assert!(error.contains("downtimes per worker"), "{error}");
+        for spec in [
+            FaultSpec::Slow { multiplier: 0.5, slowed: 1 },
+            FaultSpec::Slow { multiplier: f64::INFINITY, slowed: 1 },
+            crash(0.0),
+            crash(f64::NAN),
+            FaultSpec::Crash { mttf_ns: 1e-300, mttr_ns: 1e-300 },
+        ] {
+            assert!(spec.plan(2, 8, 1e6, 7).is_err(), "{spec}");
         }
     }
 

@@ -12,14 +12,15 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
+use fafnir_core::pipeline::map_ordered;
 use fafnir_core::{
     Batch, EmbeddingSource, FafnirConfig, FafnirEngine, FafnirError, GatherEngine, GatherOutcome,
     LookupResult, MemoryPlan, ReduceOp, StripedSource,
 };
 use fafnir_mem::{MemoryConfig, MemoryModelKind};
 use fafnir_serve::{
-    calibrate, run_scenarios, BatchPolicy, CalibrationMatrix, ResilienceConfig, Scenario,
-    ServeConfig, ToleranceEnvelope,
+    calibrate, simulate_resilient, BatchPolicy, CalibrationMatrix, ResilienceConfig, ServeConfig,
+    ServeReport, ToleranceEnvelope,
 };
 use fafnir_workloads::arrival::ArrivalProcess;
 use fafnir_workloads::faults::FaultPlan;
@@ -160,7 +161,7 @@ proptest! {
         let engine = DualModelEngine::new(operator(op_kind));
         let config = serve_config(seed, workers);
         let mut traffic = BatchGenerator::new(Popularity::Zipf { exponent: 1.15 }, 2_000, 16, seed);
-        fafnir_serve::simulate_resilient(
+        simulate_resilient(
             &engine,
             source(),
             &mut traffic,
@@ -172,26 +173,24 @@ proptest! {
     }
 }
 
-/// The cross-model check also holds when scenarios fan out across worker
-/// threads (the parity assertions run on every thread).
+/// The cross-model check also holds when runs fan out across worker
+/// threads, as a CLI sweep's do (the parity assertions run on every
+/// thread).
 #[test]
 fn threaded_scenarios_cross_check_every_batch() {
     let engine = DualModelEngine::new(ReduceOp::TopK { k: 3 });
-    let jobs: Vec<Scenario> = [(11u64, 1usize), (12, 2), (13, 0)]
-        .into_iter()
-        .map(|(seed, fault_kind)| {
-            Scenario::new(
-                format!("seed {seed}"),
-                serve_config(seed, 3),
-                BatchGenerator::new(Popularity::Zipf { exponent: 1.15 }, 2_000, 16, seed),
-            )
-            .with_resilience(resilience(fault_kind, 3, seed))
-        })
-        .collect();
-    let results = run_scenarios(&engine, source(), jobs, 3);
-    assert_eq!(results.len(), 3);
-    for result in &results {
-        assert!(result.outcome.is_ok(), "{}", result.label);
+    let runs = vec![(11u64, 1usize), (12, 2), (13, 0)];
+    let reports = map_ordered(runs, 3, |(seed, fault_kind)| {
+        let config = serve_config(seed, 3);
+        let mut traffic = BatchGenerator::new(Popularity::Zipf { exponent: 1.15 }, 2_000, 16, seed);
+        let resilience = resilience(fault_kind, 3, seed);
+        simulate_resilient(&engine, source(), &mut traffic, &config, &resilience)
+            .map(|outcome| (seed, ServeReport::new(&config, &outcome)))
+    });
+    assert_eq!(reports.len(), 3);
+    for report in &reports {
+        let (seed, report) = report.as_ref().expect("simulation runs");
+        assert_eq!(report.served + report.shed + report.failed, report.offered, "seed {seed}");
     }
     assert!(engine.checked.load(Ordering::Relaxed) >= 3);
 }

@@ -62,12 +62,10 @@ fn zero_fault_plan_reproduces_the_fault_free_run_byte_for_byte() {
         hedge_ns: Some(1e12),
     };
     let resilient = run_resilient(&config, &benign);
-    assert_eq!(plain.records, resilient.records);
-    assert_eq!(plain.batches, resilient.batches);
-    assert_eq!(plain.attempts, resilient.attempts);
+    assert_eq!(plain, resilient);
 
     let report_plain = ServeReport::new(&config, &plain);
-    let report_resilient = ServeReport::with_resilience(&config, &benign, &resilient);
+    let report_resilient = ServeReport::new(&config, &resilient);
     assert_eq!(report_plain.to_json(), report_resilient.to_json());
     assert_eq!(report_plain.retries + report_plain.timeouts + report_plain.crashes, 0);
     assert_eq!(report_plain.hedges, 0);
@@ -86,8 +84,8 @@ fn faulty_runs_are_byte_identical_across_reruns() {
     let a = run_resilient(&config, &resilience);
     let b = run_resilient(&config, &resilience);
     assert_eq!(a, b);
-    let json_a = ServeReport::with_resilience(&config, &resilience, &a).to_json();
-    let json_b = ServeReport::with_resilience(&config, &resilience, &b).to_json();
+    let json_a = ServeReport::new(&config, &a).to_json();
+    let json_b = ServeReport::new(&config, &b).to_json();
     assert_eq!(json_a, json_b);
 }
 
@@ -108,11 +106,11 @@ fn report_is_invariant_under_worker_renumbering() {
 
     let base_outcome = run_resilient(&config, &resilience);
     let perm_outcome = run_resilient(&config, &permuted);
-    let base_json = ServeReport::with_resilience(&config, &resilience, &base_outcome).to_json();
-    let perm_json = ServeReport::with_resilience(&config, &permuted, &perm_outcome).to_json();
+    let base_json = ServeReport::new(&config, &base_outcome).to_json();
+    let perm_json = ServeReport::new(&config, &perm_outcome).to_json();
     assert_eq!(base_json, perm_json, "renumbering workers must not change the report");
     // The runs did exercise the fault machinery.
-    let report = ServeReport::with_resilience(&config, &resilience, &base_outcome);
+    let report = ServeReport::new(&config, &base_outcome);
     assert!(report.crashes > 0 || report.timeouts > 0, "plan should perturb the run");
 }
 
@@ -135,8 +133,8 @@ fn hedging_cuts_tail_latency_and_pays_in_dram_reads() {
 
     let outcome_plain = run_resilient(&config, &no_hedge);
     let outcome_hedged = run_resilient(&config, &hedge);
-    let report_plain = ServeReport::with_resilience(&config, &no_hedge, &outcome_plain);
-    let report_hedged = ServeReport::with_resilience(&config, &hedge, &outcome_hedged);
+    let report_plain = ServeReport::new(&config, &outcome_plain);
+    let report_hedged = ServeReport::new(&config, &outcome_hedged);
 
     assert_eq!(report_plain.served, report_plain.offered, "no shedding at this load");
     assert_eq!(report_hedged.served, report_hedged.offered);
@@ -167,7 +165,7 @@ fn crashes_trigger_retries_and_every_query_is_accounted() {
         hedge_ns: None,
     };
     let outcome = run_resilient(&config, &resilience);
-    let report = ServeReport::with_resilience(&config, &resilience, &outcome);
+    let report = ServeReport::new(&config, &outcome);
     assert!(report.crashes > 0, "the churn plan must crash attempts");
     assert!(report.retries > 0, "crashed attempts must be retried");
     assert_eq!(report.served + report.shed + report.failed, report.offered);
@@ -191,7 +189,7 @@ fn timeouts_reroute_work_to_the_healthy_worker() {
         hedge_ns: None,
     };
     let outcome = run_resilient(&config, &resilience);
-    let report = ServeReport::with_resilience(&config, &resilience, &outcome);
+    let report = ServeReport::new(&config, &outcome);
     assert!(report.timeouts > 0, "the straggler must trip the timeout");
     assert!(report.retries > 0);
     assert_eq!(report.failed, 0, "retries onto the healthy worker must recover");
@@ -209,7 +207,7 @@ fn total_outage_sheds_everything_and_serializes_null_latency() {
         hedge_ns: None,
     };
     let outcome = run_resilient(&config, &resilience);
-    let report = ServeReport::with_resilience(&config, &resilience, &outcome);
+    let report = ServeReport::new(&config, &outcome);
     assert_eq!(report.served, 0);
     assert_eq!(report.shed + report.failed, report.offered, "everything is dropped");
     assert!(report.shed > 0, "shed escalation must engage");

@@ -1,17 +1,17 @@
-//! Property tests for the parallel scenario runner: for any thread count,
-//! traffic seed, and fault plan, [`run_scenarios`] must return outcomes
-//! whose rendered [`ServeReport`] JSON is byte-identical to the sequential
-//! (`threads == 1`) run. This is the contract that lets the benches and
-//! the CLI sweep fan scenarios out without changing a single recorded
-//! number.
+//! Property tests for a sweep of serving runs over worker threads: for any
+//! thread count, traffic seed, and fault plan, mapping the runs through
+//! [`map_ordered`] (each a [`simulate_resilient`] call on its own traffic
+//! generator, reported by [`ServeReport::new`]) must render report JSON
+//! byte-identical to the one-thread run. This is the path the CLI's
+//! `--sweep-windows` takes on every available core, and the contract that
+//! lets it do so without changing a single number.
 
 use std::sync::OnceLock;
 
+use fafnir_core::pipeline::map_ordered;
 use fafnir_core::{FafnirEngine, StripedSource};
 use fafnir_mem::MemoryConfig;
-use fafnir_serve::{
-    run_scenarios, BatchPolicy, ResilienceConfig, Scenario, ServeConfig, ServeReport,
-};
+use fafnir_serve::{simulate_resilient, BatchPolicy, ResilienceConfig, ServeConfig, ServeReport};
 use fafnir_workloads::arrival::ArrivalProcess;
 use fafnir_workloads::faults::FaultPlan;
 use fafnir_workloads::query::{BatchGenerator, Popularity};
@@ -51,42 +51,24 @@ fn resilience(kind: usize, workers: usize, seed: u64) -> ResilienceConfig {
     }
 }
 
-/// One scenario per batching window, all sharing the sampled fault layer.
-fn scenarios(seed: u64, workers: usize, fault_kind: usize) -> Vec<Scenario> {
-    [2_000.0, 8_000.0]
-        .into_iter()
-        .map(|max_wait_ns| {
-            let config = ServeConfig {
-                arrivals: ArrivalProcess::Poisson { rate_qps: 2e6 },
-                policy: BatchPolicy::Deadline { max_wait_ns, max_batch: 16 },
-                workers,
-                queries: 48,
-                seed,
-                ..ServeConfig::default()
-            };
-            Scenario::new(format!("window {max_wait_ns} ns"), config, traffic(seed))
-                .with_resilience(resilience(fault_kind, workers, seed))
-        })
-        .collect()
-}
-
-/// Renders every scenario outcome exactly as the CLI would.
+/// One run per batching window, all sharing the sampled fault layer, on up
+/// to `threads` workers; each report is rendered exactly as the CLI would.
 fn rendered_reports(seed: u64, workers: usize, fault_kind: usize, threads: usize) -> Vec<String> {
-    let jobs = scenarios(seed, workers, fault_kind);
-    let configs: Vec<ServeConfig> = jobs.iter().map(|s| s.config).collect();
     let resilience = resilience(fault_kind, workers, seed);
-    run_scenarios(engine(), source(), jobs, threads)
-        .into_iter()
-        .zip(configs)
-        .map(|(result, config)| {
-            let outcome = result.outcome.expect("simulation runs");
-            format!(
-                "{}\n{}",
-                result.label,
-                ServeReport::with_resilience(&config, &resilience, &outcome).to_json()
-            )
-        })
-        .collect()
+    map_ordered(vec![2_000.0, 8_000.0], threads, |max_wait_ns: f64| {
+        let config = ServeConfig {
+            arrivals: ArrivalProcess::Poisson { rate_qps: 2e6 },
+            policy: BatchPolicy::Deadline { max_wait_ns, max_batch: 16 },
+            workers,
+            queries: 48,
+            seed,
+            ..ServeConfig::default()
+        };
+        let outcome =
+            simulate_resilient(engine(), source(), &mut traffic(seed), &config, &resilience)
+                .expect("simulation runs");
+        format!("window {max_wait_ns} ns\n{}", ServeReport::new(&config, &outcome).to_json())
+    })
 }
 
 proptest! {
@@ -106,7 +88,7 @@ proptest! {
     }
 }
 
-/// Oversubscription (more threads than scenarios) must clamp, not skew.
+/// Oversubscription (more threads than runs) must clamp, not skew.
 #[test]
 fn more_threads_than_scenarios_is_byte_identical() {
     let sequential = rendered_reports(7, 2, 0, 1);

@@ -84,8 +84,14 @@ impl PartitionReport {
         let parallel_ns = run.total_ns(timing);
         let serial_ns = timing.fafnir_ns(serial);
         let ranks = run.partition.ranks();
-        let max_abs_error =
-            run.y.iter().zip(reference).map(|(a, b)| (a - b).abs()).fold(0.0, f64::max);
+        // `f64::max` would drop a NaN error (an overflowed row gives `inf`
+        // on both sides); keep it, so the report shows `null`, not 0.
+        let max_abs_error = run
+            .y
+            .iter()
+            .zip(reference)
+            .map(|(a, b)| (a - b).abs())
+            .fold(0.0, |max, error| if error > max || error.is_nan() { error } else { max });
         Self {
             strategy: run.partition.strategy.name().to_string(),
             ranks,
@@ -208,6 +214,24 @@ mod tests {
             let imbalance = max / (report.nnz as f64 / report.ranks as f64);
             assert_eq!(imbalance, report.nnz_imbalance, "{strategy:?}");
         }
+    }
+
+    #[test]
+    fn an_overflowed_row_reports_a_nan_error_as_null() {
+        // Row 0 sums 1e308 twice: `inf` in both `y` and the reference, so
+        // their difference is NaN; row 1 is exact.
+        let mut matrix = crate::CooMatrix::new(2, 2);
+        matrix.push(0, 0, 1e308);
+        matrix.push(0, 1, 1e308);
+        matrix.push(1, 1, 1.0);
+        let x = vec![1.0; 2];
+        let partition = SpmvPartition::new(&matrix, PartitionStrategy::RowBlock, 2);
+        let run = execute_partitioned(&matrix, &x, &partition, 8);
+        let serial = fafnir_spmv::execute(&LilMatrix::from(&matrix), &x, 8);
+        let reference = matrix.multiply_dense(&x);
+        let report = PartitionReport::new(&run, &serial, &SpmvTiming::paper(), &reference);
+        assert!(report.max_abs_error.is_nan(), "{}", report.max_abs_error);
+        assert!(report.to_json().contains("\"max_abs_error\": null"), "{}", report.to_json());
     }
 
     #[test]

@@ -136,8 +136,10 @@ impl ArrivalProcess {
     }
 }
 
-/// Draws an exponential variate with the given mean by inverse transform.
-fn exponential(rng: &mut StdRng, mean: f64) -> f64 {
+/// Draws an exponential variate with the given mean by inverse transform:
+/// the arrival gaps here and the fault plans' up and down periods
+/// ([`crate::faults`]) share this one draw.
+pub(crate) fn exponential(rng: &mut StdRng, mean: f64) -> f64 {
     // gen::<f64>() is uniform in [0, 1), so 1 − u is in (0, 1] and the log
     // is finite.
     let u: f64 = rng.gen();

@@ -34,7 +34,9 @@
 use std::cmp::Ordering;
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
+
+use crate::arrival::exponential;
 
 /// The most downtimes per worker [`FaultPlan::crash_restart`] expects,
 /// `horizon_ns / (mttf_ns + mttr_ns)`. A plan holds every downtime out to
@@ -305,12 +307,6 @@ impl FaultPlan {
         }
         Ok(())
     }
-}
-
-/// Draws an exponential variate with the given mean by inverse transform.
-fn exponential(rng: &mut StdRng, mean: f64) -> f64 {
-    let u: f64 = rng.gen();
-    -(1.0 - u).ln() * mean
 }
 
 #[cfg(test)]
