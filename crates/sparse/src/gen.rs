@@ -13,7 +13,12 @@ use rand::{Rng, SeedableRng};
 
 use crate::coo::CooMatrix;
 
-/// Uniformly random matrix with an expected `density` fraction of non-zeros.
+/// Uniformly random matrix: `round(rows × cols × density)` draws (at least
+/// one) of a cell and a value in [-1, 1), with replacement.
+///
+/// Repeated cells sum, so the matrix stores one entry per distinct cell
+/// drawn, about `1 − e^−density` of the cells: close to `density` when it
+/// is small, and about 63 % of them at density 1.
 ///
 /// # Panics
 ///
@@ -23,15 +28,18 @@ pub fn uniform(rows: usize, cols: usize, density: f64, seed: u64) -> CooMatrix {
     assert!(density > 0.0 && density <= 1.0, "density must be in (0, 1]");
     let mut rng = StdRng::seed_from_u64(seed);
     let target = ((rows as f64 * cols as f64) * density).round().max(1.0) as usize;
-    let mut triplets = Vec::with_capacity(target);
-    for _ in 0..target {
-        triplets.push((rng.gen_range(0..rows), rng.gen_range(0..cols), rng.gen_range(-1.0..1.0)));
-    }
-    CooMatrix::from_triplets(rows, cols, triplets)
+    let cells = (0..target)
+        .map(move |_| (rng.gen_range(0..rows), rng.gen_range(0..cols), rng.gen_range(-1.0..1.0)));
+    CooMatrix::from_triplets(rows, cols, cells)
 }
 
-/// R-MAT power-law graph adjacency matrix with `nnz` expected edges and the
-/// canonical `(a, b, c, d) = (0.57, 0.19, 0.19, 0.05)` partition weights.
+/// R-MAT power-law graph adjacency matrix: `nnz` edge draws with
+/// replacement under the canonical `(a, b, c, d) = (0.57, 0.19, 0.19, 0.05)`
+/// partition weights, each with a value in [0.1, 1).
+///
+/// An edge descends `scale` levels, picking one quadrant per level. Repeated
+/// edges sum, so the matrix stores fewer than `nnz` entries, the more so the
+/// denser the draw: `rmat(14, 500_000, 11)` stores 408,771.
 ///
 /// # Panics
 ///
@@ -42,26 +50,21 @@ pub fn rmat(scale: u32, nnz: usize, seed: u64) -> CooMatrix {
     let n = 1usize << scale;
     let mut rng = StdRng::seed_from_u64(seed);
     let (a, b, c) = (0.57, 0.19, 0.19);
-    let mut triplets = Vec::with_capacity(nnz);
-    for _ in 0..nnz {
+    let (ab, abc) = (a + b, a + b + c);
+    let edges = (0..nnz).map(move |_| {
         let (mut row, mut col) = (0usize, 0usize);
-        for level in (0..scale).rev() {
-            let bit = 1usize << level;
+        for _ in 0..scale {
+            // One level down, most significant bit first. Top-left below
+            // `a`, then top-right, bottom-left and, from `a + b + c`,
+            // bottom-right: the quadrant's bits come from comparisons, not
+            // from branches on the draw.
             let p: f64 = rng.gen();
-            if p < a {
-                // top-left
-            } else if p < a + b {
-                col |= bit;
-            } else if p < a + b + c {
-                row |= bit;
-            } else {
-                row |= bit;
-                col |= bit;
-            }
+            row = (row << 1) | usize::from(p >= ab);
+            col = (col << 1) | usize::from(((p >= a) & (p < ab)) | (p >= abc));
         }
-        triplets.push((row, col, rng.gen_range(0.1..1.0)));
-    }
-    CooMatrix::from_triplets(n, n, triplets)
+        (row, col, rng.gen_range(0.1..1.0))
+    });
+    CooMatrix::from_triplets(n, n, edges)
 }
 
 /// Banded matrix with `bandwidth` off-diagonals on each side and a dominant
