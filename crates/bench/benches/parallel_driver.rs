@@ -21,7 +21,10 @@
 //! lookups over the one shared-queue stream, not a thread-scaling figure.
 //! Each path's `wall_ns` is the fastest of its timed samples, not their
 //! mean: a slow stretch of a shared host only ever adds time, so one stall
-//! can carry a mean of ten.
+//! can carry a mean of ten. The paths are timed round-robin, one sample
+//! each per round, so a stall lands on whichever path is running instead
+//! of on one path's whole pass; the recorded
+//! `BENCH_parallel_driver.json` was measured that way.
 
 use std::time::Instant;
 
@@ -37,18 +40,23 @@ const QUERIES_PER_BATCH: usize = 32; // = paper batch capacity -> 8 hardware bat
 const SAMPLES: u32 = 10;
 const THREAD_LADDER: [usize; 4] = [1, 2, 4, 8];
 
-/// The fastest of `SAMPLES` timed runs of `body` after two warm-ups, in ns.
-fn measure<F: FnMut()>(mut body: F) -> f64 {
-    for _ in 0..2 {
-        body(); // warm-up
+/// Each path's fastest of `SAMPLES` timed runs, in ns, after two warm-ups
+/// each. Every round times each path once, in order.
+fn measure(paths: &mut [Box<dyn FnMut() + '_>]) -> Vec<f64> {
+    for path in paths.iter_mut() {
+        for _ in 0..2 {
+            path(); // warm-up
+        }
     }
-    (0..SAMPLES)
-        .map(|_| {
+    let mut fastest = vec![f64::INFINITY; paths.len()];
+    for _ in 0..SAMPLES {
+        for (path, best) in paths.iter_mut().zip(&mut fastest) {
             let start = Instant::now();
-            body();
-            start.elapsed().as_secs_f64() * 1e9
-        })
-        .fold(f64::INFINITY, f64::min)
+            path();
+            *best = best.min(start.elapsed().as_secs_f64() * 1e9);
+        }
+    }
+    fastest
 }
 
 /// Every batch's standalone lookup on up to `threads` workers, in
@@ -88,23 +96,24 @@ fn main() {
     let threads_skipped: Vec<usize> =
         THREAD_LADDER.iter().copied().filter(|&threads| threads > host_cores.max(1)).collect();
 
-    let sequential_ns = measure(|| {
-        black_box(engine.lookup_stream(&batches, &source).expect("sequential stream"));
-    });
-
-    let mut driver_ns = Vec::new();
+    let (engine, batches, source) = (&engine, &batches, &source);
+    let mut paths: Vec<Box<dyn FnMut()>> = vec![Box::new(|| {
+        black_box(engine.lookup_stream(batches, source).expect("sequential stream"));
+    })];
     for &threads in &threads_measured {
-        driver_ns.push(measure(|| {
-            black_box(lookups(&engine, &batches, &source, threads));
+        paths.push(Box::new(move || {
+            black_box(lookups(engine, batches, source, threads));
         }));
     }
+    let fastest = measure(&mut paths);
+    let (sequential_ns, driver_ns) = (fastest[0], &fastest[1..]);
 
     // Sanity: the results are thread-count-invariant (the full check lives
     // in tests/determinism.rs). Oversubscribed counts are still checked for
     // determinism — just not timed.
-    let reference = lookups(&engine, &batches, &source, 1);
+    let reference = lookups(engine, batches, source, 1);
     for threads in THREAD_LADDER {
-        let results = lookups(&engine, &batches, &source, threads);
+        let results = lookups(engine, batches, source, threads);
         assert_eq!(results, reference, "{threads} threads nondeterministic");
     }
 
@@ -113,7 +122,7 @@ fn main() {
         format!("{:.2} ms", sequential_ns / 1e6),
         times(1.0),
     ]];
-    for (threads, ns) in threads_measured.iter().zip(&driver_ns) {
+    for (threads, ns) in threads_measured.iter().zip(driver_ns) {
         rows.push(vec![
             format!("parallel lookups ({threads} threads)"),
             format!("{:.2} ms", ns / 1e6),
@@ -123,7 +132,7 @@ fn main() {
     print_table(&["path", "wall clock / stream", "speedup"], &rows);
     println!(
         "\n{SOFTWARE_BATCHES} software batches x {QUERIES_PER_BATCH} queries \
-         = {hardware_batches} hardware batches; fastest of {SAMPLES} samples each"
+         = {hardware_batches} hardware batches; fastest of {SAMPLES} round-robin samples each"
     );
     if !threads_skipped.is_empty() {
         println!(
@@ -132,7 +141,7 @@ fn main() {
         );
     }
 
-    let driver = threads_measured.iter().zip(&driver_ns).map(|(&threads, &ns)| {
+    let driver = threads_measured.iter().zip(driver_ns).map(|(&threads, &ns)| {
         Object::new(Layout::OneLine).field("threads", threads).num("wall_ns", ns, 0).num(
             "speedup_private_lookups_vs_shared_stream",
             sequential_ns / ns,
