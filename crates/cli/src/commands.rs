@@ -110,7 +110,7 @@ const SPMV: &[Flag] = &[
     flag("gen", Choice(&["uniform", "rmat", "banded", "spd"]), Some("rmat"), "matrix generator"),
     flag("rows", Count(1, mtx::MAX_DIMENSION as u64), Some("4096"), "matrix rows"),
     flag("density", NONZERO_FRACTION, Some("0.01"), "uniform: share of non-zeros"),
-    flag("nnz", Count(0, MAX_NNZ), None, "rmat: edges (rows*8)"),
+    flag("nnz", Count(0, MAX_NNZ), None, "rmat: edge draws, repeats summed (rows*8)"),
     flag("bandwidth", Count(0, mtx::MAX_DIMENSION as u64), Some("4"), "banded/spd: band width"),
     flag("vector-size", Count(2, u64::MAX), Some("2048"), "tree input vector size"),
     flag("mtx", Text("FILE"), None, "load Matrix Market input"),
