@@ -30,7 +30,10 @@
 # `--trace 1` (the same seeds) and prints, per layer, both sides' median
 # `ns_per_call`, their ratio and the change's wins (step 7 of the README's
 # "Comparing two commits": which layer's time moved). Traced runs pay the
-# tracer's overhead, so their end-to-end metrics are not compared.
+# tracer's overhead, so their end-to-end metrics are not compared. Under
+# each workload's layers it prints both sides' median
+# `trace.overhead_frac`: a traced run whose wrappers send it down another
+# path than the untraced run takes shows there as a jump.
 #
 # Environment:
 #   WORKLOADS         space-separated workloads (default: every workload in
@@ -192,10 +195,11 @@ printf '\n%-14s %-19s %15s %15s %12s %6s\n' workload "layer ns_per_call" \
     "base median" "change median" change/base wins
 for workload in $WORKLOADS; do
     run_pairs "$workload" trace
-    for layer in $layers; do
+    for metric in $(printf '%s.ns_per_call ' $layers) trace.overhead_frac; do
+        layer=${metric%.ns_per_call}
         awk -v workload="$workload" -v layer="$layer" \
-            -v base="$(values base "$workload" trace "$layer.ns_per_call")" \
-            -v change="$(values change "$workload" trace "$layer.ns_per_call")" '
+            -v base="$(values base "$workload" trace "$metric")" \
+            -v change="$(values change "$workload" trace "$metric")" '
             function median(values, n,    sorted, i, j, t) {
                 for (i = 1; i <= n; i++) sorted[i] = values[i]
                 for (i = 2; i <= n; i++)
