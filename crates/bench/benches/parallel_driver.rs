@@ -2,8 +2,9 @@
 //!
 //! Compares the trait-level sequential [`GatherEngine::lookup_stream`]
 //! (every hardware batch's reads share ONE memory system and one FR-FCFS
-//! queue) against independent [`GatherEngine::lookup`]s fanned out over
-//! worker threads by [`map_ordered`]. Each software batch here is one
+//! queue) against independent [`GatherEngine::lookup_timing`]s fanned out
+//! over worker threads by [`map_ordered`]. Both sides ask for timing alone,
+//! so neither fetches or folds a value. Each software batch here is one
 //! hardware batch, so each lookup runs one plan on its own private memory
 //! system. Two effects may stack:
 //!
@@ -13,7 +14,8 @@
 //!
 //! On one worker the first is within the host's noise: over three runs on a
 //! 2-core x86-64 host the one-thread lookups read 0.99x, 1.42x and 1.00x
-//! the shared stream's fastest sample.
+//! the shared stream's fastest sample, and 1.02x once both sides asked for
+//! timing alone.
 //!
 //! `just bench parallel_driver` writes the results to
 //! `BENCH_parallel_driver.json` at the repo root; the per-thread-count
@@ -59,15 +61,15 @@ fn measure(paths: &mut [Box<dyn FnMut() + '_>]) -> Vec<f64> {
     fastest
 }
 
-/// Every batch's standalone lookup on up to `threads` workers, in
-/// submission order.
+/// Every batch's standalone timing-only lookup on up to `threads` workers,
+/// in submission order.
 fn lookups(
     engine: &FafnirEngine,
     batches: &[Batch],
     source: &StripedSource,
     threads: usize,
 ) -> Vec<LookupResult> {
-    map_ordered(batches.iter().collect(), threads, |batch| engine.lookup(batch, source))
+    map_ordered(batches.iter().collect(), threads, |batch| engine.lookup_timing(batch, source))
         .into_iter()
         .collect::<Result<_, _>>()
         .expect("lookup")

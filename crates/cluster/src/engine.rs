@@ -197,6 +197,32 @@ impl LookupService for ClusterEngine {
         batch: &Batch,
         source: &S,
     ) -> Result<LookupResult, FafnirError> {
+        self.answer(batch, source, true)
+    }
+
+    /// Runs every shard's sub-batch for its timing alone and skips the
+    /// partial combine and the finalize: the result of
+    /// [`LookupService::lookup`] with `outputs` empty.
+    fn lookup_timing<S: EmbeddingSource>(
+        &self,
+        batch: &Batch,
+        source: &S,
+    ) -> Result<LookupResult, FafnirError> {
+        self.answer(batch, source, false)
+    }
+}
+
+impl ClusterEngine {
+    /// One cluster lookup. With `values`, every query's shard partials
+    /// combine and finalize into its output; without, the shards run
+    /// timing-only and `outputs` stays empty. Routing, the conservation
+    /// laws, times, counters and statistics are the same either way.
+    fn answer<S: EmbeddingSource>(
+        &self,
+        batch: &Batch,
+        source: &S,
+        values: bool,
+    ) -> Result<LookupResult, FafnirError> {
         if batch.is_empty() {
             return Err(FafnirError::InvalidBatch("batch has no queries".into()));
         }
@@ -217,7 +243,11 @@ impl LookupService for ClusterEngine {
                 continue;
             }
             let sub_batch = Batch::from_index_sets(sub_queries.iter().map(|sq| sq.indices.clone()));
-            let mut result = GatherEngine::lookup(&self.engine, &sub_batch, source)?;
+            let mut result = if values {
+                GatherEngine::lookup(&self.engine, &sub_batch, source)?
+            } else {
+                GatherEngine::lookup_timing(&self.engine, &sub_batch, source)?
+            };
             per_shard_vectors[shard] = result.traffic.vectors_read;
             for (QueryId(local), acc) in std::mem::take(&mut result.outputs) {
                 match &mut partials[sub_queries[local as usize].position] {
@@ -254,13 +284,16 @@ impl LookupService for ClusterEngine {
         let mut split_queries = 0u64;
         let mut cross_shard_bytes = 0u64;
         for (position, (query, partial)) in batch.queries().iter().zip(partials).enumerate() {
-            let Some(acc) = partial else { continue }; // the query touched no shard
-            let hops = routed.touched[position].len() - 1;
+            let Some(hops) = routed.touched[position].len().checked_sub(1) else {
+                continue; // the query touched no shard
+            };
             split_queries += u64::from(hops > 0);
             cross_shard_bytes += hops as u64 * acc_bytes;
             let merge_ns = merge_step_ns * hops as f64;
             batch_merge_ns = batch_merge_ns.max(merge_ns);
-            outputs.push((query.id, self.operator.finalize(&acc)));
+            if let Some(acc) = partial {
+                outputs.push((query.id, self.operator.finalize(&acc)));
+            }
             per_query_ns.push((query.id, shard_times[position] + merge_ns));
         }
         outputs.sort_by_key(|&(id, _)| id);
@@ -274,10 +307,9 @@ impl LookupService for ClusterEngine {
         aggregate.latency.compute_tail_ns =
             (aggregate.latency.total_ns - aggregate.latency.memory_ns).max(0.0);
         aggregate.tree.completion_ns = aggregate.latency.total_ns;
-        aggregate.traffic.bytes_to_host = outputs
-            .iter()
-            .map(|(_, value)| (value.len() * std::mem::size_of::<f32>()) as u64)
-            .sum();
+        // One n × v × 4 output per answered query, as on one tree.
+        aggregate.traffic.bytes_to_host =
+            (per_query_ns.len() * self.config().vector_bytes()) as u64;
         aggregate.outputs = outputs;
         aggregate.per_query_ns = per_query_ns;
 

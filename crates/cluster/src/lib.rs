@@ -111,6 +111,32 @@ mod tests {
     }
 
     #[test]
+    fn host_bytes_match_the_single_tree_for_every_operator() {
+        // n × v × 4 whatever the operator's output width: argmax and top-k
+        // outputs are wider or narrower than a vector, but the modeled root
+        // sends one vector-sized result per query either way.
+        let mut mem = MemoryConfig::ddr4_2400_4ch();
+        mem.model = MemoryModelKind::Fast;
+        let batch = test_batch();
+        for op in [
+            ReduceOp::Sum,
+            ReduceOp::Mean,
+            ReduceOp::Max,
+            ReduceOp::Min,
+            ReduceOp::ArgMax,
+            ReduceOp::TopK { k: 4 },
+        ] {
+            let (cluster, source) = cluster(8, ShardStrategy::RowRange { universe: 2_000 }, op);
+            let config = FafnirConfig { op, ..FafnirConfig::paper_default() };
+            let single = fafnir_core::FafnirEngine::new(config, mem).expect("valid");
+            let ours = LookupService::lookup(&cluster, &batch, &source).expect("cluster lookup");
+            let theirs = GatherEngine::lookup(&single, &batch, &source).expect("engine lookup");
+            assert_eq!(ours.traffic.bytes_to_host, theirs.traffic.bytes_to_host, "op {op:?}");
+            assert_eq!(ours.traffic.bytes_to_host, 4 * 128 * 4, "op {op:?}");
+        }
+    }
+
+    #[test]
     fn sharded_lookup_is_deterministic() {
         let (cluster, source) =
             cluster(4, ShardStrategy::RowRange { universe: 2_000 }, ReduceOp::Sum);

@@ -9,10 +9,13 @@
 //!    headers (Sec. IV-C), compiling one [`MemoryPlan`] per hardware batch;
 //! 2. `gather`: every unique index becomes one DRAM read simulated by
 //!    [`fafnir_mem::MemorySystem`] (rank-parallel, row-buffer aware);
-//! 3. `reduce`: the fold in [`crate::fastpath`] computes every query's
-//!    output, and read completions inject headers into the reduction tree,
-//!    which times all reductions at NDP while gathering; the root forwards
-//!    exactly one vector per query to the host.
+//! 3. `reduce`: the walk in [`crate::fastpath`] times every query under
+//!    the fast memory model; under the cycle model, read completions inject
+//!    headers into the reduction tree, which times all reductions at NDP
+//!    while gathering. The root forwards exactly one vector per query to
+//!    the host. The values ride the walk only when outputs are asked for:
+//!    [`GatherEngine::lookup_timing`] returns the same result without them
+//!    and never fetches or folds a value.
 //!
 //! Software batches larger than the hardware capacity are served as several
 //! hardware batches back to back (Sec. IV-B); their latencies accumulate.
@@ -22,10 +25,12 @@ use fafnir_mem::MemoryConfig;
 use crate::batch::Batch;
 use crate::config::FafnirConfig;
 use crate::error::FafnirError;
-use crate::fastpath::fast_reduce;
+use crate::fastpath::{fast_reduce, fast_timing, FastRun};
 use crate::index::{IndexSet, QueryId, VectorIndex};
 use crate::inject::{build_rank_inputs, GatheredVector};
-use crate::pipeline::{GatherEngine, GatherOutcome, MemoryPlan, PlannedRead, SequentialMerge};
+use crate::pipeline::{
+    drive, GatherEngine, GatherOutcome, MemoryPlan, PlannedRead, SequentialMerge,
+};
 use crate::placement::EmbeddingSource;
 use crate::reduce::{ReduceOp, ReduceOperator};
 use crate::tree::{ReductionTree, TreeStats};
@@ -109,13 +114,14 @@ pub struct LookupResult {
 
 impl LookupResult {
     /// Lookup throughput in queries per second, latency-based (one batch at
-    /// a time).
+    /// a time). Counts the timed queries, so a timing-only result (no
+    /// outputs) reads the same rate.
     #[must_use]
     pub fn queries_per_second(&self) -> f64 {
         if self.latency.total_ns <= 0.0 {
             0.0
         } else {
-            self.outputs.len() as f64 / (self.latency.total_ns * 1e-9)
+            self.per_query_ns.len() as f64 / (self.latency.total_ns * 1e-9)
         }
     }
 
@@ -135,7 +141,7 @@ impl LookupResult {
         if sustained <= 0.0 {
             0.0
         } else {
-            self.outputs.len() as f64 / (sustained * 1e-9)
+            self.per_query_ns.len() as f64 / (sustained * 1e-9)
         }
     }
 
@@ -382,6 +388,111 @@ impl FafnirEngine {
         }
         merge.finish().ok_or_else(|| FafnirError::InvalidBatch("batch has no queries".into()))
     }
+
+    /// The reduce stage: a timing part, with the values as its optional
+    /// part. The walk ([`crate::fastpath`]) answers every query and times it
+    /// under the fast memory model; under the cycle model the injector and
+    /// the event-timed header tree time it, fed from the reads without
+    /// values. With `values`, each read's value is fetched from that source
+    /// and rides the walk, which then also folds and finalizes every
+    /// output; without, `outputs` is empty and every other field is the
+    /// same. Accounts the root → host link transfer per output.
+    fn reduce_stage<S: EmbeddingSource>(
+        &self,
+        plan: &MemoryPlan,
+        gathered: GatherOutcome,
+        values: Option<&S>,
+    ) -> Result<LookupResult, FafnirError> {
+        let config = self.config();
+        let batch = &plan.batch;
+        let reads = &gathered.completions;
+        let FastRun { outputs, completion_ns: answered, stats } = match values {
+            Some(source) => {
+                let vectors: Vec<GatheredVector> = reads
+                    .iter()
+                    .map(|read| GatheredVector {
+                        index: read.index,
+                        rank: read.rank,
+                        value: source.shared_value_of(plan.resolve(read.index)),
+                        ready_ns: read.ready_ns,
+                    })
+                    .collect();
+                fast_reduce(batch, &vectors, &self.tree, &*self.active_operator())
+            }
+            None => fast_timing(batch, reads, &self.tree),
+        };
+        if answered.len() != batch.len() {
+            return Err(FafnirError::InvalidBatch(format!(
+                "{} of {} queries did not complete in the tree",
+                batch.len() - answered.len(),
+                batch.len()
+            )));
+        }
+        let memory_ns = gathered.last_ready_ns();
+        let fast_memory = self.mem_config.model == fafnir_mem::MemoryModelKind::Fast;
+        let (completions, tree_stats) = if fast_memory {
+            (answered, stats)
+        } else {
+            let inputs = build_rank_inputs(
+                batch,
+                reads,
+                self.mem_config.topology.total_ranks(),
+                config.ranks_per_leaf,
+                &config.pe_timing,
+            );
+            let run = self.tree.run(inputs);
+            let completions = run.query_completion_ns();
+            if !answered
+                .iter()
+                .map(|(query, _)| query)
+                .eq(completions.iter().map(|(query, _)| query))
+            {
+                return Err(FafnirError::InvalidBatch(format!(
+                    "the walk answered {} queries but the timing model completed a different set of {}",
+                    answered.len(),
+                    completions.len()
+                )));
+            }
+            (completions, run.stats)
+        };
+        // Root → host link transfer per output.
+        let per_query_ns: Vec<(QueryId, f64)> =
+            completions.iter().map(|&(query, t)| (query, t + config.link_transfer_ns())).collect();
+        let total_ns = per_query_ns.iter().map(|&(_, t)| t).fold(0.0, f64::max);
+        // The tree is fully pipelined: per batch it is busy only for the
+        // root's output serialization (one output per initiation interval
+        // per query), not the tree's depth.
+        let timing = &config.pe_timing;
+        let compute_busy_ns =
+            completions.len() as f64 * timing.output_interval_cycles as f64 * timing.cycle_ns();
+        let bytes_to_host = (batch.len() * config.vector_bytes()) as u64;
+        // Every reduce the tree performed happened at NDP; count merged
+        // (deduplicated) reduces as element ops.
+        let reduces = tree_stats.ops.reduces;
+        let ndp_elem_ops = (reduces / 2).max(reduces.min(1)) * config.vector_dim as u64;
+
+        Ok(LookupResult {
+            outputs,
+            per_query_ns,
+            latency: LatencyBreakdown {
+                total_ns,
+                memory_ns,
+                compute_tail_ns: (total_ns - memory_ns).max(0.0),
+                compute_busy_ns,
+                host_link_ns: bytes_to_host as f64 / HOST_LINK_BYTES_PER_NS,
+            },
+            memory: gathered.memory,
+            traffic: TrafficStats {
+                total_references: batch.total_references() as u64,
+                vectors_read: plan.reads.len() as u64,
+                bytes_from_dram: gathered.memory.bytes_transferred,
+                bytes_to_host,
+            },
+            tree: tree_stats,
+            ndp_elem_ops,
+            core_elem_ops: 0,
+        })
+    }
 }
 
 impl GatherEngine for FafnirEngine {
@@ -479,97 +590,34 @@ impl GatherEngine for FafnirEngine {
             .collect())
     }
 
-    /// Tree phase: the fold ([`crate::fastpath`]) computes every output;
-    /// the per-query times and tree statistics come from the fold under the
-    /// fast memory model, and from the event-timed header-only tree under
-    /// the cycle model. Accounts the root → host link transfer per output.
+    /// Tree phase: the walk folds every output, and the walk (fast memory)
+    /// or the event-timed header tree (cycle memory) times every query.
     fn reduce<S: EmbeddingSource>(
         &self,
         plan: &MemoryPlan,
         gathered: GatherOutcome,
         source: &S,
     ) -> Result<LookupResult, FafnirError> {
-        let config = self.config();
-        let batch = &plan.batch;
-        let gathered_vectors: Vec<GatheredVector> = gathered
-            .completions
-            .iter()
-            .map(|completion| GatheredVector {
-                index: completion.index,
-                rank: completion.rank,
-                value: source.shared_value_of(plan.resolve(completion.index)),
-                ready_ns: completion.ready_ns,
-            })
-            .collect();
-        let memory_ns = gathered.last_ready_ns();
+        self.reduce_stage(plan, gathered, Some(source))
+    }
 
-        let fold = fast_reduce(batch, &gathered_vectors, &self.tree, &*self.active_operator());
-        let fast_memory = self.mem_config.model == fafnir_mem::MemoryModelKind::Fast;
-        let (completions, tree_stats) = if fast_memory {
-            (fold.completion_ns, fold.stats)
-        } else {
-            let inputs = build_rank_inputs(
-                batch,
-                &gathered_vectors,
-                self.mem_config.topology.total_ranks(),
-                config.ranks_per_leaf,
-                &config.pe_timing,
-            );
-            let run = self.tree.run(inputs);
-            (run.query_completion_ns(), run.stats)
-        };
-        let outputs = fold.outputs;
-        if outputs.len() != batch.len() {
-            return Err(FafnirError::InvalidBatch(format!(
-                "{} of {} queries did not complete in the tree",
-                batch.len() - outputs.len(),
-                batch.len()
-            )));
-        }
-        if !outputs.iter().map(|(query, _)| query).eq(completions.iter().map(|(query, _)| query)) {
-            return Err(FafnirError::InvalidBatch(format!(
-                "the fold answered {} queries but the timing model completed a different set of {}",
-                outputs.len(),
-                completions.len()
-            )));
-        }
-        // Root → host link transfer per output.
-        let per_query_ns: Vec<(QueryId, f64)> =
-            completions.iter().map(|&(query, t)| (query, t + config.link_transfer_ns())).collect();
-        let total_ns = per_query_ns.iter().map(|&(_, t)| t).fold(0.0, f64::max);
-        // The tree is fully pipelined: per batch it is busy only for the
-        // root's output serialization (one output per initiation interval
-        // per query), not the tree's depth.
-        let timing = &config.pe_timing;
-        let compute_busy_ns =
-            outputs.len() as f64 * timing.output_interval_cycles as f64 * timing.cycle_ns();
-        let bytes_to_host = (batch.len() * config.vector_bytes()) as u64;
-        // Every reduce the tree performed happened at NDP; count merged
-        // (deduplicated) reduces as element ops.
-        let reduces = tree_stats.ops.reduces;
-        let ndp_elem_ops = (reduces / 2).max(reduces.min(1)) * config.vector_dim as u64;
+    /// Tree phase for timing alone: no value is fetched or folded.
+    fn reduce_timing<S: EmbeddingSource>(
+        &self,
+        plan: &MemoryPlan,
+        gathered: GatherOutcome,
+        _source: &S,
+    ) -> Result<LookupResult, FafnirError> {
+        self.reduce_stage::<S>(plan, gathered, None)
+    }
 
-        Ok(LookupResult {
-            outputs,
-            per_query_ns,
-            latency: LatencyBreakdown {
-                total_ns,
-                memory_ns,
-                compute_tail_ns: (total_ns - memory_ns).max(0.0),
-                compute_busy_ns,
-                host_link_ns: bytes_to_host as f64 / HOST_LINK_BYTES_PER_NS,
-            },
-            memory: gathered.memory,
-            traffic: TrafficStats {
-                total_references: batch.total_references() as u64,
-                vectors_read: plan.reads.len() as u64,
-                bytes_from_dram: gathered.memory.bytes_transferred,
-                bytes_to_host,
-            },
-            tree: tree_stats,
-            ndp_elem_ops,
-            core_elem_ops: 0,
-        })
+    /// [`GatherEngine::lookup`]'s driver over the timing-only reduce.
+    fn lookup_timing<S: EmbeddingSource>(
+        &self,
+        batch: &Batch,
+        source: &S,
+    ) -> Result<LookupResult, FafnirError> {
+        drive(self, batch, source, Self::reduce_timing)
     }
 }
 

@@ -18,10 +18,24 @@
 use crate::batch::Batch;
 use crate::index::VectorIndex;
 use crate::item::{index_hash, Arena, Entry, Node, RankInputs};
+use crate::pipeline::ReadCompletion;
 use crate::reduce::ReduceOperator;
 use crate::timing::PeTiming;
 
-/// Everything the injector needs to know about one gathered vector.
+/// What the timing models read of one gathered read: its index, the rank
+/// whose port received it, and when its data arrived. The injector and the
+/// walk in [`crate::fastpath`] take any such read, so a timing-only reduce
+/// runs on the gather stage's [`ReadCompletion`]s and never fetches a value.
+pub trait GatheredRead {
+    /// The index the read served.
+    fn index(&self) -> VectorIndex;
+    /// Global rank that received the data.
+    fn rank(&self) -> usize;
+    /// Nanosecond timestamp of the read's completion.
+    fn ready_ns(&self) -> f64;
+}
+
+/// A gathered read with its value.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GatheredVector {
     /// The vector's index.
@@ -29,10 +43,39 @@ pub struct GatheredVector {
     /// Global rank the vector was read from.
     pub rank: usize,
     /// The vector's value, shared with the embedding source's store (read
-    /// by the fold in [`crate::fastpath`]; the tree models ignore it).
+    /// by the walk in [`crate::fastpath`] when it computes outputs; the
+    /// tree models ignore it).
     pub value: std::sync::Arc<[f32]>,
     /// Nanosecond timestamp of the read's completion.
     pub ready_ns: f64,
+}
+
+impl GatheredRead for GatheredVector {
+    fn index(&self) -> VectorIndex {
+        self.index
+    }
+
+    fn rank(&self) -> usize {
+        self.rank
+    }
+
+    fn ready_ns(&self) -> f64 {
+        self.ready_ns
+    }
+}
+
+impl GatheredRead for ReadCompletion {
+    fn index(&self) -> VectorIndex {
+        self.index
+    }
+
+    fn rank(&self) -> usize {
+        self.rank
+    }
+
+    fn ready_ns(&self) -> f64 {
+        self.ready_ns
+    }
 }
 
 /// Builds the per-rank leaf input lists for `tree_ranks` ranks.
@@ -40,19 +83,19 @@ pub struct GatheredVector {
 /// `ranks_per_leaf` must match the tree the items will be fed into: it
 /// determines which ranks share a leaf-PE input side and therefore which
 /// co-resident operands must pre-reduce serially. Items carry headers and
-/// ready times only, in the tree's compact form (see [`crate::item`]); the
-/// values in `gathered` are the fold's to reduce. Each rank lists its
-/// pre-reduced items first (by query, then side), then its shared items
-/// by ascending index, each with its queries in batch order.
+/// ready times only, in the tree's compact form (see [`crate::item`]), so
+/// the reads need no values. Each rank lists its pre-reduced items first
+/// (by query, then side), then its shared items by ascending index, each
+/// with its queries in batch order.
 ///
 /// # Panics
 ///
-/// Panics if any gathered vector that a query references names a rank
+/// Panics if any gathered read that a query references names a rank
 /// `≥ tree_ranks`.
 #[must_use]
-pub fn build_rank_inputs(
+pub fn build_rank_inputs<R: GatheredRead>(
     batch: &Batch,
-    gathered: &[GatheredVector],
+    gathered: &[R],
     tree_ranks: usize,
     ranks_per_leaf: usize,
     timing: &PeTiming,
@@ -65,10 +108,10 @@ pub fn build_rank_inputs(
     // Gathered vectors by index; the first occurrence wins, matching a
     // front-to-back scan of `gathered`.
     let mut by_index: Vec<(VectorIndex, usize)> =
-        gathered.iter().enumerate().map(|(position, g)| (g.index, position)).collect();
+        gathered.iter().enumerate().map(|(position, g)| (g.index(), position)).collect();
     by_index.sort_unstable();
     by_index.dedup_by_key(|&mut (index, _)| index);
-    let lookup = |index: VectorIndex| -> Option<&GatheredVector> {
+    let lookup = |index: VectorIndex| -> Option<&R> {
         let found = by_index.binary_search_by_key(&index, |&(index, _)| index).ok();
         found.map(|at| &gathered[by_index[at].1])
     };
@@ -88,13 +131,13 @@ pub fn build_rank_inputs(
     // references they cover leave the shared items.
     let mut inputs: Vec<Vec<Node>> = vec![Vec::new(); tree_ranks];
     let mut covered = vec![false; references.len()];
-    let mut operands: Vec<(usize, usize, &GatheredVector)> = Vec::new();
+    let mut operands: Vec<(usize, usize, &R)> = Vec::new();
     for (slot, query) in batch.queries().iter().enumerate() {
         operands.clear();
         for (bit, index) in query.indices.iter().enumerate() {
             if let Some(vector) = lookup(index) {
-                assert!(vector.rank < tree_ranks, "rank {} out of range", vector.rank);
-                operands.push((vector.rank / span, bit, vector));
+                assert!(vector.rank() < tree_ranks, "rank {} out of range", vector.rank());
+                operands.push((vector.rank() / span, bit, vector));
             }
         }
         operands.sort_unstable_by_key(|&(side, bit, _)| (side, bit));
@@ -104,16 +147,16 @@ pub fn build_rank_inputs(
             for &(_, bit, vector) in group {
                 arena.set_bit(mask, bit);
                 covered[offsets[slot] + bit] = true;
-                fingerprint = fingerprint.wrapping_add(index_hash(vector.index));
+                fingerprint = fingerprint.wrapping_add(index_hash(vector.index()));
             }
             // Serial streaming reduction: each extra operand costs one
             // reduce-path traversal after both operands are available.
-            let ready = group[1..].iter().fold(group[0].2.ready_ns, |ready, &(_, _, vector)| {
-                ready.max(vector.ready_ns) + timing.reduce_latency_ns()
+            let ready = group[1..].iter().fold(group[0].2.ready_ns(), |ready, &(_, _, vector)| {
+                ready.max(vector.ready_ns()) + timing.reduce_latency_ns()
             });
             let entry = Entry { slot: slot as u32, mask };
             let node = arena.push_node(ready, fingerprint, group.len(), [entry]);
-            inputs[group[0].2.rank].push(node);
+            inputs[group[0].2.rank()].push(node);
         }
     }
 
@@ -133,8 +176,8 @@ pub fn build_rank_inputs(
             }
         }
         if !entries.is_empty() {
-            let node = arena.push_node(vector.ready_ns, index_hash(index), 1, entries.drain(..));
-            inputs[vector.rank].push(node);
+            let node = arena.push_node(vector.ready_ns(), index_hash(index), 1, entries.drain(..));
+            inputs[vector.rank()].push(node);
         }
     }
     RankInputs { arena, ranks: inputs }

@@ -45,8 +45,8 @@
 //! * [`reduce`] — reduction operators: the [`ReduceOperator`] trait with
 //!   per-query accumulator state (Sum/Mean/Max/Min/ArgMax/TopK) and the
 //!   [`ReduceOp`] specification that configs and reports name.
-//! * [`fastpath`] — the per-query fold that computes every output, with
-//!   analytic timing used under the `Fast` memory model.
+//! * [`fastpath`] — the per-query walk that times every query under the
+//!   `Fast` memory model and, when outputs are asked for, computes them.
 //! * [`pe`], [`timing`] — the PE microarchitecture and Table IV latencies.
 //! * [`tree`], [`inject`] — the event-timed reduction tree and leaf-input
 //!   construction; items carry headers and ready times, no values.

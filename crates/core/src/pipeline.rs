@@ -16,7 +16,8 @@
 //!    [`LookupResult`].
 //!
 //! The trait provides `lookup` (stages chained per hardware batch, results
-//! merged in submission order — serial accelerator occupancy) and
+//! merged in submission order — serial accelerator occupancy), its
+//! timing-only twin `lookup_timing` (the same result without outputs) and
 //! `lookup_stream` (all plans' reads share one memory system so inter-batch
 //! contention is *measured*, Sec. IV-A) on top of those stages.
 //! [`map_ordered`] runs independent jobs — whole lookups, serving
@@ -220,6 +221,36 @@ impl SequentialMerge {
     }
 }
 
+/// The driver behind [`GatherEngine::lookup`] and FAFNIR's
+/// [`GatherEngine::lookup_timing`]: preprocess `batch`, then gather and
+/// `reduce` every hardware batch in submission order, merged under serial
+/// accelerator occupancy ([`SequentialMerge`]).
+pub(crate) fn drive<E, S, R>(
+    engine: &E,
+    batch: &Batch,
+    source: &S,
+    reduce: R,
+) -> Result<LookupResult, FafnirError>
+where
+    E: GatherEngine + ?Sized,
+    S: EmbeddingSource,
+    R: Fn(&E, &E::Plan, GatherOutcome, &S) -> Result<LookupResult, FafnirError>,
+{
+    let plans = engine.preprocess(batch, source)?;
+    let mut merge = SequentialMerge::default();
+    for plan in &plans {
+        let gathered = engine.gather(plan);
+        merge.push(reduce(engine, plan, gathered, source)?);
+    }
+    merge.finish().ok_or_else(|| FafnirError::InvalidBatch("batch has no queries".into()))
+}
+
+/// `result` with its outputs dropped: what a timing-only lookup returns.
+fn without_outputs(mut result: LookupResult) -> LookupResult {
+    result.outputs = Vec::new();
+    result
+}
+
 /// The narrow interface serving layers need from an engine: a name and a
 /// whole-batch lookup.
 ///
@@ -245,6 +276,24 @@ pub trait LookupService {
         batch: &Batch,
         source: &S,
     ) -> Result<LookupResult, FafnirError>;
+
+    /// Answers a software batch for its timing alone: the same
+    /// [`LookupResult`] as [`LookupService::lookup`], field for field,
+    /// except that `outputs` is empty. Serving reads only a batch's times
+    /// and traffic. The default runs `lookup` and drops the outputs; an
+    /// engine whose times do not depend on its values skips fetching and
+    /// folding them.
+    ///
+    /// # Errors
+    ///
+    /// Exactly those of [`LookupService::lookup`].
+    fn lookup_timing<S: EmbeddingSource>(
+        &self,
+        batch: &Batch,
+        source: &S,
+    ) -> Result<LookupResult, FafnirError> {
+        self.lookup(batch, source).map(without_outputs)
+    }
 }
 
 impl<E: GatherEngine> LookupService for E {
@@ -259,12 +308,21 @@ impl<E: GatherEngine> LookupService for E {
     ) -> Result<LookupResult, FafnirError> {
         GatherEngine::lookup(self, batch, source)
     }
+
+    fn lookup_timing<S: EmbeddingSource>(
+        &self,
+        batch: &Batch,
+        source: &S,
+    ) -> Result<LookupResult, FafnirError> {
+        GatherEngine::lookup_timing(self, batch, source)
+    }
 }
 
 /// An engine decomposed into the three pipeline stages.
 ///
 /// Implementors provide `preprocess` and `reduce`; `gather` defaults to a
-/// dedicated per-plan memory system ([`gather_plan`]). `lookup` and
+/// dedicated per-plan memory system ([`gather_plan`]), and `reduce_timing`
+/// to `reduce` without its outputs. `lookup`, `lookup_timing` and
 /// `lookup_stream` drive the stages end to end.
 pub trait GatherEngine {
     /// Per-hardware-batch plan. Engines attach analytic precomputations by
@@ -307,6 +365,22 @@ pub trait GatherEngine {
         source: &S,
     ) -> Result<LookupResult, FafnirError>;
 
+    /// Stage 3 for timing alone: [`GatherEngine::reduce`]'s result with
+    /// `outputs` empty. The default runs `reduce` and drops the outputs;
+    /// FAFNIR overrides it to skip the values.
+    ///
+    /// # Errors
+    ///
+    /// Exactly those of [`GatherEngine::reduce`].
+    fn reduce_timing<S: EmbeddingSource>(
+        &self,
+        plan: &Self::Plan,
+        gathered: GatherOutcome,
+        source: &S,
+    ) -> Result<LookupResult, FafnirError> {
+        self.reduce(plan, gathered, source).map(without_outputs)
+    }
+
     /// Runs a software batch through all three stages, merging hardware
     /// batches in submission order (serial accelerator occupancy).
     ///
@@ -319,13 +393,24 @@ pub trait GatherEngine {
         batch: &Batch,
         source: &S,
     ) -> Result<LookupResult, FafnirError> {
-        let plans = self.preprocess(batch, source)?;
-        let mut merge = SequentialMerge::default();
-        for plan in &plans {
-            let gathered = self.gather(plan);
-            merge.push(self.reduce(plan, gathered, source)?);
-        }
-        merge.finish().ok_or_else(|| FafnirError::InvalidBatch("batch has no queries".into()))
+        drive(self, batch, source, Self::reduce)
+    }
+
+    /// [`GatherEngine::lookup`] for timing alone, the method behind
+    /// [`LookupService::lookup_timing`]: the same result with `outputs`
+    /// empty. The default runs `lookup` and drops the outputs, so an engine
+    /// that overrides `lookup` keeps its behaviour; FAFNIR overrides this
+    /// with `lookup`'s driver over [`GatherEngine::reduce_timing`].
+    ///
+    /// # Errors
+    ///
+    /// Exactly those of [`GatherEngine::lookup`].
+    fn lookup_timing<S: EmbeddingSource>(
+        &self,
+        batch: &Batch,
+        source: &S,
+    ) -> Result<LookupResult, FafnirError> {
+        GatherEngine::lookup(self, batch, source).map(without_outputs)
     }
 
     /// Pipelined execution of a stream of batches: all plans' DRAM reads
@@ -364,7 +449,8 @@ pub trait GatherEngine {
         let shared_stats = scaled_stats(memory.stats(), stats_scale);
 
         // Reduce phase per plan, fed by the measured (absolute) completion
-        // times.
+        // times. The stream reads only times and counts, so it asks for
+        // timing alone.
         let mut per_batch_completion_ns = Vec::with_capacity(plans.len());
         let mut total_ns = 0.0f64;
         let mut queries = 0usize;
@@ -375,8 +461,8 @@ pub trait GatherEngine {
                 memory: MemoryStats::default(),
                 idle_ns,
             };
-            let sub = self.reduce(plan, gathered, source)?;
-            queries += sub.outputs.len();
+            let sub = self.reduce_timing(plan, gathered, source)?;
+            queries += sub.per_query_ns.len();
             vectors_read += sub.traffic.vectors_read;
             total_ns = total_ns.max(sub.latency.total_ns);
             per_batch_completion_ns.push(sub.latency.total_ns);

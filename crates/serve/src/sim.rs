@@ -15,9 +15,11 @@
 //! backoff expiry, worker restart), so a run is fully determined by its
 //! configuration and seeds — byte-identical across hosts, thread counts,
 //! and reruns. Each dispatched batch is served by a
-//! [`LookupService::lookup`] on the worker's own private memory system (a
-//! replicated accelerator instance), and the engine's per-query completion
-//! times become per-query completion events on the serving clock.
+//! [`LookupService::lookup_timing`] on the worker's own private memory
+//! system (a replicated accelerator instance): the serve path reads only
+//! timing and traffic, so no value is fetched or folded. The engine's
+//! per-query completion times become per-query completion events on the
+//! serving clock.
 //!
 //! [`simulate_resilient`] layers a fault model on top
 //! ([`ResilienceConfig`]): a seeded [`FaultPlan`] schedules per-worker
@@ -743,14 +745,12 @@ impl Sim<'_> {
     /// Closes a batch: runs the engine exactly once (fault-free base
     /// service) and registers the job plus its placeholder [`BatchRecord`].
     ///
-    /// This single lookup is the *only* place the reduction operator runs
-    /// for this batch, so per-query accumulator state (Mean's carried
-    /// count, TopK's heap) is finalized once per batch no matter how many
-    /// attempts are started. The dispatcher reads only the result's
-    /// timing and traffic: the job keeps the per-query times, the service
-    /// time and the DRAM reads, and the output vectors are dropped here.
-    /// Retries and hedges replay that timing, scaled by their worker's
-    /// slowdown; they never re-reduce.
+    /// The dispatcher reads only the result's timing and traffic, so this
+    /// one lookup asks for timing alone ([`LookupService::lookup_timing`]):
+    /// the job keeps the per-query times, the service time and the DRAM
+    /// reads, and an engine whose times do not depend on its values
+    /// (FAFNIR's) fetches and folds none. Retries and hedges replay that
+    /// timing, scaled by their worker's slowdown; they never look up again.
     fn form_job<E: LookupService, S: EmbeddingSource>(
         &mut self,
         ids: Vec<usize>,
@@ -761,7 +761,7 @@ impl Sim<'_> {
     ) -> Result<usize, ServeError> {
         let batch = Batch::from_index_sets(ids.iter().map(|&id| shapes[id].clone()));
         let LookupResult { per_query_ns, latency, traffic, .. } =
-            engine.lookup(&batch, source).map_err(ServeError::Engine)?;
+            engine.lookup_timing(&batch, source).map_err(ServeError::Engine)?;
         let job_id = self.jobs.len();
         self.batches.push(BatchRecord {
             queries: ids,
