@@ -1,8 +1,8 @@
 //! The reduction tree's analytic walk: every query's time, and its value
 //! when asked for.
 //!
-//! The PE chooses reduce or forward from the header alone (PAPER.md
-//! §IV), so the values never steer routing or timing. One walk over a
+//! The PE chooses reduce or forward from the header alone (Sec. IV-B),
+//! so the values never steer routing or timing. One walk over a
 //! query's occupied sides therefore prices the query from its reads'
 //! indices, ranks and ready times, and carries the values as an optional
 //! payload: [`fast_reduce`] folds each query's gathered vectors in the
