@@ -30,6 +30,15 @@ impl Rank {
         }
     }
 
+    /// Returns the rank to its freshly built state: every bank idle and no
+    /// command recorded. Keeps its buffers' capacity.
+    pub fn reset(&mut self) {
+        self.banks.fill(Bank::new());
+        self.recent_acts.clear();
+        self.last_act = None;
+        self.last_column = None;
+    }
+
     /// Immutable access to a bank by flat index.
     ///
     /// # Panics

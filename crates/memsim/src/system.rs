@@ -5,7 +5,7 @@ use std::collections::VecDeque;
 
 use crate::address::{FirstBurst, Location};
 use crate::config::MemoryConfig;
-use crate::controller::{BurstJob, ChannelController};
+use crate::controller::{ChannelController, RowRun};
 use crate::request::{bursts, AccessKind, Completion, Request, RequestId};
 use crate::stats::MemoryStats;
 use crate::Cycle;
@@ -150,21 +150,40 @@ impl MemorySystem {
         let (mapping, topology) = (self.config.mapping, self.config.topology);
         let mut burst_index = 0;
         mapping.for_each_row_run(first, bursts, &topology, |location, len| {
-            let controller = &mut self.controllers[location.channel];
-            for column in location.column..location.column + len {
-                controller.enqueue(BurstJob {
-                    id,
-                    burst_index,
-                    location: Location { column, ..location },
-                    kind,
-                    arrival,
-                    seq: self.next_seq,
-                });
-                self.next_seq += 1;
-                burst_index += 1;
-            }
+            let len = len as u32;
+            self.controllers[location.channel].enqueue(RowRun {
+                id,
+                burst_index,
+                location,
+                len,
+                kind,
+                arrival,
+                seq: self.next_seq,
+            });
+            self.next_seq += u64::from(len);
+            burst_index += len;
         });
         id
+    }
+
+    /// Returns the system to its freshly built state, as
+    /// [`MemorySystem::new`] with the same configuration would build it:
+    /// every bank, rank and bus idle, no request queued or tracked, zeroed
+    /// counters, cycle 0 and no command logs. Queued work is dropped. Every
+    /// buffer keeps its capacity, so a system reused across independent
+    /// runs allocates only when a run outgrows the ones before it.
+    pub fn reset(&mut self) {
+        for controller in &mut self.controllers {
+            controller.reset();
+        }
+        self.requests.clear();
+        self.first_id = 0;
+        self.in_flight = 0;
+        self.last_finish = None;
+        self.request_stats.reset();
+        self.next_seq = 0;
+        self.now = 0;
+        self.skipped_cycles = 0;
     }
 
     /// Advances the simulation one command-clock cycle.
@@ -517,6 +536,25 @@ mod tests {
         mem.submit(Request::read(0, 512));
         assert!(!mem.is_idle());
         mem.reset_stats(); // Counters of the in-flight read would be split.
+    }
+
+    #[test]
+    fn reset_returns_a_used_system_to_its_built_state() {
+        for refresh in [false, true] {
+            let config = MemoryConfig { refresh, ..MemoryConfig::ddr4_2400_4ch() };
+            let mut mem = MemorySystem::new(config);
+            mem.enable_command_logs();
+            for i in 0..40u64 {
+                mem.submit(Request::read(i * 5_000, if i % 4 == 0 { 1024 } else { 512 }));
+            }
+            mem.run_until_idle();
+            let _ = mem.take_completions();
+            // Half-served work is dropped too.
+            mem.submit(Request::read(0, 512).at(mem.now() + 10_000));
+            mem.reset();
+            let fresh = MemorySystem::new(config);
+            assert_eq!(format!("{mem:?}"), format!("{fresh:?}"), "refresh {refresh}");
+        }
     }
 
     #[test]
