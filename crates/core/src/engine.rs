@@ -15,7 +15,7 @@
 //!    while gathering. The root forwards exactly one vector per query to
 //!    the host. The values ride the walk only when outputs are asked for:
 //!    [`GatherEngine::lookup_timing`] returns the same result without them
-//!    and never fetches or folds a value.
+//!    and never fetches or folds a value; on cycle memory it runs no walk.
 //!
 //! Software batches larger than the hardware capacity are served as several
 //! hardware batches back to back (Sec. IV-B); their latencies accumulate.
@@ -390,13 +390,16 @@ impl FafnirEngine {
     }
 
     /// The reduce stage: a timing part, with the values as its optional
-    /// part. The walk ([`crate::fastpath`]) answers every query and times it
-    /// under the fast memory model; under the cycle model the injector and
-    /// the event-timed header tree time it, fed from the reads without
-    /// values. With `values`, each read's value is fetched from that source
-    /// and rides the walk, which then also folds and finalizes every
-    /// output; without, `outputs` is empty and every other field is the
-    /// same. Accounts the root → host link transfer per output.
+    /// part. Under the fast memory model the walk ([`crate::fastpath`])
+    /// answers and times every query; under the cycle model the injector
+    /// and the event-timed header tree time it, fed from the reads without
+    /// values, and the walk runs only to carry the values. With `values`,
+    /// each read's value is fetched from that source and rides the walk,
+    /// which then also folds and finalizes every output, and must answer
+    /// the set of queries the timing model completed; without, `outputs` is
+    /// empty and every other field is the same. Either way every query of
+    /// the batch must complete. Accounts the root → host link transfer per
+    /// output.
     fn reduce_stage<S: EmbeddingSource>(
         &self,
         plan: &MemoryPlan,
@@ -406,7 +409,7 @@ impl FafnirEngine {
         let config = self.config();
         let batch = &plan.batch;
         let reads = &gathered.completions;
-        let FastRun { outputs, completion_ns: answered, stats } = match values {
+        let walk = |values: Option<&S>| match values {
             Some(source) => {
                 let vectors: Vec<GatheredVector> = reads
                     .iter()
@@ -421,17 +424,11 @@ impl FafnirEngine {
             }
             None => fast_timing(batch, reads, &self.tree),
         };
-        if answered.len() != batch.len() {
-            return Err(FafnirError::InvalidBatch(format!(
-                "{} of {} queries did not complete in the tree",
-                batch.len() - answered.len(),
-                batch.len()
-            )));
-        }
         let memory_ns = gathered.last_ready_ns();
         let fast_memory = self.mem_config.model == fafnir_mem::MemoryModelKind::Fast;
-        let (completions, tree_stats) = if fast_memory {
-            (answered, stats)
+        let (outputs, completions, tree_stats) = if fast_memory {
+            let FastRun { outputs, completion_ns, stats } = walk(values);
+            (outputs, completion_ns, stats)
         } else {
             let inputs = build_rank_inputs(
                 batch,
@@ -442,19 +439,33 @@ impl FafnirEngine {
             );
             let run = self.tree.run(inputs);
             let completions = run.query_completion_ns();
-            if !answered
-                .iter()
-                .map(|(query, _)| query)
-                .eq(completions.iter().map(|(query, _)| query))
-            {
-                return Err(FafnirError::InvalidBatch(format!(
-                    "the walk answered {} queries but the timing model completed a different set of {}",
-                    answered.len(),
-                    completions.len()
-                )));
-            }
-            (completions, run.stats)
+            let outputs = match values {
+                Some(_) => {
+                    let FastRun { outputs, completion_ns: answered, .. } = walk(values);
+                    if !answered
+                        .iter()
+                        .map(|(query, _)| query)
+                        .eq(completions.iter().map(|(query, _)| query))
+                    {
+                        return Err(FafnirError::InvalidBatch(format!(
+                            "the walk answered {} queries but the timing model completed a different set of {}",
+                            answered.len(),
+                            completions.len()
+                        )));
+                    }
+                    outputs
+                }
+                None => Vec::new(),
+            };
+            (outputs, completions, run.stats)
         };
+        if completions.len() != batch.len() {
+            return Err(FafnirError::InvalidBatch(format!(
+                "{} of {} queries did not complete in the tree",
+                batch.len() - completions.len(),
+                batch.len()
+            )));
+        }
         // Root → host link transfer per output.
         let per_query_ns: Vec<(QueryId, f64)> =
             completions.iter().map(|&(query, t)| (query, t + config.link_transfer_ns())).collect();
@@ -601,7 +612,8 @@ impl GatherEngine for FafnirEngine {
         self.reduce_stage(plan, gathered, Some(source))
     }
 
-    /// Tree phase for timing alone: no value is fetched or folded.
+    /// Tree phase for timing alone: no value is fetched or folded, and on
+    /// cycle memory, where the tree times every query, no walk runs.
     fn reduce_timing<S: EmbeddingSource>(
         &self,
         plan: &MemoryPlan,

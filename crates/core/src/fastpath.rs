@@ -7,8 +7,9 @@
 //! indices, ranks and ready times, and carries the values as an optional
 //! payload: [`fast_reduce`] folds each query's gathered vectors in the
 //! tree's combine order and finalizes them, and the timing-only walk
-//! behind [`crate::GatherEngine::lookup_timing`] fetches and folds no
-//! value at all. The tree models ([`crate::tree::ReductionTree`],
+//! behind [`crate::GatherEngine::lookup_timing`] on fast memory fetches
+//! and folds no value at all (on cycle memory the tree times the queries,
+//! so a timing-only lookup runs no walk). The tree models ([`crate::tree::ReductionTree`],
 //! [`crate::cycle_sim::CycleTree`]) carry headers and ready times only. The
 //! walk reproduces the tree's combine order exactly because of three
 //! structural facts:

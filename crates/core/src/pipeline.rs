@@ -24,10 +24,13 @@
 //! scenarios, SpMV row bands — on worker threads and returns their results
 //! in submission order.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use fafnir_mem::{AnyMemory, Location, MemoryConfig, MemoryStats, RequestId};
+use fafnir_mem::{
+    AnyMemory, Location, MemoryConfig, MemoryModelKind, MemoryStats, MemorySystem, RequestId,
+};
 
 use crate::batch::Batch;
 use crate::engine::{LatencyBreakdown, LookupResult, StreamResult, TrafficStats};
@@ -168,19 +171,69 @@ fn scaled_stats(mut stats: MemoryStats, scale: u64) -> MemoryStats {
     stats
 }
 
-/// Runs one plan's reads on a dedicated memory system, built from the
-/// model named by `plan.sim_config.model` (cycle-accurate or
-/// fast-functional).
+thread_local! {
+    /// This thread's spare cycle-model system, kept between plans so that
+    /// a plan on the same configuration resets it instead of building one.
+    static SPARE_SYSTEM: Cell<Option<MemorySystem>> = const { Cell::new(None) };
+}
+
+/// Runs one plan's reads on a dedicated memory system of the model named
+/// by `plan.sim_config.model` (cycle-accurate or fast-functional). A
+/// cycle-model plan runs on this thread's spare system, reset to its
+/// freshly built state ([`MemorySystem::reset`]) when its configuration
+/// equals the plan's and rebuilt otherwise, so the outcome is the one a
+/// new system gives.
 #[must_use]
 pub fn gather_plan(plan: &MemoryPlan) -> GatherOutcome {
-    let mut memory = AnyMemory::new(plan.sim_config);
-    let ids = submit_plan(&mut memory, plan);
+    let config = plan.sim_config;
+    if config.model != MemoryModelKind::Cycle {
+        return gather_on(&mut AnyMemory::new(config), plan);
+    }
+    let system = match SPARE_SYSTEM.take() {
+        Some(mut spare) if *spare.config() == config => {
+            spare.reset();
+            spare
+        }
+        _ => MemorySystem::new(config),
+    };
+    let mut memory = AnyMemory::Cycle(system);
+    let outcome = gather_on(&mut memory, plan);
+    if let AnyMemory::Cycle(system) = memory {
+        SPARE_SYSTEM.set(Some(system));
+    }
+    outcome
+}
+
+/// Runs `plan`'s reads on `memory`, a freshly built or reset system of
+/// the plan's configuration.
+fn gather_on(memory: &mut AnyMemory, plan: &MemoryPlan) -> GatherOutcome {
+    let ids = submit_plan(memory, plan);
     let idle_cycle = memory.run_until_idle();
     GatherOutcome {
-        completions: collect_completions(&memory, plan, &ids, &plan.sim_config),
+        completions: collect_completions(memory, plan, &ids, &plan.sim_config),
         memory: scaled_stats(memory.stats(), plan.stats_scale),
         idle_ns: plan.sim_config.timing.cycles_to_ns(idle_cycle),
     }
+}
+
+/// Checks the gather stage's conservation law on `plan`: the outcome holds
+/// one completion per planned read, index for index in plan order, and the
+/// memory system completed exactly the plan's reads. A memory system that
+/// carried another plan's requests or counters breaks the second half.
+/// The error names the law.
+fn check_gather(plan: &MemoryPlan, gathered: &GatherOutcome) -> Result<(), FafnirError> {
+    let one_each = plan.reads.len() == gathered.completions.len()
+        && plan
+            .reads
+            .iter()
+            .zip(&gathered.completions)
+            .all(|(read, done)| read.index == done.index && read.rank == done.rank);
+    if one_each && gathered.memory.requests_completed == plan.reads.len() as u64 {
+        return Ok(());
+    }
+    Err(FafnirError::InvalidBatch(
+        "gather broke a conservation law: every planned read completes exactly once".into(),
+    ))
 }
 
 /// Merges hardware-batch results in submission order under serial
@@ -224,7 +277,8 @@ impl SequentialMerge {
 /// The driver behind [`GatherEngine::lookup`] and FAFNIR's
 /// [`GatherEngine::lookup_timing`]: preprocess `batch`, then gather and
 /// `reduce` every hardware batch in submission order, merged under serial
-/// accelerator occupancy ([`SequentialMerge`]).
+/// accelerator occupancy ([`SequentialMerge`]). Each gather must complete
+/// every planned read exactly once (`check_gather`).
 pub(crate) fn drive<E, S, R>(
     engine: &E,
     batch: &Batch,
@@ -240,6 +294,7 @@ where
     let mut merge = SequentialMerge::default();
     for plan in &plans {
         let gathered = engine.gather(plan);
+        check_gather(plan.as_ref(), &gathered)?;
         merge.push(reduce(engine, plan, gathered, source)?);
     }
     merge.finish().ok_or_else(|| FafnirError::InvalidBatch("batch has no queries".into()))
@@ -552,6 +607,129 @@ pub fn analytic_result(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::FafnirConfig;
+    use crate::engine::FafnirEngine;
+    use crate::indexset;
+    use crate::placement::StripedSource;
+
+    /// A plan of `reads` whole-vector reads on `config`, spread from `salt`
+    /// over channels, ranks, banks and four rows, so its system sees row
+    /// hits, conflicts and idle banks.
+    fn plan(config: MemoryConfig, salt: usize, reads: usize) -> MemoryPlan {
+        let topology = config.topology;
+        let mut plan = MemoryPlan::new(Batch::new(), config);
+        plan.reads = (0..reads)
+            .map(|i| {
+                let k = salt * 7_919 + i * 104_729;
+                let location = Location {
+                    channel: k % topology.channels,
+                    rank: k / 3 % topology.ranks_per_channel(),
+                    bank_group: k / 5 % topology.bank_groups,
+                    bank: k / 7 % topology.banks_per_group,
+                    row: k / 11 % 4,
+                    column: k / 13 % (topology.columns / 8) * 8,
+                };
+                PlannedRead {
+                    index: VectorIndex(i as u32),
+                    location,
+                    rank: location.global_rank(&topology),
+                    bytes: 512,
+                }
+            })
+            .collect();
+        plan
+    }
+
+    #[test]
+    fn a_reused_system_gathers_what_a_fresh_one_does() {
+        // One thread, changing configurations: the spare is reset between
+        // equal ones, rebuilt for another preset or refresh, and left alone
+        // by a fast-model plan.
+        let paper = MemoryConfig::ddr4_2400_4ch();
+        let fast = MemoryConfig { model: MemoryModelKind::Fast, ..paper };
+        let refresh = MemoryConfig { refresh: true, ..paper };
+        let plans = [
+            plan(paper, 1, 60),
+            plan(paper, 2, 25),
+            plan(fast, 3, 40),
+            plan(paper, 4, 40),
+            plan(MemoryConfig::ddr5_4800_4ch(), 5, 50),
+            plan(refresh, 6, 40),
+            plan(refresh, 7, 20),
+            plan(paper, 8, 33),
+        ];
+        for (i, plan) in plans.iter().enumerate() {
+            let fresh = gather_on(&mut AnyMemory::new(plan.sim_config), plan);
+            assert_eq!(gather_plan(plan), fresh, "plan {i}");
+        }
+    }
+
+    /// FAFNIR behind a gather that breaks the gather law one way: it
+    /// reports one request more than it ran (counters a reused system
+    /// carried over), or loses a completion.
+    struct Tampered {
+        inner: FafnirEngine,
+        stale_counters: bool,
+    }
+
+    impl GatherEngine for Tampered {
+        type Plan = MemoryPlan;
+
+        fn name(&self) -> &'static str {
+            "tampered"
+        }
+
+        fn preprocess<S: EmbeddingSource>(
+            &self,
+            batch: &Batch,
+            source: &S,
+        ) -> Result<Vec<MemoryPlan>, FafnirError> {
+            self.inner.preprocess(batch, source)
+        }
+
+        fn gather(&self, plan: &MemoryPlan) -> GatherOutcome {
+            let mut gathered = self.inner.gather(plan);
+            if self.stale_counters {
+                gathered.memory.requests_completed += 1;
+            } else {
+                gathered.completions.pop();
+            }
+            gathered
+        }
+
+        fn reduce<S: EmbeddingSource>(
+            &self,
+            plan: &MemoryPlan,
+            gathered: GatherOutcome,
+            source: &S,
+        ) -> Result<LookupResult, FafnirError> {
+            self.inner.reduce(plan, gathered, source)
+        }
+    }
+
+    #[test]
+    fn a_gather_that_misses_a_read_breaks_a_named_law() {
+        let config = MemoryConfig::ddr4_2400_4ch();
+        let source = StripedSource::new(config.topology, 128);
+        let batch = Batch::from_index_sets([indexset![1, 2, 5], indexset![3, 4, 5]]);
+        let engine = || FafnirEngine::new(FafnirConfig::paper_default(), config).unwrap();
+        assert!(GatherEngine::lookup(&engine(), &batch, &source).is_ok());
+        for stale_counters in [true, false] {
+            let tampered = Tampered { inner: engine(), stale_counters };
+            for result in [
+                GatherEngine::lookup(&tampered, &batch, &source),
+                GatherEngine::lookup_timing(&tampered, &batch, &source),
+            ] {
+                let error = result.expect_err("the gather law breaks").to_string();
+                assert!(
+                    error.contains(
+                        "gather broke a conservation law: every planned read completes exactly once"
+                    ),
+                    "stale counters {stale_counters}: {error}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn map_ordered_counts_the_caller_as_a_worker() {
