@@ -21,6 +21,10 @@
 #   unresolved  the base's own spread (interquartile range over median) is
 #               wider than the bound
 #
+# Under a metric it calls worse or unresolved, it prints both sides' values
+# pair by pair, so a bimodal reading shows as two clusters rather than as a
+# jump in the median.
+#
 # The quartiles follow the ledger's own (Python's `statistics.quantiles`,
 # exclusive method). BASE is extracted with `git archive`, so nothing is
 # registered in the repository and an interrupted run leaves no worktree
@@ -161,6 +165,11 @@ for workload in $WORKLOADS; do
                     out["q" q] = (sorted[k] * (4 - d) + sorted[k + 1] * d) / 4
                 }
             }
+            # The values in pair order.
+            function listed(values, n,    i, out) {
+                for (i = 1; i <= n; i++) out = out sprintf(" %.4g", values[i])
+                return out
+            }
             BEGIN {
                 n = split(base, b, " ")
                 if (split(change, c, " ") != n || n == 0) {
@@ -186,6 +195,10 @@ for workload in $WORKLOADS; do
                 printf "%-14s %-19s %12.6g [%9.4g, %9.4g] %12.6g [%9.4g, %9.4g] %3d/%-3d %5d  %s\n",
                     workload, metric, bs["median"], bs["q1"], bs["q3"],
                     cs["median"], cs["q1"], cs["q3"], wins, n, ties, verdict
+                if (verdict == "worse" || verdict == "unresolved") {
+                    printf "%-34s base pairs:  %s\n", "", listed(b, n)
+                    printf "%-34s change pairs:%s\n", "", listed(c, n)
+                }
             }'
     done <<<"$metrics"
 done
