@@ -71,8 +71,8 @@ fn main() {
     let fast_engine = FafnirEngine::paper_default(fast_mem).expect("paper defaults");
     let source = StripedSource::new(mem.topology, 128);
 
-    // Warm-up pass per engine (fills the value cache, touches the heap),
-    // then min-of-N measured passes.
+    // Warm-up pass per engine (touches the heap), then min-of-N measured
+    // passes.
     run_pass(&cycle_engine, &source);
     run_pass(&fast_engine, &source);
     let cycle_qps = measure(&cycle_engine, &source, 3);

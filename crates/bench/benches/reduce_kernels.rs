@@ -1,9 +1,9 @@
 //! Criterion micro-benchmarks of the reduction kernels: one `combine_into`
-//! call per operator across the accumulator widths the serving pipeline
-//! actually sees. These are the innermost loops of every tree run, so the
-//! unrolled kernels in `fafnir_core::reduce` are tuned against this bench
-//! (`just bench reduce_kernels`); the scalar-parity unit tests in that
-//! module pin the results bitwise.
+//! call per operator across the accumulator widths a lookup with values
+//! sees. These are the innermost loops of the walk that computes outputs
+//! (`fafnir_core::fastpath`), so a change to a kernel in
+//! `fafnir_core::reduce` is timed here (`just bench reduce_kernels`);
+//! `tests/output_bits.rs` pins the results bitwise.
 
 use std::sync::Arc;
 

@@ -41,8 +41,6 @@
 //! firing, but `compares`, raw/merged output counts and buffer occupancy
 //! are not modeled (they read as zero).
 
-use std::borrow::Cow;
-
 use crate::batch::Batch;
 use crate::index::QueryId;
 use crate::inject::{GatheredRead, GatheredVector};
@@ -74,11 +72,11 @@ pub fn supports_shape(ranks_per_leaf: usize) -> bool {
 
 /// What rides the walk besides each item's ready time: nothing for the
 /// timing-only walk (`()`), each item's accumulator for [`Values`].
-trait Payload<'r, R> {
+trait Payload<R> {
     /// One item's payload.
     type Acc;
     /// The payload a read starts.
-    fn lift(&self, read: &'r R) -> Self::Acc;
+    fn lift(&self, read: &R) -> Self::Acc;
     /// `acc` absorbs `other`: a co-resident operand's pre-reduce, or a
     /// PE's A input absorbing its B input.
     fn absorb(&self, acc: &mut Self::Acc, other: &Self::Acc);
@@ -86,10 +84,10 @@ trait Payload<'r, R> {
     fn finish(&self, acc: Self::Acc) -> Option<Vec<f32>>;
 }
 
-impl<'r, R> Payload<'r, R> for () {
+impl<R> Payload<R> for () {
     type Acc = ();
 
-    fn lift(&self, _: &'r R) {}
+    fn lift(&self, _: &R) {}
 
     fn absorb(&self, (): &mut (), (): &()) {}
 
@@ -98,33 +96,22 @@ impl<'r, R> Payload<'r, R> for () {
     }
 }
 
-/// The operator's accumulators. For operators whose lift is the identity
-/// ([`ReduceOperator::lift_is_identity`]) a fresh accumulator borrows the
-/// gathered value instead of cloning it: `combine_into` and `finalize`
-/// only read their right-hand side, so a borrow is bit-equivalent to the
-/// lifted copy, and an owned copy is made only when one is mutated.
-struct Values<'o> {
-    operator: &'o dyn ReduceOperator,
-    lift_is_identity: bool,
-}
+/// The operator's accumulators: every gathered value is lifted into one.
+struct Values<'o>(&'o dyn ReduceOperator);
 
-impl<'r> Payload<'r, GatheredVector> for Values<'_> {
-    type Acc = Cow<'r, [f32]>;
+impl Payload<GatheredVector> for Values<'_> {
+    type Acc = Vec<f32>;
 
-    fn lift(&self, read: &'r GatheredVector) -> Cow<'r, [f32]> {
-        if self.lift_is_identity {
-            Cow::Borrowed(&read.value)
-        } else {
-            Cow::Owned(self.operator.lift(read.index, &read.value))
-        }
+    fn lift(&self, read: &GatheredVector) -> Vec<f32> {
+        self.0.lift(read.index, &read.value)
     }
 
-    fn absorb(&self, acc: &mut Cow<'r, [f32]>, other: &Cow<'r, [f32]>) {
-        self.operator.combine_into(acc.to_mut(), other);
+    fn absorb(&self, acc: &mut Vec<f32>, other: &Vec<f32>) {
+        self.0.combine_into(acc, other);
     }
 
-    fn finish(&self, acc: Cow<'r, [f32]>) -> Option<Vec<f32>> {
-        Some(self.operator.finalize(&acc))
+    fn finish(&self, acc: Vec<f32>) -> Option<Vec<f32>> {
+        Some(self.0.finalize(&acc))
     }
 }
 
@@ -143,8 +130,7 @@ pub fn fast_reduce(
     tree: &ReductionTree,
     operator: &dyn ReduceOperator,
 ) -> FastRun {
-    let values = Values { operator, lift_is_identity: operator.lift_is_identity() };
-    walk(batch, gathered, tree, &values)
+    walk(batch, gathered, tree, &Values(operator))
 }
 
 /// Walks one hardware batch for its timing alone: [`fast_reduce`]'s
@@ -163,9 +149,9 @@ pub(crate) fn fast_timing<R: GatheredRead>(
 /// extra operand (the injector's recipe). Then the occupied nodes climb the
 /// tree a level at a time: above the leaves each crosses a link, and two
 /// nodes with one parent reduce (A absorbs B) while a lone one forwards.
-fn walk<'r, R: GatheredRead, P: Payload<'r, R>>(
+fn walk<R: GatheredRead, P: Payload<R>>(
     batch: &Batch,
-    reads: &'r [R],
+    reads: &[R],
     tree: &ReductionTree,
     payload: &P,
 ) -> FastRun {

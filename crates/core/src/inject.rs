@@ -42,9 +42,9 @@ pub struct GatheredVector {
     pub index: VectorIndex,
     /// Global rank the vector was read from.
     pub rank: usize,
-    /// The vector's value, shared with the embedding source's store (read
-    /// by the walk in [`crate::fastpath`] when it computes outputs; the
-    /// tree models ignore it).
+    /// The vector's value, from [`crate::EmbeddingSource::shared_value_of`]
+    /// (read by the walk in [`crate::fastpath`] when it computes outputs;
+    /// the tree models ignore it).
     pub value: std::sync::Arc<[f32]>,
     /// Nanosecond timestamp of the read's completion.
     pub ready_ns: f64,

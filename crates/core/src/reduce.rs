@@ -32,108 +32,36 @@ use std::sync::Arc;
 
 use crate::index::VectorIndex;
 
-/// Adds `b` into `a` element-wise, 4x-unrolled.
-///
-/// The main loop runs four independent scalar adds per iteration (the f32x4
-/// pattern), which the compiler vectorizes; element results are independent,
-/// so this is bit-identical to [`add_assign_scalar`].
+/// Adds `b` into `a` element by element.
 ///
 /// # Panics
 ///
 /// Panics if the slices have different lengths.
-pub fn add_assign_unrolled(a: &mut [f32], b: &[f32]) {
-    assert_eq!(a.len(), b.len(), "reduction operands must have equal dimension");
-    let main = a.len() / 4 * 4;
-    let (a_main, a_tail) = a.split_at_mut(main);
-    let (b_main, b_tail) = b.split_at(main);
-    for (x, y) in a_main.chunks_exact_mut(4).zip(b_main.chunks_exact(4)) {
-        // Four independent accumulator lanes per iteration.
-        x[0] += y[0];
-        x[1] += y[1];
-        x[2] += y[2];
-        x[3] += y[3];
-    }
-    for (x, y) in a_tail.iter_mut().zip(b_tail) {
-        *x += *y;
-    }
-}
-
-/// Scalar reference for [`add_assign_unrolled`], kept for parity tests.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn add_assign_scalar(a: &mut [f32], b: &[f32]) {
+fn add_assign(a: &mut [f32], b: &[f32]) {
     assert_eq!(a.len(), b.len(), "reduction operands must have equal dimension");
     for (x, y) in a.iter_mut().zip(b) {
         *x += y;
     }
 }
 
-/// Element-wise `max` with the same four-lane shape as
-/// [`add_assign_unrolled`]; element results are independent, so this is
-/// bit-identical to [`max_assign_scalar`] (including NaN propagation, which
-/// follows [`f32::max`] in both).
+/// Element-wise `max` of `a` and `b` into `a` (NaN follows [`f32::max`]).
 ///
 /// # Panics
 ///
 /// Panics if the slices have different lengths.
-pub fn max_assign_unrolled(a: &mut [f32], b: &[f32]) {
-    assert_eq!(a.len(), b.len(), "reduction operands must have equal dimension");
-    let main = a.len() / 4 * 4;
-    let (a_main, a_tail) = a.split_at_mut(main);
-    let (b_main, b_tail) = b.split_at(main);
-    for (x, y) in a_main.chunks_exact_mut(4).zip(b_main.chunks_exact(4)) {
-        x[0] = x[0].max(y[0]);
-        x[1] = x[1].max(y[1]);
-        x[2] = x[2].max(y[2]);
-        x[3] = x[3].max(y[3]);
-    }
-    for (x, y) in a_tail.iter_mut().zip(b_tail) {
-        *x = x.max(*y);
-    }
-}
-
-/// Scalar reference for [`max_assign_unrolled`], kept for parity tests.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn max_assign_scalar(a: &mut [f32], b: &[f32]) {
+fn max_assign(a: &mut [f32], b: &[f32]) {
     assert_eq!(a.len(), b.len(), "reduction operands must have equal dimension");
     for (x, y) in a.iter_mut().zip(b) {
         *x = x.max(*y);
     }
 }
 
-/// Element-wise `min` twin of [`max_assign_unrolled`], bit-identical to
-/// [`min_assign_scalar`].
+/// Element-wise `min` of `a` and `b` into `a` (NaN follows [`f32::min`]).
 ///
 /// # Panics
 ///
 /// Panics if the slices have different lengths.
-pub fn min_assign_unrolled(a: &mut [f32], b: &[f32]) {
-    assert_eq!(a.len(), b.len(), "reduction operands must have equal dimension");
-    let main = a.len() / 4 * 4;
-    let (a_main, a_tail) = a.split_at_mut(main);
-    let (b_main, b_tail) = b.split_at(main);
-    for (x, y) in a_main.chunks_exact_mut(4).zip(b_main.chunks_exact(4)) {
-        x[0] = x[0].min(y[0]);
-        x[1] = x[1].min(y[1]);
-        x[2] = x[2].min(y[2]);
-        x[3] = x[3].min(y[3]);
-    }
-    for (x, y) in a_tail.iter_mut().zip(b_tail) {
-        *x = x.min(*y);
-    }
-}
-
-/// Scalar reference for [`min_assign_unrolled`], kept for parity tests.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn min_assign_scalar(a: &mut [f32], b: &[f32]) {
+fn min_assign(a: &mut [f32], b: &[f32]) {
     assert_eq!(a.len(), b.len(), "reduction operands must have equal dimension");
     for (x, y) in a.iter_mut().zip(b) {
         *x = x.min(*y);
@@ -167,24 +95,10 @@ pub trait ReduceOperator: Send + Sync + std::fmt::Debug {
         dim
     }
 
-    /// Finalized output width for vectors of `dim` elements.
-    fn output_dim(&self, dim: usize) -> usize {
-        self.acc_dim(dim)
-    }
-
     /// Lifts one gathered vector into a singleton accumulator.
     fn lift(&self, index: VectorIndex, value: &[f32]) -> Vec<f32> {
         let _ = index;
         value.to_vec()
-    }
-
-    /// Whether [`ReduceOperator::lift`] is a plain copy of the value.
-    /// When true, callers holding a gathered vector may use it directly as
-    /// a singleton accumulator (borrowed, bit-identical) instead of
-    /// cloning through `lift` — the fold in [`crate::fastpath`] exploits this.
-    /// Keep false (the default) whenever `lift` transforms the value.
-    fn lift_is_identity(&self) -> bool {
-        false
     }
 
     /// Combines accumulator `other` into `acc`.
@@ -200,7 +114,7 @@ pub trait ReduceOperator: Send + Sync + std::fmt::Debug {
     }
 }
 
-/// Element-wise sum (the paper's default): identity lift, unrolled add.
+/// Element-wise sum (the paper's default): identity lift, element add.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SumOperator;
 
@@ -209,12 +123,8 @@ impl ReduceOperator for SumOperator {
         "sum".into()
     }
 
-    fn lift_is_identity(&self) -> bool {
-        true
-    }
-
     fn combine_into(&self, acc: &mut [f32], other: &[f32]) {
-        add_assign_unrolled(acc, other);
+        add_assign(acc, other);
     }
 }
 
@@ -233,10 +143,6 @@ impl ReduceOperator for MeanOperator {
         dim + 1
     }
 
-    fn output_dim(&self, dim: usize) -> usize {
-        dim
-    }
-
     fn lift(&self, _index: VectorIndex, value: &[f32]) -> Vec<f32> {
         let mut acc = Vec::with_capacity(value.len() + 1);
         acc.extend_from_slice(value);
@@ -246,7 +152,7 @@ impl ReduceOperator for MeanOperator {
 
     fn combine_into(&self, acc: &mut [f32], other: &[f32]) {
         // The counts occupy the last lane on both sides and simply add.
-        add_assign_unrolled(acc, other);
+        add_assign(acc, other);
     }
 
     fn finalize(&self, acc: &[f32]) -> Vec<f32> {
@@ -270,12 +176,8 @@ impl ReduceOperator for MaxOperator {
         "max".into()
     }
 
-    fn lift_is_identity(&self) -> bool {
-        true
-    }
-
     fn combine_into(&self, acc: &mut [f32], other: &[f32]) {
-        max_assign_unrolled(acc, other);
+        max_assign(acc, other);
     }
 }
 
@@ -288,12 +190,8 @@ impl ReduceOperator for MinOperator {
         "min".into()
     }
 
-    fn lift_is_identity(&self) -> bool {
-        true
-    }
-
     fn combine_into(&self, acc: &mut [f32], other: &[f32]) {
-        min_assign_unrolled(acc, other);
+        min_assign(acc, other);
     }
 }
 
@@ -327,10 +225,10 @@ impl ReduceOperator for ArgMaxOperator {
         let dim = acc.len() / 2;
         let (values, indices) = acc.split_at_mut(dim);
         let (other_values, other_indices) = other.split_at(dim);
-        // Four independent lanes of compare + select per iteration, same
-        // shape as [`add_assign_unrolled`]; the select is branchless so the
-        // lanes vectorize, and lane results are independent, so this is
-        // bit-identical to the scalar tail loop below.
+        // Four independent lanes of compare + select per iteration; the
+        // select is branchless so the lanes vectorize, and lane results are
+        // independent, so this is bit-identical to the scalar tail loop
+        // below.
         let main = dim / 4 * 4;
         let (v_main, v_tail) = values.split_at_mut(main);
         let (i_main, i_tail) = indices.split_at_mut(main);
@@ -676,7 +574,6 @@ mod tests {
     fn mean_operator_carries_count_in_accumulator() {
         let op = MeanOperator;
         assert_eq!(op.acc_dim(4), 5);
-        assert_eq!(op.output_dim(4), 4);
         let mut acc = op.lift(VectorIndex(0), &[2.0, 4.0]);
         assert_eq!(acc, vec![2.0, 4.0, 1.0]);
         let other = op.lift(VectorIndex(1), &[4.0, 0.0]);
@@ -726,51 +623,6 @@ mod tests {
         op.combine_into(&mut ba, &a);
         assert_eq!(ab, ba);
         assert_eq!(TopKOperator::decode(&ab)[0].0, VectorIndex(2));
-    }
-
-    #[test]
-    fn unrolled_add_matches_scalar_bitwise() {
-        // Lengths straddling the 4-wide unroll boundary, values chosen to
-        // exercise rounding.
-        for len in [0usize, 1, 3, 4, 5, 8, 127, 128, 130] {
-            let a: Vec<f32> = (0..len).map(|i| (i as f32 * 0.37).sin() * 1e3).collect();
-            let b: Vec<f32> = (0..len).map(|i| (i as f32 * 0.73).cos() * 1e-3).collect();
-            let mut unrolled = a.clone();
-            add_assign_unrolled(&mut unrolled, &b);
-            let mut scalar = a.clone();
-            add_assign_scalar(&mut scalar, &b);
-            assert_eq!(
-                unrolled.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                scalar.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                "length {len}"
-            );
-        }
-    }
-
-    #[test]
-    fn unrolled_max_and_min_match_scalar_bitwise() {
-        for len in [0usize, 1, 3, 4, 5, 8, 127, 128, 130] {
-            let a: Vec<f32> = (0..len).map(|i| (i as f32 * 0.37).sin() * 1e3).collect();
-            let b: Vec<f32> = (0..len).map(|i| (i as f32 * 0.73).cos() * 1e3).collect();
-            let mut unrolled = a.clone();
-            max_assign_unrolled(&mut unrolled, &b);
-            let mut scalar = a.clone();
-            max_assign_scalar(&mut scalar, &b);
-            assert_eq!(
-                unrolled.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                scalar.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                "max length {len}"
-            );
-            let mut unrolled = a.clone();
-            min_assign_unrolled(&mut unrolled, &b);
-            let mut scalar = a.clone();
-            min_assign_scalar(&mut scalar, &b);
-            assert_eq!(
-                unrolled.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                scalar.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                "min length {len}"
-            );
-        }
     }
 
     #[test]

@@ -109,10 +109,6 @@ impl ReduceOperator for Unfinalized {
         self.0.lift(index, value)
     }
 
-    fn lift_is_identity(&self) -> bool {
-        self.0.lift_is_identity()
-    }
-
     fn combine_into(&self, acc: &mut [f32], other: &[f32]) {
         self.0.combine_into(acc, other);
     }
