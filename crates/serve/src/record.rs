@@ -140,8 +140,6 @@ pub enum AttemptResult {
     /// The dispatcher gave up at the per-batch timeout; the worker kept
     /// crunching to its natural finish (wasted work).
     TimedOut,
-    /// Abandoned by shed escalation (permanent total outage).
-    Abandoned,
 }
 
 /// One service attempt of one formed batch on one worker. The busy span
