@@ -22,15 +22,10 @@ test:
     cargo test --workspace -q
 
 # Run every root example. `cargo test` builds them but never runs them, so
-# one that panics at run time would otherwise go unnoticed.
+# one that panics at run time would otherwise go unnoticed. The loop stops
+# at the first failure: under `sh` a loop's status is its last command's.
 examples:
-    cargo run --release --example design_space
-    cargo run --release --example dlrm_inference
-    cargo run --release --example mtx_workflow
-    cargo run --release --example quickstart
-    cargo run --release --example recommendation_inference
-    cargo run --release --example spmv_graph
-    cargo run --release --example tree_anatomy
+    for example in examples/*.rs; do cargo run --release --example "$(basename "$example" .rs)" || exit 1; done
 
 # The SpMV digest and partitioned-driver tests pinned to one core.
 # `execute_partitioned` runs one row band per available core; pinned,
